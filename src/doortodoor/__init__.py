@@ -39,11 +39,7 @@ from .aggregation import (
     bin_zone_counts,
     daily_zone_means,
     evaluate_trips,
-    fastest_mode_counts,
-    fastest_time,
-    reliability_counts,
     summarize,
-    what_if_processing,
 )
 from .analytics import (
     DelaySensitivity,

@@ -1,6 +1,11 @@
-"""Group-by reductions over evaluated trips: per-zone daily means, fastest-mode
-counts, fastest average times, reliability counts, interval binning and the
-processing-time what-if recomputation.
+"""Trip evaluation and its group-by reductions.
+
+``evaluate_trips`` runs the per-trip model over every (segment, destination
+zone) pair, in one process.  ``daily_zone_means`` groups the trips into
+(zone, date, period, mode) means of door-to-door time and variability.
+``summarize`` reduces those in one pass per (zone, period): the days each
+mode was fastest, the days each mode was most reliable, and the fastest
+average time.  ``bin_zone_counts`` bins the summaries into reporting bands.
 
 All means are kept as exact Fractions of integer seconds so results are
 independent of summation order and safe to compare with zero tolerance.
@@ -8,18 +13,14 @@ independent of summation order and safe to compare with zero tolerance.
 
 from __future__ import annotations
 
-import logging
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .errors import TripNotComputableError, ValidationError
+from .errors import TripNotComputableError
 from .ingestion import RideStatIndex, resolve_dwell
 from .model import DayPeriod, DwellProfile, ScheduledSegment, TripRecord, Zone, compute_trip
-
-log = logging.getLogger(__name__)
 
 # Door-to-door time interval bins (minutes, half-open), per the four
 # reporting bands: under 4h, 4h to 4h30, 4h30 to 5h, 5h and more.
@@ -52,47 +53,35 @@ class ZonePeriodDayStat:
         return float(self.e_s) / 60.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class ZonePeriodSummary:
     """Per (zone, period) roll-up over the date range."""
 
     zone_id: str
     period: DayPeriod
-    n_by_mode: Dict[str, int] = field(default_factory=dict)
-    reliability_by_mode: Dict[str, int] = field(default_factory=dict)
-    fastest_mode: Optional[str] = None
-    most_reliable_mode: Optional[str] = None
-    e_bar_s: Optional[Fraction] = None
-    days_used: int = 0
-    days_total: int = 0
+    n_by_mode: Dict[str, int]
+    reliability_by_mode: Dict[str, int]
+    fastest_mode: str
+    most_reliable_mode: str
+    e_bar_s: Fraction
+    days_used: int
+    days_total: int
 
     @property
-    def e_bar_min(self) -> Optional[float]:
-        return None if self.e_bar_s is None else float(self.e_bar_s) / 60.0
+    def e_bar_min(self) -> float:
+        return float(self.e_bar_s) / 60.0
 
     @property
-    def interval_bin(self) -> Optional[str]:
-        return None if self.e_bar_s is None else interval_bin(self.e_bar_s / 60)
+    def interval_bin(self) -> str:
+        return interval_bin(self.e_bar_s / 60)
 
 
-def _trip_group_key(trip: TripRecord, group_on: str):
-    if group_on == "arrival":
-        return trip.arrival_date, trip.arrival_period
-    if group_on == "departure":
-        return trip.departure_date, trip.departure_period
-    raise ValidationError(f"group_on must be arrival|departure, got {group_on!r}")
-
-
-def daily_zone_means(trips: Iterable[TripRecord], *, group_on: str = "arrival") -> List[ZonePeriodDayStat]:
-    """Mean door-to-door time and variability per (zone, date, period, mode).
-
-    ``group_on`` selects the instant that buckets a trip into a date/period:
-    final arrival (default) or door departure.
-    """
+def daily_zone_means(trips: Iterable[TripRecord]) -> List[ZonePeriodDayStat]:
+    """Mean door-to-door time and variability per (zone, date, period, mode),
+    bucketing each trip by the date and period of its final arrival."""
     groups: Dict[tuple, List[TripRecord]] = {}
     for trip in trips:
-        when, period = _trip_group_key(trip, group_on)
-        key = (trip.dest_zone_id, when, period, trip.mode_id)
+        key = (trip.dest_zone_id, trip.arrival_date, trip.arrival_period, trip.mode_id)
         groups.setdefault(key, []).append(trip)
     stats = []
     for (zone_id, when, period, mode_id), members in groups.items():
@@ -112,123 +101,61 @@ def daily_zone_means(trips: Iterable[TripRecord], *, group_on: str = "arrival") 
     return stats
 
 
-def _daily_winner_counts(
-    day_stats: Iterable[ZonePeriodDayStat], metric
-) -> Dict[Tuple[str, DayPeriod], Dict[str, int]]:
-    """Per (zone, period): number of days each mode attains the daily minimum
-    of ``metric``; ties count every minimal mode."""
-    per_day: Dict[tuple, Dict[str, Fraction]] = {}
-    for stat in day_stats:
-        cell = per_day.setdefault((stat.zone_id, stat.period, stat.date), {})
-        cell[stat.mode_id] = metric(stat)
-    counts: Dict[Tuple[str, DayPeriod], Dict[str, int]] = {}
-    for (zone_id, period, _day), by_mode in per_day.items():
-        best = min(by_mode.values())
-        bucket = counts.setdefault((zone_id, period), {})
-        for mode_id, value in by_mode.items():
-            bucket.setdefault(mode_id, 0)
-            if value == best:
-                bucket[mode_id] += 1
-    return counts
-
-
 def _argmax_mode(counts: Dict[str, int]) -> str:
     # Highest count wins; ties broken by lexicographically smallest mode id.
     best = max(counts.values())
     return min(m for m, c in counts.items() if c == best)
 
 
-def fastest_mode_counts(day_stats: Iterable[ZonePeriodDayStat]) -> List[ZonePeriodSummary]:
-    """Per (zone, period): days each mode had the shortest mean time, and the
-    mode winning most often."""
-    day_stats = list(day_stats)
-    counts = _daily_winner_counts(day_stats, lambda s: s.e_s)
-    summaries = []
-    for (zone_id, period), by_mode in counts.items():
-        summaries.append(
-            ZonePeriodSummary(
-                zone_id=zone_id,
-                period=period,
-                n_by_mode=dict(sorted(by_mode.items())),
-                fastest_mode=_argmax_mode(by_mode),
-            )
-        )
-    summaries.sort(key=lambda s: (s.zone_id, s.period.label))
-    return summaries
-
-
-def reliability_counts(day_stats: Iterable[ZonePeriodDayStat]) -> List[ZonePeriodSummary]:
-    """Per (zone, period): days each mode had the lowest variability, and the
-    most reliable mode."""
-    counts = _daily_winner_counts(day_stats, lambda s: s.v_s)
-    summaries = []
-    for (zone_id, period), by_mode in counts.items():
-        summaries.append(
-            ZonePeriodSummary(
-                zone_id=zone_id,
-                period=period,
-                reliability_by_mode=dict(sorted(by_mode.items())),
-                most_reliable_mode=_argmax_mode(by_mode),
-            )
-        )
-    summaries.sort(key=lambda s: (s.zone_id, s.period.label))
-    return summaries
-
-
-def fastest_time(day_stats: Iterable[ZonePeriodDayStat]) -> Dict[Tuple[str, DayPeriod], ZonePeriodSummary]:
-    """Average over days of the per-day minimum mean time, per (zone, period).
-
-    Days with no record for a (zone, period) are excluded from the average;
-    coverage is reported as days_used / days_total, where days_total is the
-    number of distinct dates seen anywhere in the input.
-    """
-    day_stats = list(day_stats)
-    all_days = {s.date for s in day_stats}
-    per_cell: Dict[tuple, Dict[date, Fraction]] = {}
-    for stat in day_stats:
-        cell = per_cell.setdefault((stat.zone_id, stat.period), {})
-        prev = cell.get(stat.date)
-        if prev is None or stat.e_s < prev:
-            cell[stat.date] = stat.e_s
-    out: Dict[Tuple[str, DayPeriod], ZonePeriodSummary] = {}
-    for (zone_id, period), minima in per_cell.items():
-        days_used = len(minima)
-        out[(zone_id, period)] = ZonePeriodSummary(
-            zone_id=zone_id,
-            period=period,
-            e_bar_s=sum(minima.values(), Fraction(0)) / days_used,
-            days_used=days_used,
-            days_total=len(all_days),
-        )
-    return out
-
-
 def summarize(day_stats: Iterable[ZonePeriodDayStat]) -> List[ZonePeriodSummary]:
-    """Merge fastest-mode counts, reliability counts and fastest times into
-    one summary per (zone, period)."""
-    day_stats = list(day_stats)
-    fastest = {(s.zone_id, s.period): s for s in fastest_mode_counts(day_stats)}
-    reliable = {(s.zone_id, s.period): s for s in reliability_counts(day_stats)}
-    times = fastest_time(day_stats)
-    merged = []
-    for key in sorted(fastest, key=lambda k: (k[0], k[1].label)):
-        summary = fastest[key]
-        summary.reliability_by_mode = reliable[key].reliability_by_mode
-        summary.most_reliable_mode = reliable[key].most_reliable_mode
-        t = times[key]
-        summary.e_bar_s = t.e_bar_s
-        summary.days_used = t.days_used
-        summary.days_total = t.days_total
-        merged.append(summary)
-    return merged
+    """One summary per (zone, period), sorted by zone and period label.
+
+    On each day, every mode with the lowest mean time counts one in
+    ``n_by_mode`` and every mode with the lowest variability counts one in
+    ``reliability_by_mode`` (ties count every minimal mode; a mode seen on
+    any day of the cell is listed, with 0 if it never wins).  The fastest and
+    most reliable modes are those counted most often.  ``e_bar_s`` averages
+    the daily lowest mean time over the ``days_used`` days the cell has
+    data; ``days_total`` is the number of distinct dates in the whole input.
+    """
+    cells: Dict[Tuple[str, DayPeriod], Dict[date, List[ZonePeriodDayStat]]] = {}
+    for stat in day_stats:
+        days = cells.setdefault((stat.zone_id, stat.period), {})
+        days.setdefault(stat.date, []).append(stat)
+    days_total = len({day for days in cells.values() for day in days})
+    summaries = []
+    for (zone_id, period), days in cells.items():
+        fastest: Dict[str, int] = {}
+        reliable: Dict[str, int] = {}
+        minima_sum = Fraction(0)
+        for stats in days.values():
+            best_e = min(s.e_s for s in stats)
+            best_v = min(s.v_s for s in stats)
+            minima_sum += best_e
+            for s in stats:
+                fastest[s.mode_id] = fastest.get(s.mode_id, 0) + (s.e_s == best_e)
+                reliable[s.mode_id] = reliable.get(s.mode_id, 0) + (s.v_s == best_v)
+        summaries.append(
+            ZonePeriodSummary(
+                zone_id=zone_id,
+                period=period,
+                n_by_mode=dict(sorted(fastest.items())),
+                reliability_by_mode=dict(sorted(reliable.items())),
+                fastest_mode=_argmax_mode(fastest),
+                most_reliable_mode=_argmax_mode(reliable),
+                e_bar_s=minima_sum / len(days),
+                days_used=len(days),
+                days_total=days_total,
+            )
+        )
+    summaries.sort(key=lambda s: (s.zone_id, s.period.label))
+    return summaries
 
 
 def bin_zone_counts(summaries: Iterable[ZonePeriodSummary]) -> Dict[Tuple[str, DayPeriod, str], int]:
     """Count (zone, period) summaries per (fastest mode, period, time band)."""
     counts: Dict[Tuple[str, DayPeriod, str], int] = {}
     for summary in summaries:
-        if summary.e_bar_s is None or summary.fastest_mode is None:
-            continue
         key = (summary.fastest_mode, summary.period, summary.interval_bin)
         counts[key] = counts.get(key, 0) + 1
     return counts
@@ -250,22 +177,19 @@ def evaluate_trips(
     *,
     dwell_overrides: Optional[Dict[str, DwellProfile]] = None,
     assume_on_time: bool = False,
-    jobs: int = 1,
 ) -> EvaluationReport:
-    """Evaluate every (segment, destination zone) trip.
+    """Evaluate every (segment, destination zone) trip, in segment id then
+    zone id order.
 
     Cancelled segments are skipped.  Zone/segment combinations lacking ride
     statistics are recorded in ``skipped`` rather than failing the batch.
-    Results are deterministic and independent of ``jobs``.
     """
-    segments = [s for s in sorted(segments, key=lambda s: s.segment_id)]
     dest_zones = sorted(dest_zones, key=lambda z: z.zone_id)
-
-    def eval_segment(segment):
-        trips, skipped = [], []
+    trips, skipped = [], []
+    for segment in sorted(segments, key=lambda s: s.segment_id):
         if segment.cancelled:
             skipped.append((segment.segment_id, "*", "cancelled"))
-            return trips, skipped
+            continue
         dwell_dep = resolve_dwell(segment.dep_station, dwell_overrides)
         dwell_arr = resolve_dwell(segment.arr_station, dwell_overrides)
         for zone in dest_zones:
@@ -283,45 +207,4 @@ def evaluate_trips(
                 )
             except TripNotComputableError as exc:
                 skipped.append((segment.segment_id, zone.zone_id, str(exc)))
-        return trips, skipped
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(eval_segment, segments))
-    else:
-        results = [eval_segment(s) for s in segments]
-
-    report = EvaluationReport(trips=[], skipped=[])
-    for trips, skipped in results:
-        report.trips.extend(trips)
-        report.skipped.extend(skipped)
-    return report
-
-
-def what_if_processing(
-    segments: Iterable[ScheduledSegment],
-    origin_zone: Zone,
-    dest_zones: Iterable[Zone],
-    rides: RideStatIndex,
-    overrides: Dict[str, DwellProfile],
-    *,
-    assume_on_time: bool = False,
-    group_on: str = "arrival",
-    jobs: int = 1,
-) -> List[ZonePeriodSummary]:
-    """Recompute all trips and summaries under per-kind dwell overrides.
-
-    Period reassignment falls out of the recomputation: a shorter arrival
-    dwell can move a trip's final arrival across a period or midnight
-    boundary, changing which (date, period) cell it lands in.
-    """
-    report = evaluate_trips(
-        segments,
-        origin_zone,
-        dest_zones,
-        rides,
-        dwell_overrides=overrides,
-        assume_on_time=assume_on_time,
-        jobs=jobs,
-    )
-    return summarize(daily_zone_means(report.trips, group_on=group_on))
+    return EvaluationReport(trips=trips, skipped=skipped)

@@ -18,7 +18,7 @@ from .model import (
     ScheduledSegment,
     Station,
     TripRecord,
-    classify_instant,
+    classify_period,
     geodesic_distance,
 )
 from .aggregation import ZonePeriodSummary
@@ -228,8 +228,8 @@ def delay_sensitivity(
     arr_tz = segment.arr_station.tzinfo
     sched_egress = (segment.sched_arr + timedelta(seconds=t_arr_s)).astimezone(arr_tz)
     actual_egress = (segment.actual_arr + timedelta(seconds=t_arr_s)).astimezone(arr_tz)
-    sched_period = classify_instant(sched_egress)
-    actual_period = classify_instant(actual_egress)
+    sched_period = classify_period(sched_egress)
+    actual_period = classify_period(actual_egress)
 
     station_zone = segment.arr_station.zone_id
     used: List[Tuple[str, int, int]] = []  # (zone_id, mean_delta_s, max_delta_s)

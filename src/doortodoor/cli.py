@@ -1,8 +1,9 @@
 """Command-line front door: dataset validation, the analysis subcommands and
 deterministic GeoJSON/CSV export of every result surface.
 
-Exit codes: 0 ok, 2 input/validation error, 3 computation error (with a
-machine-readable JSON object on stderr).
+Exit codes: 0 ok, 2 input/validation error, 3 computation error.  Errors are
+one JSON object on stderr: ``error`` and ``message``, plus ``path`` and
+``line`` when the error is traced to an input file.
 """
 
 from __future__ import annotations
@@ -11,8 +12,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import date, timedelta
+from functools import partial
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -32,6 +34,16 @@ CONFIG_KEYS = (
     "out_dir", "format", "origin_zone", "jobs",
 )
 
+# Parsers of the typed config-file values; the other values stay strings.
+CONFIG_PARSERS = {
+    "from_date": date.fromisoformat,
+    "to_date": date.fromisoformat,
+    "on_time_mode": lambda value: value.lower() in ("1", "true", "yes"),
+    "dep_proc_min": float,
+    "arr_proc_min": float,
+    "jobs": int,
+}
+
 
 @dataclass
 class RunConfig:
@@ -50,7 +62,7 @@ class RunConfig:
     out_dir: str = "out"
     format: str = "both"  # geojson | csv | both
     origin_zone: Optional[str] = None
-    jobs: int = 1
+    jobs: int = 1  # accepted for compatibility; evaluation is single-process
 
     def dwell_overrides(self) -> Optional[Dict[str, DwellProfile]]:
         """Per-kind override of airport processing times, when requested."""
@@ -61,7 +73,7 @@ class RunConfig:
         return {"air": DwellProfile(self.dep_proc_min, self.arr_proc_min)}
 
 
-def _read_config_file(path: str) -> Dict[str, str]:
+def _read_config_file(path: str) -> Dict[str, object]:
     values = {}
     p = Path(path)
     if not p.exists():
@@ -73,10 +85,14 @@ def _read_config_file(path: str) -> Dict[str, str]:
         if "=" not in line:
             raise ValidationError("expected key=value", path=path, line=lineno)
         key, _, value = line.partition("=")
-        key = key.strip()
+        key, value = key.strip(), value.strip()
         if key not in CONFIG_KEYS:
             raise ValidationError(f"unknown config key {key!r}", path=path, line=lineno)
-        values[key] = value.strip()
+        try:
+            values[key] = CONFIG_PARSERS.get(key, str)(value)
+        except ValueError:
+            raise ValidationError(f"{key}: cannot parse {value!r}",
+                                  path=path, line=lineno) from None
     return values
 
 
@@ -86,14 +102,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     config_path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
     if config_path:
         for key, value in _read_config_file(config_path).items():
-            if key in ("from_date", "to_date"):
-                value = date.fromisoformat(value)
-            elif key == "on_time_mode":
-                value = value.lower() in ("1", "true", "yes")
-            elif key in ("dep_proc_min", "arr_proc_min"):
-                value = float(value)
-            elif key == "jobs":
-                value = int(value)
             setattr(config, key, value)
     for key in CONFIG_KEYS:
         value = getattr(args, key, None)
@@ -158,17 +166,24 @@ def _origin_zone(config: RunConfig, inputs: LoadedInputs):
     return inputs.zones[config.origin_zone]
 
 
-def run_pipeline(config: RunConfig, inputs: LoadedInputs,
-                 dwell_overrides=None) -> List[aggregation.ZonePeriodSummary]:
+def evaluate(config: RunConfig, inputs: LoadedInputs,
+             dwell_overrides=None) -> aggregation.EvaluationReport:
+    """Every trip from the origin zone to every zone, over the segments that
+    depart inside the configured date range."""
     origin = _origin_zone(config, inputs)
     segments = [s for s in inputs.segments if _in_date_range(config, s)]
-    report = aggregation.evaluate_trips(
+    return aggregation.evaluate_trips(
         segments, origin, list(inputs.zones), inputs.rides,
         dwell_overrides=dwell_overrides,
         assume_on_time=config.on_time_mode,
-        jobs=config.jobs,
     )
-    return aggregation.summarize(aggregation.daily_zone_means(report.trips))
+
+
+def run_pipeline(config: RunConfig, inputs: LoadedInputs,
+                 dwell_overrides=None) -> List[aggregation.ZonePeriodSummary]:
+    """Per (zone, period) summaries of the trips ``evaluate`` gives."""
+    trips = evaluate(config, inputs, dwell_overrides).trips
+    return aggregation.summarize(aggregation.daily_zone_means(trips))
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +218,7 @@ def _summary_properties(summary: aggregation.ZonePeriodSummary) -> dict:
         "zone_id": summary.zone_id,
         "fastest_mode": summary.fastest_mode,
         "most_reliable_mode": summary.most_reliable_mode,
-        "e_bar_min": None if summary.e_bar_min is None else round(summary.e_bar_min, 6),
+        "e_bar_min": round(summary.e_bar_min, 6),
         "interval_bin": summary.interval_bin,
         "days_used": summary.days_used,
         "days_total": summary.days_total,
@@ -277,7 +292,7 @@ def export_bins(summaries, out_dir: Path) -> Path:
 # Subcommands
 
 
-def cmd_validate(config: RunConfig) -> int:
+def cmd_validate(config: RunConfig, args: argparse.Namespace) -> int:
     inputs = load_inputs(config, need_segments=False)
     no_point = [z.zone_id for z in inputs.zones if z.internal_point is None]
     report = {
@@ -293,32 +308,19 @@ def cmd_validate(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_fastest(config: RunConfig) -> int:
+def cmd_summaries(config: RunConfig, args: argparse.Namespace, *,
+                  stem: str, bins: bool) -> int:
+    """Summary files named after ``stem``, plus the interval bins if ``bins``."""
     inputs = load_inputs(config)
     summaries = run_pipeline(config, inputs)
     out = Path(config.out_dir)
-    export_summaries(summaries, inputs.zones, out, "fastest", config.format)
+    export_summaries(summaries, inputs.zones, out, stem, config.format)
+    if bins:
+        export_bins(summaries, out)
     return EXIT_OK
 
 
-def cmd_fastest_time(config: RunConfig) -> int:
-    inputs = load_inputs(config)
-    summaries = run_pipeline(config, inputs)
-    out = Path(config.out_dir)
-    export_summaries(summaries, inputs.zones, out, "fastest_time", config.format)
-    export_bins(summaries, out)
-    return EXIT_OK
-
-
-def cmd_reliability(config: RunConfig) -> int:
-    inputs = load_inputs(config)
-    summaries = run_pipeline(config, inputs)
-    export_summaries(summaries, inputs.zones, Path(config.out_dir), "reliability",
-                     config.format)
-    return EXIT_OK
-
-
-def cmd_whatif(config: RunConfig) -> int:
+def cmd_whatif(config: RunConfig, args: argparse.Namespace) -> int:
     overrides = config.dwell_overrides()
     if overrides is None:
         raise ValidationError("what-if needs --dep-proc-min and --arr-proc-min")
@@ -333,15 +335,9 @@ def cmd_whatif(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_legs(config: RunConfig) -> int:
+def cmd_legs(config: RunConfig, args: argparse.Namespace) -> int:
     inputs = load_inputs(config)
-    origin = _origin_zone(config, inputs)
-    segments = [s for s in inputs.segments if _in_date_range(config, s)]
-    report = aggregation.evaluate_trips(
-        segments, origin, list(inputs.zones), inputs.rides,
-        assume_on_time=config.on_time_mode, jobs=config.jobs,
-    )
-    shares = analytics.leg_shares(report.trips)
+    shares = analytics.leg_shares(evaluate(config, inputs).trips)
     rows = [
         [s.city_pair, s.pct_to, s.pct_dep, s.pct_in, s.pct_arr, s.pct_from, s.n_trips]
         for s in shares
@@ -353,7 +349,7 @@ def cmd_legs(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_integration(config: RunConfig) -> int:
+def cmd_integration(config: RunConfig, args: argparse.Namespace) -> int:
     inputs = load_inputs(config, need_segments=False)
     if config.from_date is None or config.to_date is None:
         raise ValidationError("--from-date/--to-date required for integration fit")
@@ -389,15 +385,14 @@ def cmd_integration(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_weather_diff(config: RunConfig, date_a: date, date_b: date) -> int:
+def cmd_weather_diff(config: RunConfig, args: argparse.Namespace) -> int:
     inputs = load_inputs(config)
 
     def summaries_for(day: date):
-        sub = RunConfig(**{**config.__dict__, "from_date": day, "to_date": day})
-        result = run_pipeline(sub, inputs)
+        result = run_pipeline(replace(config, from_date=day, to_date=day), inputs)
         return {(s.zone_id, s.period): s for s in result}
 
-    deltas = analytics.weather_diff(summaries_for(date_a), summaries_for(date_b))
+    deltas = analytics.weather_diff(summaries_for(args.date_a), summaries_for(args.date_b))
     rows = [
         [d.zone_id, d.period.label, d.e_bar_a_min, d.e_bar_b_min, d.delta_min,
          int(d.disappeared)]
@@ -425,11 +420,11 @@ def cmd_weather_diff(config: RunConfig, date_a: date, date_b: date) -> int:
     return EXIT_OK
 
 
-def cmd_delay(config: RunConfig, segment_id: str) -> int:
+def cmd_delay(config: RunConfig, args: argparse.Namespace) -> int:
     inputs = load_inputs(config)
-    matches = [s for s in inputs.segments if s.segment_id == segment_id]
+    matches = [s for s in inputs.segments if s.segment_id == args.segment_id]
     if not matches:
-        raise ValidationError(f"segment {segment_id!r} not found")
+        raise ValidationError(f"segment {args.segment_id!r} not found")
     result = analytics.delay_sensitivity(
         matches[0], inputs.rides, inputs.zones,
         dwell_overrides=config.dwell_overrides(),
@@ -446,6 +441,22 @@ def cmd_delay(config: RunConfig, segment_id: str) -> int:
 
 
 # ---------------------------------------------------------------------------
+
+# Subcommand name -> (handler, help).
+COMMANDS = {
+    "validate": (cmd_validate, "parse and validate all inputs"),
+    "fastest": (partial(cmd_summaries, stem="fastest", bins=False),
+                "fastest mode per zone and period"),
+    "fastest-time": (partial(cmd_summaries, stem="fastest_time", bins=True),
+                     "fastest average time per zone and period"),
+    "reliability": (partial(cmd_summaries, stem="reliability", bins=False),
+                    "most reliable mode per zone and period"),
+    "whatif": (cmd_whatif, "recompute under faster processing times"),
+    "legs": (cmd_legs, "per-phase time shares per city pair"),
+    "integration": (cmd_integration, "airport road-integration regression"),
+    "weather-diff": (cmd_weather_diff, "before/after comparison of two dates"),
+    "delay": (cmd_delay, "passenger delay sensitivity of one segment"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -472,57 +483,32 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", dest="out_dir")
         p.add_argument("--format", dest="format", choices=["geojson", "csv", "both"])
         p.add_argument("--origin-zone", dest="origin_zone")
-        p.add_argument("--jobs", dest="jobs", type=int)
+        p.add_argument("--jobs", dest="jobs", type=int,
+                       help="accepted for compatibility; evaluation is single-process")
         # SUPPRESS so a --config before the subcommand is not clobbered
         p.add_argument("--config", dest="config", default=argparse.SUPPRESS)
         return p
 
-    add("validate", help="parse and validate all inputs")
-    add("fastest", help="fastest mode per zone and period")
-    add("fastest-time", help="fastest average time per zone and period")
-    add("reliability", help="most reliable mode per zone and period")
-    add("whatif", help="recompute under faster processing times")
-    add("legs", help="per-phase time shares per city pair")
-    add("integration", help="airport road-integration regression")
-    p = add("weather-diff", help="before/after comparison of two dates")
+    parsers = {name: add(name, help=text) for name, (_, text) in COMMANDS.items()}
+    p = parsers["weather-diff"]
     p.add_argument("--date-a", dest="date_a", type=date.fromisoformat, required=True)
     p.add_argument("--date-b", dest="date_b", type=date.fromisoformat, required=True)
-    p = add("delay", help="passenger delay sensitivity of one segment")
-    p.add_argument("--segment-id", dest="segment_id", required=True)
+    parsers["delay"].add_argument("--segment-id", dest="segment_id", required=True)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handler, _ = COMMANDS[args.command]
     try:
-        config = build_config(args)
-        if args.command == "validate":
-            return cmd_validate(config)
-        if args.command == "fastest":
-            return cmd_fastest(config)
-        if args.command == "fastest-time":
-            return cmd_fastest_time(config)
-        if args.command == "reliability":
-            return cmd_reliability(config)
-        if args.command == "whatif":
-            return cmd_whatif(config)
-        if args.command == "legs":
-            return cmd_legs(config)
-        if args.command == "integration":
-            return cmd_integration(config)
-        if args.command == "weather-diff":
-            return cmd_weather_diff(config, args.date_a, args.date_b)
-        if args.command == "delay":
-            return cmd_delay(config, args.segment_id)
-        parser.error(f"unknown command {args.command}")  # pragma: no cover
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return handler(build_config(args), args)
     except DoorToDoorError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return EXIT_COMPUTE_ERROR
+        error = {"error": type(exc).__name__, "message": str(exc)}
+        for key in ("path", "line"):
+            if getattr(exc, key, None) is not None:
+                error[key] = getattr(exc, key)
+        print(json.dumps(error), file=sys.stderr)
+        return EXIT_INPUT_ERROR if isinstance(exc, ValidationError) else EXIT_COMPUTE_ERROR
 
 
 if __name__ == "__main__":  # pragma: no cover

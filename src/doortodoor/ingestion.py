@@ -159,6 +159,13 @@ def _parse_int(value: str, what: str, path, line) -> int:
         raise ValidationError(f"{what}: not an integer: {value!r}", path=path, line=line)
 
 
+def _parse_float(value, what: str, path, line=None) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what}: not a number: {value!r}", path=path, line=line)
+
+
 def _parse_date(value: str, path, line) -> date:
     try:
         return date.fromisoformat(value)
@@ -338,21 +345,24 @@ def load_stations(path) -> Dict[str, Station]:
         station_id, kind, zone_id, lat, lon, tz, dep_min, arr_min = row
         if station_id in stations:
             raise ValidationError(f"duplicate station {station_id}", path=str(path), line=lineno)
-        dwell = None
-        if dep_min or arr_min:
-            if not (dep_min and arr_min):
-                raise ValidationError(
-                    "dwell override needs both t_sec_dep_min and t_arr_min",
-                    path=str(path), line=lineno,
-                )
-            dwell = DwellProfile(float(dep_min), float(arr_min))
+        if bool(dep_min) != bool(arr_min):
+            raise ValidationError(
+                "dwell override needs both t_sec_dep_min and t_arr_min",
+                path=str(path), line=lineno,
+            )
         try:
+            dwell = None
+            if dep_min:
+                dwell = DwellProfile(
+                    _parse_float(dep_min, "t_sec_dep_min", str(path), lineno),
+                    _parse_float(arr_min, "t_arr_min", str(path), lineno),
+                )
             stations[station_id] = Station(
                 station_id=station_id,
                 kind=kind,
                 zone_id=zone_id,
-                lat=float(lat),
-                lon=float(lon),
+                lat=_parse_float(lat, "lat", str(path), lineno),
+                lon=_parse_float(lon, "lon", str(path), lineno),
                 tz=tz,
                 dwell=dwell,
             )
@@ -488,14 +498,22 @@ def load_zones(path) -> ZoneCollection:
                     f"zone {zone_id}: internal_point must be [lon, lat]", path=str(path)
                 )
             lon, lat = internal
-            point = (float(lat), float(lon))
+            point = (_parse_float(lat, f"zone {zone_id}: internal_point latitude", str(path)),
+                     _parse_float(lon, f"zone {zone_id}: internal_point longitude", str(path)))
         else:
             log.warning("zone %s has no internal_point; distance analytics skip it", zone_id)
-        collection.zones[zone_id] = Zone(
-            zone_id=zone_id,
-            internal_point=point,
-            population_density=props.get("population_density"),
-        )
+        density = props.get("population_density")
+        if density is not None and not isinstance(density, (int, float)):
+            raise ValidationError(
+                f"zone {zone_id}: population_density must be a number, got {density!r}",
+                path=str(path),
+            )
+        try:
+            collection.zones[zone_id] = Zone(
+                zone_id=zone_id, internal_point=point, population_density=density
+            )
+        except ValidationError as exc:
+            raise ValidationError(str(exc), path=str(path)) from None
         collection.geometries[zone_id] = feature.get("geometry")
     return collection
 

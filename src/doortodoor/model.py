@@ -64,27 +64,24 @@ PERIOD_BY_CODE = {
 CODE_BY_PERIOD = {p: c for c, p in PERIOD_BY_CODE.items()}
 
 
-def classify_period(local_time_min) -> DayPeriod:
-    """Map minutes-from-midnight to its day period.
+def classify_period(local_time) -> DayPeriod:
+    """Map a local time to its day period.
 
-    Intervals are half-open, so boundary minutes (420, 600, 960, 1140)
-    belong to the later period.
+    ``local_time`` is either minutes from midnight or a (zone-local)
+    datetime, classified by its second of day.  Intervals are half-open, so
+    boundary minutes (420, 600, 960, 1140) belong to the later period.
     """
-    if not 0 <= local_time_min < MINUTES_PER_DAY:
-        raise ValidationError(
-            f"local time {local_time_min!r} outside [0, {MINUTES_PER_DAY})"
-        )
+    if isinstance(local_time, datetime):
+        value = local_time.hour * 3600 + local_time.minute * 60 + local_time.second
+        per_min = 60
+    else:
+        if not 0 <= local_time < MINUTES_PER_DAY:
+            raise ValidationError(
+                f"local time {local_time!r} outside [0, {MINUTES_PER_DAY})"
+            )
+        value, per_min = local_time, 1
     for period in CLASSIFIABLE_PERIODS:
-        if period.start_min <= local_time_min < period.end_min:
-            return period
-    raise AssertionError("periods must partition the day")  # pragma: no cover
-
-
-def classify_instant(instant: datetime) -> DayPeriod:
-    """Classify a (zone-local) datetime by its second of day."""
-    sec_of_day = instant.hour * 3600 + instant.minute * 60 + instant.second
-    for period in CLASSIFIABLE_PERIODS:
-        if period.start_min * 60 <= sec_of_day < period.end_min * 60:
+        if period.start_min * per_min <= value < period.end_min * per_min:
             return period
     raise AssertionError("periods must partition the day")  # pragma: no cover
 
@@ -250,8 +247,6 @@ class TripRecord:
     ride_from: RideVariants
     arrival_period: DayPeriod
     arrival_date: date
-    departure_period: DayPeriod
-    departure_date: date
     used_daily_fallback_to: bool
     used_daily_fallback_from: bool
 
@@ -345,7 +340,7 @@ def compute_trip(
     arr_tz = segment.arr_station.tzinfo
 
     deadline_local = (segment.sched_dep - timedelta(seconds=sec_s)).astimezone(dep_tz)
-    to_period = classify_instant(deadline_local)
+    to_period = classify_period(deadline_local)
     to_date = deadline_local.date()
     hit_to = rides.lookup(
         origin_zone.zone_id, segment.dep_station.zone_id, to_date, to_period
@@ -358,7 +353,7 @@ def compute_trip(
     stat_to, fallback_to = hit_to
 
     egress_local = (actual_arr + timedelta(seconds=arr_dwell_s)).astimezone(arr_tz)
-    from_period = classify_instant(egress_local)
+    from_period = classify_period(egress_local)
     from_date = egress_local.date()
     hit_from = rides.lookup(
         segment.arr_station.zone_id, dest_zone.zone_id, from_date, from_period
@@ -380,7 +375,6 @@ def compute_trip(
     )
 
     arrival_local = egress_local + timedelta(seconds=stat_from.mean_s)
-    door_departure_local = deadline_local - timedelta(seconds=stat_to.mean_s)
 
     return TripRecord(
         segment_id=segment.segment_id,
@@ -392,10 +386,8 @@ def compute_trip(
         phases=phases,
         ride_to=RideVariants(stat_to.mean_s, stat_to.min_s, stat_to.max_s),
         ride_from=RideVariants(stat_from.mean_s, stat_from.min_s, stat_from.max_s),
-        arrival_period=classify_instant(arrival_local),
+        arrival_period=classify_period(arrival_local),
         arrival_date=arrival_local.date(),
-        departure_period=classify_instant(door_departure_local),
-        departure_date=door_departure_local.date(),
         used_daily_fallback_to=fallback_to,
         used_daily_fallback_from=fallback_from,
     )

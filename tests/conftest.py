@@ -73,8 +73,7 @@ def make_rides(entries):
 def make_trip(dest_zone="PZ1", mode_id="via_CDG", arrival_date="2018-01-02",
               arrival_period=DayPeriod.MIDDAY, to_s=1800, dep_s=5400, in_s=4800,
               arr_s=2700, from_s=1500, wait_s=0, to_spread=0, from_spread=0,
-              segment_id="F1", origin_zone="AZ1",
-              departure_period=DayPeriod.AM, departure_date=None):
+              segment_id="F1", origin_zone="AZ1"):
     """A TripRecord with symmetric min/max ride spreads around the means."""
     return TripRecord(
         segment_id=segment_id, mode_id=mode_id,
@@ -88,8 +87,6 @@ def make_trip(dest_zone="PZ1", mode_id="via_CDG", arrival_date="2018-01-02",
                                max(1, from_s + from_spread)),
         arrival_period=arrival_period,
         arrival_date=date.fromisoformat(arrival_date),
-        departure_period=departure_period,
-        departure_date=date.fromisoformat(departure_date or arrival_date),
         used_daily_fallback_to=False,
         used_daily_fallback_from=False,
     )

@@ -18,14 +18,11 @@ from doortodoor import (
     daily_zone_means,
     delay_sensitivity,
     evaluate_trips,
-    fastest_mode_counts,
-    fastest_time,
     geodesic_distance,
     load_ride_stats,
     load_stations,
     load_weekly_schedule,
     load_zones,
-    reliability_counts,
     summarize,
     expand_weekly_schedule,
 )
@@ -34,6 +31,7 @@ from doortodoor.ingestion import DEFAULT_RAIL_DWELL, DEFAULT_STATION_DWELL
 
 from conftest import make_rides, make_segment
 from test_aggregation import (
+    by_cell,
     oracle_daily_means,
     oracle_fastest_time,
     oracle_winner_counts,
@@ -97,15 +95,14 @@ def test_criterion_3_oracle_equivalence_100_seeds():
             assert (stat.e_s, stat.v_s, stat.n_trips) == expected[key]
             day_means[key] = (stat.e_s, stat.v_s)
         assert len(day_stats) == len(expected)
-        assert ({(s.zone_id, s.period): s.n_by_mode
-                 for s in fastest_mode_counts(day_stats)}
-                == oracle_winner_counts(day_means, 0))
-        assert ({(s.zone_id, s.period): s.reliability_by_mode
-                 for s in reliability_counts(day_stats)}
-                == oracle_winner_counts(day_means, 1))
-        assert ({k: s.e_bar_s for k, s in fastest_time(day_stats).items()}
-                == oracle_fastest_time(day_means))
         summaries = summarize(day_stats)
+        cells = by_cell(summaries)
+        assert ({k: s.n_by_mode for k, s in cells.items()}
+                == oracle_winner_counts(day_means, 0))
+        assert ({k: s.reliability_by_mode for k, s in cells.items()}
+                == oracle_winner_counts(day_means, 1))
+        assert ({k: s.e_bar_s for k, s in cells.items()}
+                == oracle_fastest_time(day_means))
         assert sum(bin_zone_counts(summaries).values()) == len(summaries)
     elapsed = time_mod.perf_counter() - start
     assert elapsed < 10, f"oracle suite took {elapsed:.1f} s"

@@ -1,7 +1,6 @@
 """Aggregation reductions checked against exhaustive brute-force oracles."""
 
 import random
-from datetime import date
 from fractions import Fraction
 
 import pytest
@@ -13,11 +12,7 @@ from doortodoor import (
     bin_zone_counts,
     daily_zone_means,
     evaluate_trips,
-    fastest_mode_counts,
-    fastest_time,
-    reliability_counts,
     summarize,
-    what_if_processing,
 )
 from doortodoor.aggregation import interval_bin
 
@@ -78,6 +73,10 @@ def oracle_fastest_time(day_means):
     return out
 
 
+def by_cell(summaries):
+    return {(s.zone_id, s.period): s for s in summaries}
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -105,13 +104,6 @@ class TestDailyZoneMeans:
     def test_empty_input(self):
         assert daily_zone_means([]) == []
 
-    def test_departure_grouping(self):
-        trip = make_trip(departure_period=DayPeriod.EARLY_MORNING,
-                         departure_date="2018-01-01")
-        (stat,) = daily_zone_means([trip], group_on="departure")
-        assert stat.period is DayPeriod.EARLY_MORNING
-        assert stat.date == date(2018, 1, 1)
-
 
 class TestFastestModeCounts:
     def three_day_stats(self):
@@ -127,23 +119,23 @@ class TestFastestModeCounts:
         return daily_zone_means(trips)
 
     def test_counts_and_winner(self):
-        (summary,) = fastest_mode_counts(self.three_day_stats())
+        (summary,) = summarize(self.three_day_stats())
         assert summary.n_by_mode == {"A": 2, "B": 1}
         assert summary.fastest_mode == "A"
 
     def test_tie_counts_both(self):
         trips = [make_trip(mode_id="A"), make_trip(mode_id="B")]
-        (summary,) = fastest_mode_counts(daily_zone_means(trips))
+        (summary,) = summarize(daily_zone_means(trips))
         assert summary.n_by_mode == {"A": 1, "B": 1}
         assert summary.fastest_mode == "A"  # lexicographic tie-break
 
     def test_absent_mode_never_selected(self):
-        (summary,) = fastest_mode_counts(self.three_day_stats())
+        (summary,) = summarize(self.three_day_stats())
         assert "C" not in summary.n_by_mode
 
     def test_counting_conservation(self):
         stats = self.three_day_stats()
-        (summary,) = fastest_mode_counts(stats)
+        (summary,) = summarize(stats)
         days = len({s.date for s in stats})
         assert sum(summary.n_by_mode.values()) >= days
 
@@ -156,7 +148,7 @@ class TestFastestTime:
                                    in_s=minute * 60 - 1800 - 5400 - 2700 - 1500))
             trips.append(make_trip(mode_id="B", arrival_date=day,
                                    in_s=(minute + 30) * 60 - 1800 - 5400 - 2700 - 1500))
-        times = fastest_time(daily_zone_means(trips))
+        times = by_cell(summarize(daily_zone_means(trips)))
         summary = times[("PZ1", DayPeriod.MIDDAY)]
         assert summary.e_bar_s == Fraction(250 * 60)
         assert summary.days_used == 2
@@ -164,7 +156,7 @@ class TestFastestTime:
     def test_single_mode_degenerate(self):
         trips = [make_trip(arrival_date="2018-01-01"),
                  make_trip(arrival_date="2018-01-02", in_s=4800 + 600)]
-        times = fastest_time(daily_zone_means(trips))
+        times = by_cell(summarize(daily_zone_means(trips)))
         summary = times[("PZ1", DayPeriod.MIDDAY)]
         assert summary.e_bar_s == Fraction((270 + 280) * 60, 2)
 
@@ -172,7 +164,7 @@ class TestFastestTime:
         trips = [make_trip(dest_zone="PZ1", arrival_date="2018-01-01"),
                  make_trip(dest_zone="PZ1", arrival_date="2018-01-02"),
                  make_trip(dest_zone="PZ2", arrival_date="2018-01-01")]
-        times = fastest_time(daily_zone_means(trips))
+        times = by_cell(summarize(daily_zone_means(trips)))
         assert times[("PZ2", DayPeriod.MIDDAY)].days_used == 1
         assert times[("PZ2", DayPeriod.MIDDAY)].days_total == 2
 
@@ -185,7 +177,7 @@ class TestReliability:
                                    to_spread=1200, from_spread=1200))  # V=80min
             trips.append(make_trip(mode_id="B", arrival_date=day,
                                    to_spread=600, from_spread=150))  # V=25min
-        (summary,) = reliability_counts(daily_zone_means(trips))
+        (summary,) = summarize(daily_zone_means(trips))
         assert summary.most_reliable_mode == "B"
         assert summary.reliability_by_mode == {"A": 0, "B": 2}
 
@@ -197,16 +189,14 @@ class TestReliability:
                                    in_s=4200, to_spread=1500, from_spread=1200))
             trips.append(make_trip(mode_id="B", arrival_date=day,
                                    in_s=4800, to_spread=60, from_spread=60))
-        stats = daily_zone_means(trips)
-        (fast,) = fastest_mode_counts(stats)
-        (reliable,) = reliability_counts(stats)
-        assert fast.fastest_mode == "A"
-        assert reliable.most_reliable_mode == "B"
+        (summary,) = summarize(daily_zone_means(trips))
+        assert summary.fastest_mode == "A"
+        assert summary.most_reliable_mode == "B"
 
     def test_tie_counts_both(self):
         trips = [make_trip(mode_id="A", to_spread=300),
                  make_trip(mode_id="B", to_spread=300)]
-        (summary,) = reliability_counts(daily_zone_means(trips))
+        (summary,) = summarize(daily_zone_means(trips))
         assert summary.reliability_by_mode == {"A": 1, "B": 1}
 
 
@@ -265,18 +255,16 @@ class TestOracleEquivalence:
             assert (stat.e_s, stat.v_s, stat.n_trips) == expected[key]
             day_means[key] = (stat.e_s, stat.v_s)
 
-        fast = {(s.zone_id, s.period): s.n_by_mode
-                for s in fastest_mode_counts(day_stats)}
+        summaries = summarize(day_stats)
+        fast = {key: s.n_by_mode for key, s in by_cell(summaries).items()}
         assert fast == oracle_winner_counts(day_means, 0)
 
-        reliable = {(s.zone_id, s.period): s.reliability_by_mode
-                    for s in reliability_counts(day_stats)}
+        reliable = {key: s.reliability_by_mode for key, s in by_cell(summaries).items()}
         assert reliable == oracle_winner_counts(day_means, 1)
 
-        times = {key: s.e_bar_s for key, s in fastest_time(day_stats).items()}
+        times = {key: s.e_bar_s for key, s in by_cell(summaries).items()}
         assert times == oracle_fastest_time(day_means)
 
-        summaries = summarize(day_stats)
         bins = bin_zone_counts(summaries)
         assert sum(bins.values()) == len(summaries)
         for summary in summaries:
@@ -298,14 +286,10 @@ class TestMonotonicity:
                 segment_id=t.segment_id)
             for t in base
         ]
-        n_base = {(s.zone_id, s.period): s.n_by_mode.get("m0", 0)
-                  for s in fastest_mode_counts(daily_zone_means(base))}
-        n_slow = {(s.zone_id, s.period): s.n_by_mode.get("m0", 0)
-                  for s in fastest_mode_counts(daily_zone_means(slower))}
-        assert all(n_slow[k] <= n_base[k] for k in n_base)
-
-        t_base = fastest_time(daily_zone_means(base))
-        t_slow = fastest_time(daily_zone_means(slower))
+        t_base = by_cell(summarize(daily_zone_means(base)))
+        t_slow = by_cell(summarize(daily_zone_means(slower)))
+        assert all(t_slow[k].n_by_mode.get("m0", 0) <= t_base[k].n_by_mode.get("m0", 0)
+                   for k in t_base)
         assert all(t_slow[k].e_bar_s >= t_base[k].e_bar_s for k in t_base)
 
 
@@ -338,6 +322,12 @@ def whatif_fixture():
     return segments, Zone("AZ1"), zones, make_rides(rides)
 
 
+def what_if(segments, origin, zones, rides, overrides):
+    """Summaries of all trips recomputed under per-kind dwell overrides."""
+    report = evaluate_trips(segments, origin, zones, rides, dwell_overrides=overrides)
+    return summarize(daily_zone_means(report.trips))
+
+
 class TestWhatIf:
     DEFAULTS = {"air": DwellProfile(90, 45)}
     FASTER = {"air": DwellProfile(60, 30)}
@@ -346,17 +336,17 @@ class TestWhatIf:
         segments, origin, zones, rides = whatif_fixture()
         report = evaluate_trips(segments, origin, zones, rides)
         baseline = summarize(daily_zone_means(report.trips))
-        replayed = what_if_processing(segments, origin, zones, rides, self.DEFAULTS)
+        replayed = what_if(segments, origin, zones, rides, self.DEFAULTS)
         assert replayed == baseline
 
     def test_disappearance_from_early_morning(self):
         segments, origin, zones, rides = whatif_fixture()
         # Baseline: 23:05 arrival + 45min dwell + 20min ride = 00:10 next day.
-        baseline = what_if_processing(segments, origin, zones, rides, self.DEFAULTS)
+        baseline = what_if(segments, origin, zones, rides, self.DEFAULTS)
         early = [s for s in baseline if s.period is DayPeriod.EARLY_MORNING]
         assert early and all("via_CDG" in s.n_by_mode for s in early)
         # Faster processing: egress 23:35 + 20min = 23:55 same day.
-        faster = what_if_processing(segments, origin, zones, rides, self.FASTER)
+        faster = what_if(segments, origin, zones, rides, self.FASTER)
         assert not [s for s in faster if s.period is DayPeriod.EARLY_MORNING]
         late = [s for s in faster if s.period is DayPeriod.LATE_EVENING]
         assert late
@@ -364,19 +354,12 @@ class TestWhatIf:
     def test_untouched_kind_unchanged(self):
         segments, origin, zones, rides = whatif_fixture()
         rail_only = {"rail": DwellProfile(5, 5)}
-        baseline = what_if_processing(segments, origin, zones, rides, self.DEFAULTS)
-        assert what_if_processing(segments, origin, zones, rides,
-                                  {**self.DEFAULTS, **rail_only}) == baseline
+        baseline = what_if(segments, origin, zones, rides, self.DEFAULTS)
+        assert what_if(segments, origin, zones, rides,
+                       {**self.DEFAULTS, **rail_only}) == baseline
 
 
 class TestEvaluateTrips:
-    def test_parallelism_is_deterministic(self):
-        segments, origin, zones, rides = whatif_fixture()
-        serial = evaluate_trips(segments, origin, zones, rides, jobs=1)
-        parallel = evaluate_trips(segments, origin, zones, rides, jobs=4)
-        assert serial.trips == parallel.trips
-        assert serial.skipped == parallel.skipped
-
     def test_cancelled_and_uncovered_zones_skipped(self):
         segments, origin, zones, rides = whatif_fixture()
         segments = segments[:1] + [make_segment(segment_id="X", cancelled=True)]

@@ -15,9 +15,9 @@ from doortodoor import (
     daily_zone_means,
     delay_sensitivity,
     evaluate_trips,
-    fastest_time,
     geodesic_distance,
     leg_shares,
+    summarize,
     weather_diff,
 )
 from doortodoor.analytics import _ols
@@ -182,7 +182,8 @@ def one_day_summaries(from_mean_s, day="2018-01-02"):
     segment = make_segment(sched_dep=f"{day}T12:00", sched_arr=f"{day}T13:20")
     report = evaluate_trips([segment], Zone("AZ1"), [Zone("PZ1"), Zone("PZ2")],
                             rides)
-    return fastest_time(daily_zone_means(report.trips))
+    return {(s.zone_id, s.period): s
+            for s in summarize(daily_zone_means(report.trips))}
 
 
 class TestWeatherDiff:

@@ -45,7 +45,10 @@ class TestValidate:
         flags = BASE_FLAGS.copy()
         flags[1] = str(bad)
         assert main(["validate"] + flags) == 2
-        assert ":2:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert ":2:" in err
+        error = json.loads(err)
+        assert (error["error"], error["path"], error["line"]) == ("ValidationError", str(bad), 2)
 
     def test_missing_stations_exits_2(self):
         flags = BASE_FLAGS.copy()
@@ -72,6 +75,18 @@ class TestConfigHandling:
         conf = tmp_path / "bad.conf"
         conf.write_text("nonsense=1\n")
         assert main(["--config", str(conf), "validate"]) == 2
+
+    @pytest.mark.parametrize("entry", [
+        "jobs=two", "dep_proc_min=fast", "arr_proc_min=",
+        "from_date=2018-13-01", "to_date=soon",
+    ])
+    def test_unparsable_config_value_exits_2(self, tmp_path, capsys, entry):
+        conf = tmp_path / "bad.conf"
+        conf.write_text("# comment\n" + entry + "\n")
+        assert main(["--config", str(conf), "validate"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["path"], err["line"]) == ("ValidationError", str(conf), 2)
+        assert err["message"].startswith(f"{conf}:2: ")
 
 
 class TestFastest:

@@ -304,6 +304,24 @@ class TestLoadZones:
         assert dump_zones(load_zones(path2)) == canonical
 
 
+@pytest.mark.parametrize("name,old,new,line", [
+    ("stations.csv", "52.3105", "abc", 2),
+    ("stations.csv", "4.7683", "east", 2),
+    ("stations.csv", "95,40", "soon,40", 5),
+    ("stations.csv", "95,40", "95,forty", 5),
+    ("zones.geojson", '"internal_point": [2.35', '"internal_point": ["east"', None),
+    ("zones.geojson", '"internal_point": [2.35', '"internal_point": [null', None),
+    ("zones.geojson", "5000", '"dense"', None),
+])
+def test_non_numeric_field_cites_path_and_line(tmp_path, name, old, new, line):
+    text = STATIONS_CSV if name == "stations.csv" else ZONES_GEOJSON
+    path = write(tmp_path, name, text.replace(old, new))
+    loader = load_stations if name == "stations.csv" else load_zones
+    with pytest.raises(ValidationError) as info:
+        loader(path)
+    assert (info.value.path, info.value.line) == (str(path), line)
+
+
 class TestDwellDefaults:
     @pytest.mark.parametrize("station_id,dep,arr", [
         ("ATL", 110, 60), ("BOS", 105, 40), ("DCA", 100, 35),
