@@ -1,8 +1,9 @@
 """Trip evaluation and its group-by reductions.
 
 ``evaluate_trips`` runs the per-trip model over every (segment, destination
-zone) pair, in one process.  ``daily_zone_means`` groups the trips into
-(zone, date, period, mode) means of door-to-door time and variability.
+zone) pair, in one process, doing the per-segment work once per segment.
+``daily_zone_means`` groups the trips into (zone, date, period, mode) means
+of door-to-door time and variability.
 ``summarize`` reduces those in one pass per (zone, period): the days each
 mode was fastest, the days each mode was most reliable, and the fastest
 average time.  ``bin_zone_counts`` bins the summaries into reporting bands.
@@ -20,7 +21,9 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import TripNotComputableError
 from .ingestion import RideStatIndex, resolve_dwell
-from .model import DayPeriod, DwellProfile, ScheduledSegment, TripRecord, Zone, compute_trip
+from .model import (
+    DayPeriod, DwellProfile, ScheduledSegment, TripRecord, Zone, segment_legs, zone_trip,
+)
 
 # Door-to-door time interval bins (minutes, half-open), per the four
 # reporting bands: under 4h, 4h to 4h30, 4h30 to 5h, 5h and more.
@@ -181,8 +184,12 @@ def evaluate_trips(
     """Evaluate every (segment, destination zone) trip, in segment id then
     zone id order.
 
-    Cancelled segments are skipped.  Zone/segment combinations lacking ride
-    statistics are recorded in ``skipped`` rather than failing the batch.
+    The destination-independent part of each segment's trips is evaluated
+    once per segment (``segment_legs``), then completed per zone
+    (``zone_trip``).  Cancelled segments are skipped.  Zone/segment
+    combinations lacking ride statistics are recorded in ``skipped`` rather
+    than failing the batch; a missing access ride skips every zone of the
+    segment.
     """
     dest_zones = sorted(dest_zones, key=lambda z: z.zone_id)
     trips, skipped = [], []
@@ -190,21 +197,21 @@ def evaluate_trips(
         if segment.cancelled:
             skipped.append((segment.segment_id, "*", "cancelled"))
             continue
-        dwell_dep = resolve_dwell(segment.dep_station, dwell_overrides)
-        dwell_arr = resolve_dwell(segment.arr_station, dwell_overrides)
+        try:
+            legs = segment_legs(
+                segment,
+                origin_zone,
+                resolve_dwell(segment.dep_station, dwell_overrides),
+                resolve_dwell(segment.arr_station, dwell_overrides),
+                rides,
+                assume_on_time=assume_on_time,
+            )
+        except TripNotComputableError as exc:
+            skipped.extend((segment.segment_id, zone.zone_id, str(exc)) for zone in dest_zones)
+            continue
         for zone in dest_zones:
             try:
-                trips.append(
-                    compute_trip(
-                        segment,
-                        origin_zone,
-                        zone,
-                        dwell_dep,
-                        dwell_arr,
-                        rides,
-                        assume_on_time=assume_on_time,
-                    )
-                )
+                trips.append(zone_trip(legs, zone, rides))
             except TripNotComputableError as exc:
                 skipped.append((segment.segment_id, zone.zone_id, str(exc)))
     return EvaluationReport(trips=trips, skipped=skipped)

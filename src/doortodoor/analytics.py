@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from datetime import date, timedelta
+from datetime import date
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -18,8 +18,9 @@ from .model import (
     ScheduledSegment,
     Station,
     TripRecord,
-    classify_period,
+    epoch_seconds,
     geodesic_distance,
+    local_date_period,
 )
 from .aggregation import ZonePeriodSummary
 
@@ -218,27 +219,31 @@ def delay_sensitivity(
 
     Zone deltas are weighted proportionally to population density (uniform
     weights, with a warning, when any density is missing).  Zones lacking a
-    period-level ride stat in either period are excluded and reported.
+    period-level ride stat in either period are excluded and reported.  A
+    cancelled segment, or one without an actual arrival, is rejected.
     """
+    if segment.cancelled:
+        raise ValidationError(f"segment {segment.segment_id} is cancelled")
     if segment.actual_arr is None:
         raise ValidationError(
             f"segment {segment.segment_id}: actual arrival required"
         )
     t_arr_s = resolve_dwell(segment.arr_station, dwell_overrides).t_arr_s
     arr_tz = segment.arr_station.tzinfo
-    sched_egress = (segment.sched_arr + timedelta(seconds=t_arr_s)).astimezone(arr_tz)
-    actual_egress = (segment.actual_arr + timedelta(seconds=t_arr_s)).astimezone(arr_tz)
-    sched_period = classify_period(sched_egress)
-    actual_period = classify_period(actual_egress)
+    what = f"segment {segment.segment_id}"
+    sched_date, sched_period = local_date_period(
+        epoch_seconds(segment.sched_arr, what) + t_arr_s, arr_tz)
+    actual_date, actual_period = local_date_period(
+        epoch_seconds(segment.actual_arr, what) + t_arr_s, arr_tz)
 
     station_zone = segment.arr_station.zone_id
     used: List[Tuple[str, int, int]] = []  # (zone_id, mean_delta_s, max_delta_s)
     excluded: List[str] = []
     for zone in zones:
         sched_stat = rides.get_exact(station_zone, zone.zone_id,
-                                     sched_egress.date(), sched_period)
+                                     sched_date, sched_period)
         actual_stat = rides.get_exact(station_zone, zone.zone_id,
-                                      actual_egress.date(), actual_period)
+                                      actual_date, actual_period)
         if sched_stat is None or actual_stat is None:
             excluded.append(zone.zone_id)
             continue

@@ -459,8 +459,16 @@ COMMANDS = {
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises a malformed command line as a ValidationError, so it is reported
+    like every other input error (one JSON object, exit 2)."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="d2d",
         description="Door-to-door multimodal travel time analytics engine.",
     )
@@ -498,9 +506,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    handler, _ = COMMANDS[args.command]
     try:
+        args = build_parser().parse_args(argv)
+        handler, _ = COMMANDS[args.command]
         return handler(build_config(args), args)
     except DoorToDoorError as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}

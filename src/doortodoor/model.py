@@ -7,13 +7,20 @@ A trip is decomposed into five additive phases:
 where the departure dwell itself splits into a planned processing time and
 an extra wait caused by departure delay.  All durations are kept as integer
 seconds internally; minutes appear only at I/O boundaries.
+
+Instants are absolute integer seconds since the Unix epoch, so every duration
+is elapsed time, also across DST changes.  Local time is used only to
+classify an instant into its local date and day period (``local_date_period``).
+The per-trip computation is split in two: ``segment_legs`` does the work that
+depends on the segment alone, once per segment, and ``zone_trip`` completes
+it for each destination zone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import date, datetime, timedelta
+from datetime import date, datetime, tzinfo
 from enum import Enum
 from typing import Optional, Tuple
 from zoneinfo import ZoneInfo
@@ -65,23 +72,17 @@ CODE_BY_PERIOD = {p: c for c, p in PERIOD_BY_CODE.items()}
 
 
 def classify_period(local_time) -> DayPeriod:
-    """Map a local time to its day period.
+    """Map a local time, in minutes from midnight, to its day period.
 
-    ``local_time`` is either minutes from midnight or a (zone-local)
-    datetime, classified by its second of day.  Intervals are half-open, so
-    boundary minutes (420, 600, 960, 1140) belong to the later period.
+    Intervals are half-open, so boundary minutes (420, 600, 960, 1140)
+    belong to the later period.
     """
-    if isinstance(local_time, datetime):
-        value = local_time.hour * 3600 + local_time.minute * 60 + local_time.second
-        per_min = 60
-    else:
-        if not 0 <= local_time < MINUTES_PER_DAY:
-            raise ValidationError(
-                f"local time {local_time!r} outside [0, {MINUTES_PER_DAY})"
-            )
-        value, per_min = local_time, 1
+    if not 0 <= local_time < MINUTES_PER_DAY:
+        raise ValidationError(
+            f"local time {local_time!r} outside [0, {MINUTES_PER_DAY})"
+        )
     for period in CLASSIFIABLE_PERIODS:
-        if period.start_min * per_min <= value < period.end_min * per_min:
+        if period.start_min <= local_time < period.end_min:
             return period
     raise AssertionError("periods must partition the day")  # pragma: no cover
 
@@ -279,38 +280,57 @@ class TripRecord:
         return self.total_max_s - self.total_min_s
 
 
-def _whole_seconds(delta: timedelta, what: str) -> int:
-    seconds = delta.total_seconds()
-    rounded = round(seconds)
-    if abs(seconds - rounded) > 1e-9:
+def epoch_seconds(moment: datetime, what: str) -> int:
+    """Whole seconds since the Unix epoch of an aware datetime."""
+    if moment.microsecond:
         raise ValidationError(f"{what}: sub-second timestamps unsupported")
-    return rounded
+    return int(moment.timestamp())
 
 
-def compute_trip(
+def local_date_period(epoch_s: int, tz: tzinfo) -> Tuple[date, DayPeriod]:
+    """Local date and day period of an absolute instant in timezone ``tz``."""
+    local = datetime.fromtimestamp(epoch_s, tz)
+    return local.date(), classify_period(local.hour * 60 + local.minute)
+
+
+@dataclass(frozen=True)
+class SegmentLegs:
+    """The part of a trip that depends on its segment alone: the access ride,
+    both dwells, the in-vehicle time and the egress instant."""
+
+    segment: ScheduledSegment
+    origin_zone_id: str
+    ride_to: RideVariants
+    used_daily_fallback_to: bool
+    dep_s: int
+    wait_s: int
+    in_s: int
+    arr_s: int
+    egress_s: int  # epoch seconds of the station exit
+    egress_date: date
+    egress_period: DayPeriod
+    arr_tz: tzinfo
+
+
+def segment_legs(
     segment: ScheduledSegment,
     origin_zone: Zone,
-    dest_zone: Zone,
     dwell_dep: DwellProfile,
     dwell_arr: DwellProfile,
     rides,
     *,
     assume_on_time: bool = False,
-) -> TripRecord:
-    """Evaluate one full door-to-door trip for a segment and a zone pair.
-
-    ``rides`` is a lookup with signature
-    ``lookup(origin_zone_id, dest_zone_id, date, period) -> (stat, used_fallback) | None``
-    where the stat exposes ``mean_s``/``min_s``/``max_s``.
+) -> SegmentLegs:
+    """Evaluate the destination-independent part of a segment's trips.
 
     The access ride is taken at the period containing the station-arrival
-    deadline (scheduled departure minus processing time); the egress ride at
-    the period containing the airport/station exit (actual arrival plus
-    arrival dwell).  When ``assume_on_time`` is set, missing actual times are
-    substituted by the scheduled ones.
+    deadline (scheduled departure minus processing time); the egress instant
+    is the airport/station exit (actual arrival plus arrival dwell).  When
+    ``assume_on_time`` is set, missing actual times are substituted by the
+    scheduled ones.
 
-    Raises TripNotComputableError when a leg has no ride statistic at period
-    or daily level.
+    Raises TripNotComputableError when the access ride has no statistic at
+    period or daily level.
     """
     if segment.cancelled:
         raise ValidationError(f"segment {segment.segment_id} is cancelled")
@@ -326,71 +346,121 @@ def compute_trip(
         actual_dep = actual_dep if actual_dep is not None else segment.sched_dep
         actual_arr = actual_arr if actual_arr is not None else segment.sched_arr
 
-    in_s = _whole_seconds(actual_arr - actual_dep, "in-vehicle time")
+    what = f"segment {segment.segment_id}"
+    sched_dep_s = epoch_seconds(segment.sched_dep, what)
+    actual_dep_s = epoch_seconds(actual_dep, what)
+    actual_arr_s = epoch_seconds(actual_arr, what)
+    in_s = actual_arr_s - actual_dep_s
     if in_s <= 0:
         raise ValidationError(
             f"segment {segment.segment_id}: actual arrival not after departure"
         )
     # Early pushback cannot reduce dwell below the processing time.
-    wait_s = max(0, _whole_seconds(actual_dep - segment.sched_dep, "departure delay"))
+    wait_s = max(0, actual_dep_s - sched_dep_s)
     sec_s = dwell_dep.t_sec_departure_s
-    arr_dwell_s = dwell_arr.t_arr_s
+    arr_s = dwell_arr.t_arr_s
 
-    dep_tz = segment.dep_station.tzinfo
-    arr_tz = segment.arr_station.tzinfo
-
-    deadline_local = (segment.sched_dep - timedelta(seconds=sec_s)).astimezone(dep_tz)
-    to_period = classify_period(deadline_local)
-    to_date = deadline_local.date()
-    hit_to = rides.lookup(
-        origin_zone.zone_id, segment.dep_station.zone_id, to_date, to_period
+    access_zone_id = segment.dep_station.zone_id
+    to_date, to_period = local_date_period(
+        sched_dep_s - sec_s, segment.dep_station.tzinfo
     )
+    hit_to = rides.lookup(origin_zone.zone_id, access_zone_id, to_date, to_period)
     if hit_to is None:
         raise TripNotComputableError(
-            f"no ride stat {origin_zone.zone_id}->{segment.dep_station.zone_id} "
+            f"no ride stat {origin_zone.zone_id}->{access_zone_id} "
             f"on {to_date} ({to_period.label} or daily)"
         )
     stat_to, fallback_to = hit_to
 
-    egress_local = (actual_arr + timedelta(seconds=arr_dwell_s)).astimezone(arr_tz)
-    from_period = classify_period(egress_local)
-    from_date = egress_local.date()
+    arr_tz = segment.arr_station.tzinfo
+    egress_s = actual_arr_s + arr_s
+    egress_date, egress_period = local_date_period(egress_s, arr_tz)
+    return SegmentLegs(
+        segment=segment,
+        origin_zone_id=origin_zone.zone_id,
+        ride_to=RideVariants(stat_to.mean_s, stat_to.min_s, stat_to.max_s),
+        used_daily_fallback_to=fallback_to,
+        dep_s=sec_s + wait_s,
+        wait_s=wait_s,
+        in_s=in_s,
+        arr_s=arr_s,
+        egress_s=egress_s,
+        egress_date=egress_date,
+        egress_period=egress_period,
+        arr_tz=arr_tz,
+    )
+
+
+def zone_trip(legs: SegmentLegs, dest_zone: Zone, rides) -> TripRecord:
+    """Complete a segment's trip to one destination zone: the egress ride,
+    taken at the period of the station exit, and the final arrival.
+
+    Raises TripNotComputableError when the egress ride has no statistic at
+    period or daily level.
+    """
+    segment = legs.segment
+    egress_zone_id = segment.arr_station.zone_id
     hit_from = rides.lookup(
-        segment.arr_station.zone_id, dest_zone.zone_id, from_date, from_period
+        egress_zone_id, dest_zone.zone_id, legs.egress_date, legs.egress_period
     )
     if hit_from is None:
         raise TripNotComputableError(
-            f"no ride stat {segment.arr_station.zone_id}->{dest_zone.zone_id} "
-            f"on {from_date} ({from_period.label} or daily)"
+            f"no ride stat {egress_zone_id}->{dest_zone.zone_id} "
+            f"on {legs.egress_date} ({legs.egress_period.label} or daily)"
         )
     stat_from, fallback_from = hit_from
-
-    phases = TripPhaseTimes(
-        to_s=stat_to.mean_s,
-        dep_s=sec_s + wait_s,
-        in_s=in_s,
-        arr_s=arr_dwell_s,
-        from_s=stat_from.mean_s,
-        wait_s=wait_s,
+    arrival_date, arrival_period = local_date_period(
+        legs.egress_s + stat_from.mean_s, legs.arr_tz
     )
-
-    arrival_local = egress_local + timedelta(seconds=stat_from.mean_s)
-
     return TripRecord(
         segment_id=segment.segment_id,
         mode_id=segment.mode_id,
         dep_station_id=segment.dep_station.station_id,
         arr_station_id=segment.arr_station.station_id,
-        origin_zone_id=origin_zone.zone_id,
+        origin_zone_id=legs.origin_zone_id,
         dest_zone_id=dest_zone.zone_id,
-        phases=phases,
-        ride_to=RideVariants(stat_to.mean_s, stat_to.min_s, stat_to.max_s),
+        phases=TripPhaseTimes(
+            to_s=legs.ride_to.mean_s,
+            dep_s=legs.dep_s,
+            in_s=legs.in_s,
+            arr_s=legs.arr_s,
+            from_s=stat_from.mean_s,
+            wait_s=legs.wait_s,
+        ),
+        ride_to=legs.ride_to,
         ride_from=RideVariants(stat_from.mean_s, stat_from.min_s, stat_from.max_s),
-        arrival_period=classify_period(arrival_local),
-        arrival_date=arrival_local.date(),
-        used_daily_fallback_to=fallback_to,
+        arrival_period=arrival_period,
+        arrival_date=arrival_date,
+        used_daily_fallback_to=legs.used_daily_fallback_to,
         used_daily_fallback_from=fallback_from,
     )
+
+
+def compute_trip(
+    segment: ScheduledSegment,
+    origin_zone: Zone,
+    dest_zone: Zone,
+    dwell_dep: DwellProfile,
+    dwell_arr: DwellProfile,
+    rides,
+    *,
+    assume_on_time: bool = False,
+) -> TripRecord:
+    """Evaluate one full door-to-door trip for a segment and a zone pair:
+    ``segment_legs`` then ``zone_trip``.
+
+    ``rides`` is a lookup with signature
+    ``lookup(origin_zone_id, dest_zone_id, date, period) -> (stat, used_fallback) | None``
+    where the stat exposes ``mean_s``/``min_s``/``max_s``.
+
+    Raises TripNotComputableError when a leg has no ride statistic at period
+    or daily level.
+    """
+    legs = segment_legs(
+        segment, origin_zone, dwell_dep, dwell_arr, rides,
+        assume_on_time=assume_on_time,
+    )
+    return zone_trip(legs, dest_zone, rides)
 
 
 def geodesic_distance(a: Tuple[float, float], b: Tuple[float, float]) -> float:

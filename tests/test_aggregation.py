@@ -8,6 +8,7 @@ import pytest
 from doortodoor import (
     DayPeriod,
     DwellProfile,
+    RideStatIndex,
     Zone,
     bin_zone_counts,
     daily_zone_means,
@@ -368,3 +369,27 @@ class TestEvaluateTrips:
         assert ("X", "*", "cancelled") in report.skipped
         assert any(z == "PZ_NO_DATA" for _, z, _ in report.skipped)
         assert all(t.dest_zone_id != "PZ_NO_DATA" for t in report.trips)
+
+    def test_missing_access_ride_skips_every_zone(self):
+        segments, origin, zones, rides = whatif_fixture()
+        report = evaluate_trips(segments[:1], Zone("AZ_NO_DATA"), zones, rides)
+        assert report.trips == []
+        message = "no ride stat AZ_NO_DATA->AZ1 on 2018-01-01 (late_evening or daily)"
+        assert report.skipped == [("late_2018-01-01", "PZ1", message),
+                                  ("late_2018-01-01", "PZ2", message)]
+
+    def test_access_ride_looked_up_once_per_segment(self):
+        class CountingRides(RideStatIndex):
+            lookups = 0
+
+            def lookup(self, *key):
+                self.lookups += 1
+                return super().lookup(*key)
+
+        segments, origin, zones, rides = whatif_fixture()
+        rides = CountingRides(rides)
+        segments = segments + [make_segment(segment_id="X", cancelled=True)]
+        report = evaluate_trips(segments, origin, zones, rides)
+        n_segments, n_zones = len(segments) - 1, len(zones)
+        assert len(report.trips) == n_segments * n_zones  # every bucket present
+        assert rides.lookups == n_segments + n_segments * n_zones

@@ -88,6 +88,21 @@ class TestConfigHandling:
         assert (err["error"], err["path"], err["line"]) == ("ValidationError", str(conf), 2)
         assert err["message"].startswith(f"{conf}:2: ")
 
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--jobs", "two"],
+        ["validate", "--from-date", "2018-13-01"],
+        ["weather-diff", "--date-b", "2018-01-02"],
+    ])
+    def test_malformed_flags_exit_2_with_json(self, capsys, argv):
+        assert main(argv + BASE_FLAGS) == 2
+        assert "error" in json.loads(capsys.readouterr().err)
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--help"])
+        assert exc.value.code == 0
+        assert "usage: d2d validate" in capsys.readouterr().out
+
 
 class TestFastest:
     def test_writes_one_geojson_per_period(self, tmp_path):
@@ -170,6 +185,21 @@ class TestDelayCommand:
         assert fields[2] == expected.actual_egress_period.label
         assert float(fields[3]) == pytest.approx(expected.weighted_mean_delta_s)
         assert float(fields[4]) == pytest.approx(expected.max_of_max_delta_s)
+
+    def test_cancelled_segment_exits_2(self, tmp_path, capsys):
+        # The cancelled segment of the fixture, given actual times.
+        segments = tmp_path / "segments.csv"
+        segments.write_text(
+            (FIXTURES / "segments.csv").read_text().replace(
+                "2018-01-04T16:42,,2018-01-04T18:02,,1",
+                "2018-01-04T16:42,2018-01-04T16:42,2018-01-04T18:02,2018-01-04T18:02,1"))
+        flags = BASE_FLAGS.copy()
+        flags[3] = str(segments)
+        out = tmp_path / "o"
+        assert main(["delay"] + flags + ["--segment-id", "F_CANCEL",
+                    "--out-dir", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
+        assert not out.exists()
 
     def test_unknown_segment_exits_2(self, tmp_path):
         assert main(["delay"] + BASE_FLAGS + ["--segment-id", "NOPE",

@@ -193,6 +193,56 @@ class TestComputeTrip:
         assert trip.phases.to_s == 3000
 
 
+# Runs between two stations of one timezone (Europe/Paris) in the nights of
+# the 2018 DST changes: 2018-03-25 02:00 CET -> 03:00 CEST and 2018-10-28
+# 03:00 CEST -> 02:00 CET.  Each case: local sched_dep and sched_arr, dwell
+# minutes (departure, arrival), egress ride seconds, in-vehicle seconds, and
+# the local (date, period) of the access deadline, the station exit and the
+# final arrival.
+EARLY, AM, LATE = DayPeriod.EARLY_MORNING, DayPeriod.AM, DayPeriod.LATE_EVENING
+DST_CASES = {
+    # Paris 22:00 -> Nice 07:00 lasts 8 h in March and 10 h in October.
+    "spring-night-train": (
+        "2018-03-24T22:00", "2018-03-25T07:00", (90, 45), 1500, 8 * 3600,
+        ("2018-03-24", LATE), ("2018-03-25", AM), ("2018-03-25", AM)),
+    "autumn-night-train": (
+        "2018-10-27T22:00", "2018-10-28T07:00", (90, 45), 1500, 10 * 3600,
+        ("2018-10-27", LATE), ("2018-10-28", AM), ("2018-10-28", AM)),
+    # Exit at 00:30 CET; a 6 h ride ends at 07:30 CEST.
+    "spring-egress-ride": (
+        "2018-03-24T21:30", "2018-03-24T23:45", (90, 45), 6 * 3600, 8100,
+        ("2018-03-24", LATE), ("2018-03-25", EARLY), ("2018-03-25", AM)),
+    # Exit at 01:30 CEST; a 5 h 30 ride ends at 06:00 CET.
+    "autumn-egress-ride": (
+        "2018-10-27T22:00", "2018-10-28T00:45", (90, 45), 19800, 9900,
+        ("2018-10-27", LATE), ("2018-10-28", EARLY), ("2018-10-28", EARLY)),
+    # Departure 03:30 CET; four hours earlier it was 00:30 CEST.
+    "autumn-access-deadline": (
+        "2018-10-28T03:30", "2018-10-28T05:00", (240, 45), 1500, 5400,
+        ("2018-10-28", EARLY), ("2018-10-28", EARLY), ("2018-10-28", EARLY)),
+}
+
+
+@pytest.mark.parametrize("case", DST_CASES.values(), ids=DST_CASES.keys())
+def test_same_timezone_trip_across_dst_change(case):
+    dep, arr, dwell_min, ride_s, in_s, to_key, from_key, arrival_key = case
+    paris = make_station("PLY", kind="rail", zone_id="PZ5", lat=48.84, lon=2.37)
+    nice = make_station("NCE", kind="rail", zone_id="NZ1", lat=43.70, lon=7.26)
+    segment = make_segment(dep_station=paris, arr_station=nice,
+                           sched_dep=dep, sched_arr=arr)
+    # Only the buckets at the expected local dates and periods exist, so a
+    # lookup at any other one makes the trip not computable.
+    rides = make_rides([
+        ("PZ1", "PZ5", *to_key, 1200),
+        ("NZ1", "NZ9", *from_key, ride_s),
+    ])
+    dwell = DwellProfile(*dwell_min)
+    trip = compute_trip(segment, Zone("PZ1"), Zone("NZ9"), dwell, dwell, rides)
+    assert trip.phases.in_s == in_s
+    assert (trip.phases.to_s, trip.phases.from_s) == (1200, ride_s)
+    assert (str(trip.arrival_date), trip.arrival_period) == arrival_key
+
+
 latitudes = st.floats(min_value=-90, max_value=90, allow_nan=False)
 longitudes = st.floats(min_value=-180, max_value=180, allow_nan=False)
 points = st.tuples(latitudes, longitudes)
