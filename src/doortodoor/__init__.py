@@ -10,12 +10,12 @@ from .errors import (
 from .model import (
     DayPeriod,
     DwellProfile,
-    RideVariants,
     ScheduledSegment,
     Station,
     TripPhaseTimes,
     TripRecord,
     Zone,
+    ZoneRideStat,
     classify_period,
     compute_trip,
     geodesic_distance,
@@ -24,7 +24,6 @@ from .ingestion import (
     RideStatIndex,
     WeeklyScheduleRow,
     ZoneCollection,
-    ZoneRideStat,
     expand_weekly_schedule,
     load_ride_stats,
     load_segments_actuals,

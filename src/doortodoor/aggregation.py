@@ -51,10 +51,6 @@ class ZonePeriodDayStat:
     v_s: Fraction  # mean (max-variant total - min-variant total), seconds
     n_trips: int
 
-    @property
-    def e_min(self) -> float:
-        return float(self.e_s) / 60.0
-
 
 @dataclass(frozen=True)
 class ZonePeriodSummary:

@@ -18,7 +18,6 @@ from .model import (
     ScheduledSegment,
     Station,
     TripRecord,
-    epoch_seconds,
     geodesic_distance,
     local_date_period,
 )
@@ -230,11 +229,8 @@ def delay_sensitivity(
         )
     t_arr_s = resolve_dwell(segment.arr_station, dwell_overrides).t_arr_s
     arr_tz = segment.arr_station.tzinfo
-    what = f"segment {segment.segment_id}"
-    sched_date, sched_period = local_date_period(
-        epoch_seconds(segment.sched_arr, what) + t_arr_s, arr_tz)
-    actual_date, actual_period = local_date_period(
-        epoch_seconds(segment.actual_arr, what) + t_arr_s, arr_tz)
+    sched_date, sched_period = local_date_period(segment.sched_arr + t_arr_s, arr_tz)
+    actual_date, actual_period = local_date_period(segment.actual_arr + t_arr_s, arr_tz)
 
     station_zone = segment.arr_station.zone_id
     used: List[Tuple[str, int, int]] = []  # (zone_id, mean_delta_s, max_delta_s)

@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import date, timedelta
 from functools import partial
 from pathlib import Path
@@ -20,19 +20,13 @@ from typing import Dict, List, Optional
 
 from . import aggregation, analytics, ingestion
 from .errors import DoorToDoorError, ValidationError
-from .model import CLASSIFIABLE_PERIODS, DwellProfile
+from .model import CLASSIFIABLE_PERIODS, DwellProfile, local_date_period
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
 EXIT_COMPUTE_ERROR = 3
 
 CONFIG_ENV_VAR = "D2D_CONFIG"
-
-CONFIG_KEYS = (
-    "ride_stats", "segments", "weekly_schedule", "stations", "zones",
-    "from_date", "to_date", "on_time_mode", "dep_proc_min", "arr_proc_min",
-    "out_dir", "format", "origin_zone", "jobs",
-)
 
 # Parsers of the typed config-file values; the other values stay strings.
 CONFIG_PARSERS = {
@@ -71,6 +65,10 @@ class RunConfig:
         if self.dep_proc_min is None or self.arr_proc_min is None:
             raise ValidationError("--dep-proc-min and --arr-proc-min go together")
         return {"air": DwellProfile(self.dep_proc_min, self.arr_proc_min)}
+
+
+# The config-file keys and the flags that override them: every RunConfig field.
+CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
 
 
 def _read_config_file(path: str) -> Dict[str, object]:
@@ -150,7 +148,7 @@ def load_inputs(config: RunConfig, *, need_segments: bool = True) -> LoadedInput
 def _in_date_range(config: RunConfig, segment) -> bool:
     if config.from_date is None and config.to_date is None:
         return True
-    day = segment.sched_dep.date()
+    day, _ = local_date_period(segment.sched_dep, segment.dep_station.tzinfo)
     if config.from_date is not None and day < config.from_date:
         return False
     if config.to_date is not None and day > config.to_date:

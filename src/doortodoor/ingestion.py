@@ -7,13 +7,22 @@ Canonical file formats:
   evening), dates ISO-8601.
 - ``segments.csv``: ``segment_id,mode_id,dep_station,arr_station,sched_dep,``
   ``actual_dep,sched_arr,actual_arr,cancelled`` with local ISO timestamps
-  (timezone taken from the station table).
+  (timezone taken from the station table), in whole seconds.
 - ``weekly_schedule.csv``: ``mode_id,dep_station,arr_station,days,dep_time,``
   ``arr_time`` where days is a 7-char Mo..Su mask of 0/1.
 - ``stations.csv``: ``station_id,kind,zone_id,lat,lon,tz,t_sec_dep_min,t_arr_min``
   (the two dwell columns may be empty to use the built-in defaults).
 - ``zones.geojson``: FeatureCollection whose features carry ``zone_id`` and
   optionally ``internal_point`` ([lon, lat]) and ``population_density``.
+
+Each segment time is converted once, here, to epoch seconds, both from
+``segments.csv`` and from weekly expansion.  A naive local time is zoned by
+the station table (departure times by the departure station, arrival times
+by the arrival station).  A local time that falls in a DST gap or occurs
+twice in a DST overlap is read with ``fold=0``, i.e. with the UTC offset in
+force before the change (PEP 495).  A ``segments.csv`` row whose times then
+no longer run forward (arrival not after departure) is rejected with
+``path:line:``; an expanded weekly row, with its segment id.
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ from .model import (
     ScheduledSegment,
     Station,
     Zone,
+    ZoneRideStat,
 )
 
 log = logging.getLogger(__name__)
@@ -67,30 +77,6 @@ def resolve_dwell(station: Station, overrides: Optional[Dict[str, DwellProfile]]
     return DEFAULT_RAIL_DWELL if station.kind == "rail" else DEFAULT_AIR_DWELL
 
 
-@dataclass(frozen=True)
-class ZoneRideStat:
-    """Zone-pair ride-time aggregate for one date and day period."""
-
-    origin_zone_id: str
-    dest_zone_id: str
-    date: date
-    period: DayPeriod
-    mean_s: int
-    min_s: int
-    max_s: int
-
-    def __post_init__(self):
-        if not 0 < self.min_s <= self.mean_s <= self.max_s:
-            raise ValidationError(
-                f"ride stat {self.origin_zone_id}->{self.dest_zone_id} {self.date}: "
-                f"need 0 < min <= mean <= max, got {self.min_s}/{self.mean_s}/{self.max_s}"
-            )
-
-    @property
-    def key(self):
-        return (self.origin_zone_id, self.dest_zone_id, self.date, self.period)
-
-
 class RideStatIndex:
     """Keyed ride-stat lookup with automatic daily-aggregate fallback."""
 
@@ -114,18 +100,13 @@ class RideStatIndex:
     def get_exact(self, origin, dest, when, period) -> Optional[ZoneRideStat]:
         return self._by_key.get((origin, dest, when, period))
 
-    def lookup(self, origin, dest, when, period) -> Optional[Tuple[ZoneRideStat, bool]]:
-        """Period-level record when present, else the daily aggregate.
-
-        Returns (stat, used_daily_fallback) or None when neither exists.
-        """
+    def lookup(self, origin, dest, when, period) -> Optional[ZoneRideStat]:
+        """Period-level record when present, else the daily aggregate (whose
+        ``period`` is ``DAILY_ONLY``), else None."""
         stat = self._by_key.get((origin, dest, when, period))
         if stat is not None:
-            return stat, False
-        daily = self._by_key.get((origin, dest, when, DayPeriod.DAILY_ONLY))
-        if daily is not None:
-            return daily, True
-        return None
+            return stat
+        return self._by_key.get((origin, dest, when, DayPeriod.DAILY_ONLY))
 
     def daily_fraction(self) -> float:
         """Share of records that are daily-only aggregates."""
@@ -291,9 +272,10 @@ def expand_weekly_schedule(
 ) -> List[ScheduledSegment]:
     """Materialize weekly rows into dated segments over [start, end].
 
-    Times are built in each station's own timezone; actual times are set to
-    the scheduled ones (on-time assumption).  Rows whose arrival clock time
-    precedes the departure roll the arrival to the next date.
+    Times are read in each station's own timezone and kept as epoch seconds;
+    actual times are set to the scheduled ones (on-time assumption).  Rows
+    whose arrival clock time precedes the departure roll the arrival to the
+    next date.
     """
     if end < start:
         raise ValidationError(f"empty date range {start}..{end}")
@@ -307,9 +289,11 @@ def expand_weekly_schedule(
         day = start
         while day <= end:
             if row.days[day.weekday()]:
-                sched_dep = datetime.combine(day, row.dep_time, tzinfo=dep_station.tzinfo)
+                sched_dep = int(datetime.combine(
+                    day, row.dep_time, tzinfo=dep_station.tzinfo).timestamp())
                 arr_day = day + timedelta(days=1) if row.overnight else day
-                sched_arr = datetime.combine(arr_day, row.arr_time, tzinfo=arr_station.tzinfo)
+                sched_arr = int(datetime.combine(
+                    arr_day, row.arr_time, tzinfo=arr_station.tzinfo).timestamp())
                 segment_id = (
                     f"{row.mode_id}_{day.isoformat()}_"
                     f"{row.dep_time.hour:02d}{row.dep_time.minute:02d}"
@@ -379,14 +363,18 @@ SEGMENTS_HEADER = (
 )
 
 
-def _parse_local_ts(value: str, tz, path, line) -> datetime:
+def _parse_local_ts(value: str, tz, path, line) -> int:
+    """Epoch seconds of an ISO timestamp; a naive one is local time in ``tz``."""
     try:
-        naive = datetime.fromisoformat(value)
+        moment = datetime.fromisoformat(value)
     except ValueError:
         raise ValidationError(f"bad timestamp {value!r}", path=path, line=line)
-    if naive.tzinfo is not None:
-        return naive
-    return naive.replace(tzinfo=tz)
+    if moment.microsecond:
+        raise ValidationError(f"sub-second timestamp {value!r} unsupported",
+                              path=path, line=line)
+    if moment.tzinfo is None:
+        moment = moment.replace(tzinfo=tz)
+    return int(moment.timestamp())
 
 
 def load_segments_actuals(

@@ -8,12 +8,17 @@ where the departure dwell itself splits into a planned processing time and
 an extra wait caused by departure delay.  All durations are kept as integer
 seconds internally; minutes appear only at I/O boundaries.
 
-Instants are absolute integer seconds since the Unix epoch, so every duration
-is elapsed time, also across DST changes.  Local time is used only to
-classify an instant into its local date and day period (``local_date_period``).
-The per-trip computation is split in two: ``segment_legs`` does the work that
-depends on the segment alone, once per segment, and ``zone_trip`` completes
-it for each destination zone.
+Instants are absolute integer seconds since the Unix epoch from ingestion
+on: a segment's four times are epoch seconds, so every duration is elapsed
+time, also across DST changes.  Ingestion zones a naive local time by the
+station table, and reads one that falls in a DST gap or overlap with
+``fold=0``, the offset in force before the change (PEP 495); a
+``segments.csv`` row whose times then no longer run forward exits 2 with
+``path:line:``.  Local time is used only to classify an instant into its
+local date and day period (``local_date_period``).  The per-trip computation is split in two:
+``segment_legs`` does the work that depends on the segment alone, once per
+segment, and ``zone_trip`` completes it for each destination zone.  A trip
+keeps the ``ZoneRideStat`` records its access and egress rides used.
 """
 
 from __future__ import annotations
@@ -69,6 +74,30 @@ PERIOD_BY_CODE = {
     5: DayPeriod.LATE_EVENING,
 }
 CODE_BY_PERIOD = {p: c for c, p in PERIOD_BY_CODE.items()}
+
+
+@dataclass(frozen=True)
+class ZoneRideStat:
+    """Zone-pair ride-time aggregate for one date and day period, in seconds."""
+
+    origin_zone_id: str
+    dest_zone_id: str
+    date: date
+    period: DayPeriod
+    mean_s: int
+    min_s: int
+    max_s: int
+
+    def __post_init__(self):
+        if not 0 < self.min_s <= self.mean_s <= self.max_s:
+            raise ValidationError(
+                f"ride stat {self.origin_zone_id}->{self.dest_zone_id} {self.date}: "
+                f"need 0 < min <= mean <= max, got {self.min_s}/{self.mean_s}/{self.max_s}"
+            )
+
+    @property
+    def key(self):
+        return (self.origin_zone_id, self.dest_zone_id, self.date, self.period)
 
 
 def classify_period(local_time) -> DayPeriod:
@@ -165,16 +194,17 @@ class Station:
 
 @dataclass(frozen=True)
 class ScheduledSegment:
-    """One flight or train movement with scheduled (and possibly actual) times."""
+    """One flight or train movement with scheduled (and possibly actual)
+    times, in epoch seconds."""
 
     segment_id: str
     mode_id: str
     dep_station: Station
     arr_station: Station
-    sched_dep: datetime
-    sched_arr: datetime
-    actual_dep: Optional[datetime] = None
-    actual_arr: Optional[datetime] = None
+    sched_dep: int
+    sched_arr: int
+    actual_dep: Optional[int] = None
+    actual_arr: Optional[int] = None
     cancelled: bool = False
 
     def __post_init__(self):
@@ -218,22 +248,6 @@ class TripPhaseTimes:
 
 
 @dataclass(frozen=True)
-class RideVariants:
-    """Mean/min/max ride durations for one access or egress leg, in seconds."""
-
-    mean_s: int
-    min_s: int
-    max_s: int
-
-    def __post_init__(self):
-        if not 0 < self.min_s <= self.mean_s <= self.max_s:
-            raise ValidationError(
-                f"ride variants must satisfy 0 < min <= mean <= max, "
-                f"got {self.min_s}/{self.mean_s}/{self.max_s}"
-            )
-
-
-@dataclass(frozen=True)
 class TripRecord:
     """One evaluated door-to-door trip."""
 
@@ -244,12 +258,18 @@ class TripRecord:
     origin_zone_id: str
     dest_zone_id: str
     phases: TripPhaseTimes  # mean-variant ride legs
-    ride_to: RideVariants
-    ride_from: RideVariants
+    ride_to: ZoneRideStat
+    ride_from: ZoneRideStat
     arrival_period: DayPeriod
     arrival_date: date
-    used_daily_fallback_to: bool
-    used_daily_fallback_from: bool
+
+    @property
+    def used_daily_fallback_to(self) -> bool:
+        return self.ride_to.period is DayPeriod.DAILY_ONLY
+
+    @property
+    def used_daily_fallback_from(self) -> bool:
+        return self.ride_from.period is DayPeriod.DAILY_ONLY
 
     @property
     def total_mean_s(self) -> int:
@@ -280,13 +300,6 @@ class TripRecord:
         return self.total_max_s - self.total_min_s
 
 
-def epoch_seconds(moment: datetime, what: str) -> int:
-    """Whole seconds since the Unix epoch of an aware datetime."""
-    if moment.microsecond:
-        raise ValidationError(f"{what}: sub-second timestamps unsupported")
-    return int(moment.timestamp())
-
-
 def local_date_period(epoch_s: int, tz: tzinfo) -> Tuple[date, DayPeriod]:
     """Local date and day period of an absolute instant in timezone ``tz``."""
     local = datetime.fromtimestamp(epoch_s, tz)
@@ -300,8 +313,7 @@ class SegmentLegs:
 
     segment: ScheduledSegment
     origin_zone_id: str
-    ride_to: RideVariants
-    used_daily_fallback_to: bool
+    ride_to: ZoneRideStat
     dep_s: int
     wait_s: int
     in_s: int
@@ -346,40 +358,34 @@ def segment_legs(
         actual_dep = actual_dep if actual_dep is not None else segment.sched_dep
         actual_arr = actual_arr if actual_arr is not None else segment.sched_arr
 
-    what = f"segment {segment.segment_id}"
-    sched_dep_s = epoch_seconds(segment.sched_dep, what)
-    actual_dep_s = epoch_seconds(actual_dep, what)
-    actual_arr_s = epoch_seconds(actual_arr, what)
-    in_s = actual_arr_s - actual_dep_s
+    in_s = actual_arr - actual_dep
     if in_s <= 0:
         raise ValidationError(
             f"segment {segment.segment_id}: actual arrival not after departure"
         )
     # Early pushback cannot reduce dwell below the processing time.
-    wait_s = max(0, actual_dep_s - sched_dep_s)
+    wait_s = max(0, actual_dep - segment.sched_dep)
     sec_s = dwell_dep.t_sec_departure_s
     arr_s = dwell_arr.t_arr_s
 
     access_zone_id = segment.dep_station.zone_id
     to_date, to_period = local_date_period(
-        sched_dep_s - sec_s, segment.dep_station.tzinfo
+        segment.sched_dep - sec_s, segment.dep_station.tzinfo
     )
-    hit_to = rides.lookup(origin_zone.zone_id, access_zone_id, to_date, to_period)
-    if hit_to is None:
+    ride_to = rides.lookup(origin_zone.zone_id, access_zone_id, to_date, to_period)
+    if ride_to is None:
         raise TripNotComputableError(
             f"no ride stat {origin_zone.zone_id}->{access_zone_id} "
             f"on {to_date} ({to_period.label} or daily)"
         )
-    stat_to, fallback_to = hit_to
 
     arr_tz = segment.arr_station.tzinfo
-    egress_s = actual_arr_s + arr_s
+    egress_s = actual_arr + arr_s
     egress_date, egress_period = local_date_period(egress_s, arr_tz)
     return SegmentLegs(
         segment=segment,
         origin_zone_id=origin_zone.zone_id,
-        ride_to=RideVariants(stat_to.mean_s, stat_to.min_s, stat_to.max_s),
-        used_daily_fallback_to=fallback_to,
+        ride_to=ride_to,
         dep_s=sec_s + wait_s,
         wait_s=wait_s,
         in_s=in_s,
@@ -400,17 +406,16 @@ def zone_trip(legs: SegmentLegs, dest_zone: Zone, rides) -> TripRecord:
     """
     segment = legs.segment
     egress_zone_id = segment.arr_station.zone_id
-    hit_from = rides.lookup(
+    ride_from = rides.lookup(
         egress_zone_id, dest_zone.zone_id, legs.egress_date, legs.egress_period
     )
-    if hit_from is None:
+    if ride_from is None:
         raise TripNotComputableError(
             f"no ride stat {egress_zone_id}->{dest_zone.zone_id} "
             f"on {legs.egress_date} ({legs.egress_period.label} or daily)"
         )
-    stat_from, fallback_from = hit_from
     arrival_date, arrival_period = local_date_period(
-        legs.egress_s + stat_from.mean_s, legs.arr_tz
+        legs.egress_s + ride_from.mean_s, legs.arr_tz
     )
     return TripRecord(
         segment_id=segment.segment_id,
@@ -424,15 +429,13 @@ def zone_trip(legs: SegmentLegs, dest_zone: Zone, rides) -> TripRecord:
             dep_s=legs.dep_s,
             in_s=legs.in_s,
             arr_s=legs.arr_s,
-            from_s=stat_from.mean_s,
+            from_s=ride_from.mean_s,
             wait_s=legs.wait_s,
         ),
         ride_to=legs.ride_to,
-        ride_from=RideVariants(stat_from.mean_s, stat_from.min_s, stat_from.max_s),
+        ride_from=ride_from,
         arrival_period=arrival_period,
         arrival_date=arrival_date,
-        used_daily_fallback_to=legs.used_daily_fallback_to,
-        used_daily_fallback_from=fallback_from,
     )
 
 
@@ -450,8 +453,8 @@ def compute_trip(
     ``segment_legs`` then ``zone_trip``.
 
     ``rides`` is a lookup with signature
-    ``lookup(origin_zone_id, dest_zone_id, date, period) -> (stat, used_fallback) | None``
-    where the stat exposes ``mean_s``/``min_s``/``max_s``.
+    ``lookup(origin_zone_id, dest_zone_id, date, period) -> ZoneRideStat | None``
+    that falls back to the daily aggregate when the period has no record.
 
     Raises TripNotComputableError when a leg has no ride statistic at period
     or daily level.

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from datetime import date, datetime
+from datetime import date
 
 import pytest
 
 from doortodoor import (
     DayPeriod,
     RideStatIndex,
-    RideVariants,
     ScheduledSegment,
     Station,
     TripPhaseTimes,
@@ -17,6 +16,7 @@ from doortodoor import (
     Zone,
     ZoneRideStat,
 )
+from doortodoor.ingestion import _parse_local_ts
 
 AMS_TZ = "Europe/Amsterdam"
 PAR_TZ = "Europe/Paris"
@@ -37,11 +37,8 @@ def make_segment(segment_id="F1", mode_id="via_CDG",
     arr_station = arr_station or make_station()
 
     def ts(value, station):
-        if value is None:
-            return None
-        if isinstance(value, datetime):
-            return value
-        return datetime.fromisoformat(value).replace(tzinfo=station.tzinfo)
+        """Epoch seconds of a local ISO time, read as ingestion reads it."""
+        return _parse_local_ts(value, station.tzinfo, None, None)
 
     sched_dep = ts(sched_dep, dep_station)
     sched_arr = ts(sched_arr, arr_station)
@@ -74,21 +71,26 @@ def make_trip(dest_zone="PZ1", mode_id="via_CDG", arrival_date="2018-01-02",
               arrival_period=DayPeriod.MIDDAY, to_s=1800, dep_s=5400, in_s=4800,
               arr_s=2700, from_s=1500, wait_s=0, to_spread=0, from_spread=0,
               segment_id="F1", origin_zone="AZ1"):
-    """A TripRecord with symmetric min/max ride spreads around the means."""
+    """A TripRecord with symmetric min/max ride spreads around the means.
+
+    Both rides are period-level stats (no daily fallback) of the arrival
+    date and period."""
+    when = date.fromisoformat(arrival_date)
+
+    def ride(origin, dest, mean_s, spread):
+        return ZoneRideStat(origin, dest, when, arrival_period, max(1, mean_s),
+                            max(1, mean_s - spread), max(1, mean_s + spread))
+
     return TripRecord(
         segment_id=segment_id, mode_id=mode_id,
         dep_station_id="AMS", arr_station_id="CDG",
         origin_zone_id=origin_zone, dest_zone_id=dest_zone,
         phases=TripPhaseTimes(to_s=to_s, dep_s=dep_s, in_s=in_s,
                               arr_s=arr_s, from_s=from_s, wait_s=wait_s),
-        ride_to=RideVariants(max(1, to_s), max(1, to_s - to_spread),
-                             max(1, to_s + to_spread)),
-        ride_from=RideVariants(max(1, from_s), max(1, from_s - from_spread),
-                               max(1, from_s + from_spread)),
+        ride_to=ride(origin_zone, "AZ1", to_s, to_spread),
+        ride_from=ride("PZ9", dest_zone, from_s, from_spread),
         arrival_period=arrival_period,
-        arrival_date=date.fromisoformat(arrival_date),
-        used_daily_fallback_to=False,
-        used_daily_fallback_from=False,
+        arrival_date=when,
     )
 
 

@@ -1,11 +1,12 @@
 """Command-line contract: exit codes, config handling, export shapes."""
 
 import json
+from datetime import date
 from pathlib import Path
 
 import pytest
 
-from doortodoor.cli import main
+from doortodoor.cli import RunConfig, evaluate, load_inputs, main
 
 FIXTURES = Path(__file__).parent / "fixtures" / "golden"
 
@@ -102,6 +103,29 @@ class TestConfigHandling:
             main(["validate", "--help"])
         assert exc.value.code == 0
         assert "usage: d2d validate" in capsys.readouterr().out
+
+
+class TestDateFilter:
+    def test_departure_date_is_the_local_date(self, tmp_path):
+        # Amsterdam is UTC+1: NEXT departs at 00:30 local on 01-08, which is
+        # 23:30 UTC on 01-07; LATE departs at 23:30 local on 01-07.
+        segments = tmp_path / "segments.csv"
+        segments.write_text(
+            "segment_id,mode_id,dep_station,arr_station,"
+            "sched_dep,actual_dep,sched_arr,actual_arr,cancelled\n"
+            "NEXT,via_CDG,AMS,CDG,2018-01-08T00:30,2018-01-08T00:30,"
+            "2018-01-08T01:50,2018-01-08T01:50,0\n"
+            "LATE,via_CDG,AMS,CDG,2018-01-07T23:30,2018-01-07T23:30,"
+            "2018-01-08T00:50,2018-01-08T00:50,0\n")
+        config = RunConfig(
+            ride_stats=str(FIXTURES / "ride_stats.csv"), segments=str(segments),
+            stations=str(FIXTURES / "stations.csv"),
+            zones=str(FIXTURES / "zones.geojson"),
+            to_date=date(2018, 1, 7), origin_zone="AZ1")
+        report = evaluate(config, load_inputs(config))
+        evaluated = ({t.segment_id for t in report.trips}
+                     | {segment_id for segment_id, _, _ in report.skipped})
+        assert evaluated == {"LATE"}
 
 
 class TestFastest:

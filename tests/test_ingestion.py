@@ -1,6 +1,6 @@
 """Parsers, indexes, weekly-schedule expansion and dwell defaults."""
 
-from datetime import date
+from datetime import date, datetime, timezone
 
 import pytest
 from hypothesis import given, strategies as st
@@ -25,6 +25,7 @@ from doortodoor.ingestion import (
     dump_ride_stats,
     dump_zones,
 )
+from doortodoor.model import local_date_period
 
 from conftest import make_station
 
@@ -39,6 +40,15 @@ XNA,air,XZ1,36.28,-94.31,America/Chicago,95,40
 """
 
 
+def utc_epoch(*fields):
+    """Epoch seconds of a UTC wall time (year, month, day, hour, minute)."""
+    return int(datetime(*fields, tzinfo=timezone.utc).timestamp())
+
+
+def local_date(epoch_s, station):
+    return local_date_period(epoch_s, station.tzinfo)[0]
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -50,9 +60,9 @@ class TestLoadRideStats:
         path = write(tmp_path, "rides.csv",
                      f"{RIDE_HEADER}\nZ1,Z9,2018-01-02,2,1800,1200,3600\n")
         index = load_ride_stats(path)
-        stat, fallback = index.lookup("Z1", "Z9", date(2018, 1, 2), DayPeriod.AM)
+        stat = index.lookup("Z1", "Z9", date(2018, 1, 2), DayPeriod.AM)
         assert stat.mean_s == 1800 and stat.min_s == 1200 and stat.max_s == 3600
-        assert not fallback
+        assert stat.period is DayPeriod.AM
 
     def test_duplicate_key_rejected(self, tmp_path):
         path = write(tmp_path, "rides.csv",
@@ -66,8 +76,7 @@ class TestLoadRideStats:
         path = write(tmp_path, "rides.csv",
                      f"{RIDE_HEADER}\nZ1,Z9,2018-01-02,0,1800,1200,3600\n")
         index = load_ride_stats(path)
-        stat, fallback = index.lookup("Z1", "Z9", date(2018, 1, 2), DayPeriod.PM)
-        assert fallback
+        stat = index.lookup("Z1", "Z9", date(2018, 1, 2), DayPeriod.PM)
         assert stat.period is DayPeriod.DAILY_ONLY
 
     def test_min_above_max_cites_line(self, tmp_path):
@@ -124,7 +133,7 @@ class TestRideStatIndexFallback:
             if period is DayPeriod.DAILY_ONLY:
                 continue
             hit = index.lookup(origin, dest, day, period)
-            assert hit == (stat, False)
+            assert hit == stat
         # Keys with only a daily record fall back; absent pairs return None.
         for (origin, dest, day, period) in list(keys):
             for probe in DayPeriod:
@@ -135,7 +144,7 @@ class TestRideStatIndexFallback:
                 hit = index.lookup(origin, dest, day, probe)
                 daily = keys.get((origin, dest, day, DayPeriod.DAILY_ONLY))
                 if daily is not None:
-                    assert hit == (daily, True)
+                    assert hit == daily
                 else:
                     assert hit is None
 
@@ -155,7 +164,7 @@ class TestWeeklySchedule:
         segments = expand_weekly_schedule(rows, stations,
                                           date(2018, 1, 1), date(2018, 1, 7))
         assert len(segments) == 7
-        assert segments[0].sched_dep.isoformat() == "2018-01-01T06:45:00+01:00"
+        assert segments[0].sched_dep == utc_epoch(2018, 1, 1, 5, 45)  # 06:45+01:00
         assert segments[0].actual_dep == segments[0].sched_dep
         assert len({s.segment_id for s in segments}) == 7
 
@@ -166,7 +175,8 @@ class TestWeeklySchedule:
                                           date(2018, 1, 1), date(2018, 1, 14))
         # 2018-01-01 is a Monday: two Mondays + two Saturdays in two weeks.
         assert len(segments) == 4
-        assert {s.sched_dep.weekday() for s in segments} == {0, 5}
+        assert {local_date(s.sched_dep, stations["AMS"]).weekday()
+                for s in segments} == {0, 5}
 
     def test_all_false_mask_rejected(self, tmp_path):
         path = write(tmp_path, "weekly.csv",
@@ -180,14 +190,14 @@ class TestWeeklySchedule:
         segments = expand_weekly_schedule(load_weekly_schedule(path), stations,
                                           date(2018, 1, 1), date(2018, 1, 1))
         assert len(segments) == 1
-        assert segments[0].sched_arr.date() == date(2018, 1, 1)
+        assert local_date(segments[0].sched_arr, stations["CDG"]) == date(2018, 1, 1)
 
     def test_overnight_rolls_arrival(self, tmp_path, stations):
         path = write(tmp_path, "weekly.csv",
                      f"{WEEKLY_HEADER}\nnight,AMS,CDG,1111111,23:30,00:50\n")
         segments = expand_weekly_schedule(load_weekly_schedule(path), stations,
                                           date(2018, 1, 1), date(2018, 1, 1))
-        assert segments[0].sched_arr.date() == date(2018, 1, 2)
+        assert local_date(segments[0].sched_arr, stations["CDG"]) == date(2018, 1, 2)
 
     def test_segment_count_matches_matching_dates(self, tmp_path, stations):
         path = write(tmp_path, "weekly.csv",
@@ -224,7 +234,7 @@ class TestLoadSegments:
                      "F1,via_CDG,AMS,CDG,2018-01-02T18:02,2018-01-02T18:18,"
                      "2018-01-02T19:22,2018-01-02T19:38,0\n")
         (segment,) = load_segments_actuals(path, stations)
-        assert (segment.actual_dep - segment.sched_dep).total_seconds() == 16 * 60
+        assert segment.actual_dep - segment.sched_dep == 16 * 60
 
     def test_local_times_zoned_from_station_table(self, tmp_path, stations):
         path = write(tmp_path, "segments.csv",
@@ -232,7 +242,7 @@ class TestLoadSegments:
                      "F1,via_CDG,AMS,CDG,2018-01-02T12:00,2018-01-02T12:00,"
                      "2018-01-02T13:20,2018-01-02T13:20,0\n")
         (segment,) = load_segments_actuals(path, stations)
-        assert segment.sched_dep.utcoffset().total_seconds() == 3600
+        assert segment.sched_dep == utc_epoch(2018, 1, 2, 11, 0)  # 12:00+01:00
 
     def test_missing_actuals_rejected_unless_on_time(self, tmp_path, stations):
         text = (f"{SEGMENTS_HEADER}\n"
@@ -250,6 +260,20 @@ class TestLoadSegments:
                      "2018-01-02T13:20,2018-01-02T13:00,0\n")
         with pytest.raises(ValidationError):
             load_segments_actuals(path, stations)
+
+    @pytest.mark.parametrize("row", [
+        # 02:30 does not exist in Paris on 2018-03-25; read with the offset
+        # before the change (01:30 UTC) it is after the 03:10 arrival.
+        "G1,x,CDG,GDN,2018-03-25T02:30,2018-03-25T02:30,"
+        "2018-03-25T03:10,2018-03-25T03:10,0",
+        "F1,via_CDG,AMS,CDG,2018-01-03T16:42:00.5,2018-01-03T16:42,"
+        "2018-01-03T18:02,2018-01-03T18:02,0",
+    ], ids=["dst-gap-inverts-order", "sub-second"])
+    def test_untimeable_row_cites_path_and_line(self, tmp_path, stations, row):
+        path = write(tmp_path, "segments.csv", f"{SEGMENTS_HEADER}\n{row}\n")
+        with pytest.raises(ValidationError) as info:
+            load_segments_actuals(path, stations)
+        assert (info.value.path, info.value.line) == (str(path), 2)
 
     def test_unknown_station_rejected(self, tmp_path, stations):
         path = write(tmp_path, "segments.csv",
