@@ -5,6 +5,7 @@ before/after diffs, and passenger-delay sensitivity."""
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from datetime import date
 from fractions import Fraction
@@ -50,24 +51,40 @@ def leg_shares(trips: Iterable[TripRecord]) -> List[LegShare]:
 
     Each trip's phase percentages are computed against its own total (so they
     sum to 100 exactly) before averaging.  Zero-total trips are excluded.
+
+    The mean is exact and built without a rational per trip: trips with the
+    same total share a denominator, so phase seconds are summed as integers
+    per (city pair, total), and the mean of phase i over the n trips of a
+    pair is the single rational
+    ``100 * sum_t(S_i(t) * (L // t)) / (L * n)`` with ``L = lcm(totals)``.
     """
-    groups: Dict[str, List[Tuple[Fraction, ...]]] = {}
+    # pair -> total -> [sum to, sum dep, sum in, sum arr, sum from, count]
+    groups: Dict[str, Dict[int, List[int]]] = {}
     for trip in trips:
-        total = trip.phases.total_s
+        ph = trip.phases
+        total = ph.total_s
         if total <= 0:
             log.warning("trip %s has zero total time; excluded from leg shares",
                         trip.segment_id)
             continue
         pair = f"{trip.dep_station_id}-{trip.arr_station_id}"
-        phases = (trip.phases.to_s, trip.phases.dep_s, trip.phases.in_s,
-                  trip.phases.arr_s, trip.phases.from_s)
-        groups.setdefault(pair, []).append(
-            tuple(Fraction(p * 100, total) for p in phases)
-        )
+        sums = groups.setdefault(pair, {}).setdefault(total, [0] * 6)
+        sums[0] += ph.to_s
+        sums[1] += ph.dep_s
+        sums[2] += ph.in_s
+        sums[3] += ph.arr_s
+        sums[4] += ph.from_s
+        sums[5] += 1
     shares = []
-    for pair, vectors in groups.items():
-        n = len(vectors)
-        means = [sum(v[i] for v in vectors) / n for i in range(5)]
+    for pair, by_total in groups.items():
+        n = sum(sums[5] for sums in by_total.values())
+        lcm = math.lcm(*by_total)
+        numerators = [0] * 5
+        for total, sums in by_total.items():
+            scale = lcm // total
+            for i in range(5):
+                numerators[i] += sums[i] * scale
+        means = [Fraction(100 * num, lcm * n) for num in numerators]
         shares.append(
             LegShare(
                 city_pair=pair,

@@ -22,7 +22,8 @@ by the arrival station).  A local time that falls in a DST gap or occurs
 twice in a DST overlap is read with ``fold=0``, i.e. with the UTC offset in
 force before the change (PEP 495).  A ``segments.csv`` row whose times then
 no longer run forward (arrival not after departure) is rejected with
-``path:line:``; an expanded weekly row, with its segment id.
+``path:line:``; an expanded weekly row, with its segment id and the
+``path:line:`` of its weekly row.
 """
 
 from __future__ import annotations
@@ -209,6 +210,9 @@ class WeeklyScheduleRow:
     days: Tuple[bool, ...]  # Mo..Su
     dep_time: time
     arr_time: time
+    # Source of the row, cited by expansion errors; set by load_weekly_schedule.
+    path: Optional[str] = field(default=None, compare=False)
+    line: Optional[int] = field(default=None, compare=False)
 
     def __post_init__(self):
         if len(self.days) != 7:
@@ -255,6 +259,8 @@ def load_weekly_schedule(path) -> List[WeeklyScheduleRow]:
                     days=tuple(c == "1" for c in days),
                     dep_time=_parse_hhmm(dep_t, str(path), lineno),
                     arr_time=_parse_hhmm(arr_t, str(path), lineno),
+                    path=str(path),
+                    line=lineno,
                 )
             )
         except ValidationError as exc:
@@ -285,7 +291,8 @@ def expand_weekly_schedule(
             dep_station = stations[row.dep_station_id]
             arr_station = stations[row.arr_station_id]
         except KeyError as exc:
-            raise ValidationError(f"unknown station {exc.args[0]!r} in weekly schedule")
+            raise ValidationError(f"unknown station {exc.args[0]!r} in weekly schedule",
+                                  path=row.path, line=row.line)
         day = start
         while day <= end:
             if row.days[day.weekday()]:
@@ -298,19 +305,22 @@ def expand_weekly_schedule(
                     f"{row.mode_id}_{day.isoformat()}_"
                     f"{row.dep_time.hour:02d}{row.dep_time.minute:02d}"
                 )
-                segments.append(
-                    ScheduledSegment(
-                        segment_id=segment_id,
-                        mode_id=row.mode_id,
-                        dep_station=dep_station,
-                        arr_station=arr_station,
-                        sched_dep=sched_dep,
-                        sched_arr=sched_arr,
-                        actual_dep=sched_dep,
-                        actual_arr=sched_arr,
-                        cancelled=False,
+                try:
+                    segments.append(
+                        ScheduledSegment(
+                            segment_id=segment_id,
+                            mode_id=row.mode_id,
+                            dep_station=dep_station,
+                            arr_station=arr_station,
+                            sched_dep=sched_dep,
+                            sched_arr=sched_arr,
+                            actual_dep=sched_dep,
+                            actual_arr=sched_arr,
+                            cancelled=False,
+                        )
                     )
-                )
+                except ValidationError as exc:
+                    raise ValidationError(str(exc), path=row.path, line=row.line) from None
             day += timedelta(days=1)
     return segments
 

@@ -1,9 +1,12 @@
 """Leg decomposition, integration regression, weather diff, delay sensitivity."""
 
 import random
+from dataclasses import replace
 from datetime import date
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from doortodoor import (
     DayPeriod,
@@ -79,6 +82,41 @@ class TestLegShares:
         assert len(shares) == 1
         assert shares[0].n_trips == 1
         assert any("zero total" in r.message for r in caplog.records)
+
+    # Phases from a small range repeat trip totals; from a wide range, nearly
+    # every total is distinct.  Each draw is (city pair, five phases).
+    trip_draws = st.lists(st.tuples(
+        st.sampled_from(["AMS-CDG", "BOS-CDG", "AMS-GDN"]),
+        st.one_of(st.just((0, 0, 0, 0, 0)),
+                  st.tuples(*[st.integers(0, 4)] * 5),
+                  st.tuples(*[st.integers(0, 10 ** 6)] * 5)),
+    ), max_size=60)
+
+    @settings(deadline=None)  # the per-trip Fraction oracle is slow by design
+    @given(trip_draws, st.data())
+    def test_exact_mean_of_per_trip_shares(self, draws, data):
+        groups = {}
+        for pair, phases in draws:
+            total = sum(phases)
+            if total > 0:
+                groups.setdefault(pair, []).append(
+                    [Fraction(100 * p, total) for p in phases])
+        expected = sorted(
+            ((pair, tuple(float(sum(v[i] for v in vectors) / len(vectors))
+                          for i in range(5)), len(vectors))
+             for pair, vectors in groups.items()),
+            key=lambda row: (row[1][2], row[0]))
+
+        trips = []
+        for k, (pair, phases) in enumerate(draws):
+            dep, arr = pair.split("-")
+            trip = make_trip(**dict(zip(("to_s", "dep_s", "in_s", "arr_s", "from_s"),
+                                        phases)), segment_id=f"T{k}")
+            trips.append(replace(trip, dep_station_id=dep, arr_station_id=arr))
+        shares = leg_shares(trips)
+        assert [(s.city_pair, s.as_tuple(), s.n_trips) for s in shares] == expected
+        assert sum(s.n_trips for s in shares) == sum(sum(p) > 0 for _, p in draws)
+        assert leg_shares(data.draw(st.permutations(trips))) == shares
 
 
 def linear_ride_index(station, zones, day, slope_min_per_km, intercept_min,

@@ -51,6 +51,25 @@ class TestValidate:
         error = json.loads(err)
         assert (error["error"], error["path"], error["line"]) == ("ValidationError", str(bad), 2)
 
+    @pytest.mark.parametrize("row, message", [
+        # Paris to Paris on Sunday 2018-03-25: 02:30 is in the spring-forward
+        # gap and reads as 01:30 UTC, after the 03:10 (01:10 UTC) arrival.
+        ("x,CDG,GDN,0000001,02:30,03:10",
+         "segment x_2018-03-25_0230: scheduled arrival not after departure"),
+        ("x,CDG,ZZZ,0000001,08:30,09:10", "unknown station 'ZZZ' in weekly schedule"),
+    ], ids=["dst-gap", "unknown-station"])
+    def test_weekly_expansion_error_cites_row(self, tmp_path, capsys, row, message):
+        weekly = tmp_path / "weekly.csv"
+        weekly.write_text("mode_id,dep_station,arr_station,days,dep_time,arr_time\n"
+                          + row + "\n")
+        flags = BASE_FLAGS.copy()
+        flags[5] = str(weekly)
+        flags[11], flags[13] = "2018-03-19", "2018-03-26"
+        assert main(["validate"] + flags) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert (error["error"], error["path"], error["line"]) == ("ValidationError", str(weekly), 2)
+        assert error["message"] == f"{weekly}:2: {message}"
+
     def test_missing_stations_exits_2(self):
         flags = BASE_FLAGS.copy()
         flags[7] = str(FIXTURES / "nope.csv")
