@@ -3,7 +3,7 @@
 ``evaluate_trips`` runs the per-trip model over every (segment, destination
 zone) pair, in one process, doing the per-segment work once per segment.
 ``daily_zone_means`` groups the trips into (zone, date, period, mode) means
-of door-to-door time and variability.
+of door-to-door time and variability, summing integer seconds per cell.
 ``summarize`` reduces those in one pass per (zone, period): the days each
 mode was fastest, the days each mode was most reliable, and the fastest
 average time.  ``bin_zone_counts`` bins the summaries into reporting bands.
@@ -78,24 +78,23 @@ class ZonePeriodSummary:
 def daily_zone_means(trips: Iterable[TripRecord]) -> List[ZonePeriodDayStat]:
     """Mean door-to-door time and variability per (zone, date, period, mode),
     bucketing each trip by the date and period of its final arrival."""
-    groups: Dict[tuple, List[TripRecord]] = {}
+    # (zone, date, period, mode) -> [sum total, sum variability, count] in
+    # integer seconds, then one Fraction per mean.
+    cells: Dict[tuple, List[int]] = {}
     for trip in trips:
-        key = (trip.dest_zone_id, trip.arrival_date, trip.arrival_period, trip.mode_id)
-        groups.setdefault(key, []).append(trip)
-    stats = []
-    for (zone_id, when, period, mode_id), members in groups.items():
-        n = len(members)
-        stats.append(
-            ZonePeriodDayStat(
-                zone_id=zone_id,
-                period=period,
-                date=when,
-                mode_id=mode_id,
-                e_s=Fraction(sum(t.total_mean_s for t in members), n),
-                v_s=Fraction(sum(t.variability_s for t in members), n),
-                n_trips=n,
-            )
-        )
+        legs, ride = trip.legs, trip.ride_from
+        key = (trip.dest_zone_id, trip.arrival_date, trip.arrival_period, legs.segment.mode_id)
+        sums = cells.get(key)
+        if sums is None:
+            sums = cells[key] = [0, 0, 0]
+        sums[0] += legs.door_to_exit_s + ride.mean_s
+        sums[1] += legs.to_spread_s + ride.max_s - ride.min_s
+        sums[2] += 1
+    stats = [
+        ZonePeriodDayStat(zone_id=zone_id, period=period, date=when, mode_id=mode_id,
+                          e_s=Fraction(total, n), v_s=Fraction(spread, n), n_trips=n)
+        for (zone_id, when, period, mode_id), (total, spread, n) in cells.items()
+    ]
     stats.sort(key=lambda s: (s.zone_id, s.date, s.period.label, s.mode_id))
     return stats
 

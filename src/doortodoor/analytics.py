@@ -26,9 +26,6 @@ from .aggregation import ZonePeriodSummary
 
 log = logging.getLogger(__name__)
 
-PHASE_NAMES = ("to", "dep", "in", "arr", "from")
-
-
 @dataclass(frozen=True)
 class LegShare:
     """Mean percentage of trip time spent in each phase, per city pair."""
@@ -53,7 +50,8 @@ def leg_shares(trips: Iterable[TripRecord]) -> List[LegShare]:
     sum to 100 exactly) before averaging.  Zero-total trips are excluded.
 
     The mean is exact and built without a rational per trip: trips with the
-    same total share a denominator, so phase seconds are summed as integers
+    same total share a denominator, so phase seconds (read off the trip's
+    legs and egress ride, not a per-trip ``phases``) are summed as integers
     per (city pair, total), and the mean of phase i over the n trips of a
     pair is the single rational
     ``100 * sum_t(S_i(t) * (L // t)) / (L * n)`` with ``L = lcm(totals)``.
@@ -61,19 +59,19 @@ def leg_shares(trips: Iterable[TripRecord]) -> List[LegShare]:
     # pair -> total -> [sum to, sum dep, sum in, sum arr, sum from, count]
     groups: Dict[str, Dict[int, List[int]]] = {}
     for trip in trips:
-        ph = trip.phases
-        total = ph.total_s
+        legs, from_s = trip.legs, trip.ride_from.mean_s
+        total = legs.door_to_exit_s + from_s
         if total <= 0:
             log.warning("trip %s has zero total time; excluded from leg shares",
                         trip.segment_id)
             continue
         pair = f"{trip.dep_station_id}-{trip.arr_station_id}"
         sums = groups.setdefault(pair, {}).setdefault(total, [0] * 6)
-        sums[0] += ph.to_s
-        sums[1] += ph.dep_s
-        sums[2] += ph.in_s
-        sums[3] += ph.arr_s
-        sums[4] += ph.from_s
+        sums[0] += legs.ride_to.mean_s
+        sums[1] += legs.dep_s
+        sums[2] += legs.in_s
+        sums[3] += legs.arr_s
+        sums[4] += from_s
         sums[5] += 1
     shares = []
     for pair, by_total in groups.items():

@@ -9,6 +9,7 @@ one JSON object on stderr: ``error`` and ``message``, plus ``path`` and
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -73,10 +74,7 @@ CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
 
 def _read_config_file(path: str) -> Dict[str, object]:
     values = {}
-    p = Path(path)
-    if not p.exists():
-        raise ValidationError("config file not found", path=path)
-    for lineno, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(ingestion.read_text(path).splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -504,6 +502,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # The engine builds millions of acyclic records and then exits: the
+    # cyclic collector would rescan them at every full collection and free
+    # nothing.  It is paused for the run and left as it was found.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         args = build_parser().parse_args(argv)
         handler, _ = COMMANDS[args.command]
@@ -515,6 +518,9 @@ def main(argv=None) -> int:
                 error[key] = getattr(exc, key)
         print(json.dumps(error), file=sys.stderr)
         return EXIT_INPUT_ERROR if isinstance(exc, ValidationError) else EXIT_COMPUTE_ERROR
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -120,12 +120,24 @@ class RideStatIndex:
 RIDE_STATS_HEADER = "origin_zone,dest_zone,date,period,mean_s,min_s,max_s"
 
 
+def read_text(path) -> str:
+    """The text of a UTF-8 input file; a file that cannot be read, or a byte
+    that is not UTF-8 (cited by its line), is a ValidationError."""
+    try:
+        data = Path(path).read_bytes()
+        return data.decode("utf-8")
+    except FileNotFoundError:
+        raise ValidationError("file not found", path=str(path)) from None
+    except OSError as exc:
+        raise ValidationError(f"cannot read: {exc.strerror}", path=str(path)) from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"not UTF-8: byte 0x{data[exc.start]:02x}", path=str(path),
+                              line=data.count(b"\n", 0, exc.start) + 1) from None
+
+
 def _open_rows(path, expected_header: str):
     path = Path(path)
-    if not path.exists():
-        raise ValidationError("file not found", path=str(path))
-    text = path.read_text(encoding="utf-8")
-    lines = text.splitlines()
+    lines = read_text(path).splitlines()
     if not lines or lines[0] != expected_header:
         raise ValidationError(
             f"header must be exactly {expected_header!r}", path=str(path), line=1
@@ -144,7 +156,7 @@ def _parse_int(value: str, what: str, path, line) -> int:
 def _parse_float(value, what: str, path, line=None) -> float:
     try:
         return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{what}: not a number: {value!r}", path=path, line=line)
 
 
@@ -471,47 +483,48 @@ class ZoneCollection:
 
 def load_zones(path) -> ZoneCollection:
     """Parse the zones FeatureCollection."""
-    path = Path(path)
-    if not path.exists():
-        raise ValidationError("file not found", path=str(path))
+    path = str(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"invalid JSON: {exc}", path=str(path))
-    if doc.get("type") != "FeatureCollection" or "features" not in doc:
-        raise ValidationError("expected a GeoJSON FeatureCollection", path=str(path))
+        doc = json.loads(read_text(path))
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValidationError(f"invalid JSON: {exc}", path=path) from None
+    if not (isinstance(doc, dict) and doc.get("type") == "FeatureCollection"
+            and isinstance(doc.get("features"), list)):
+        raise ValidationError("expected a GeoJSON FeatureCollection", path=path)
     collection = ZoneCollection()
     for feature in doc["features"]:
-        props = feature.get("properties") or {}
-        zone_id = props.get("zone_id")
-        if not zone_id:
-            raise ValidationError("feature without zone_id property", path=str(path))
+        props = feature.get("properties") if isinstance(feature, dict) else None
+        zone_id = props.get("zone_id") if isinstance(props, dict) else None
+        if not (isinstance(zone_id, str) and zone_id):
+            raise ValidationError("feature without a string zone_id property", path=path)
         if zone_id in collection.zones:
-            raise ValidationError(f"duplicate zone_id {zone_id}", path=str(path))
+            raise ValidationError(f"duplicate zone_id {zone_id}", path=path)
         internal = props.get("internal_point")
         point = None
         if internal is not None:
-            if not (isinstance(internal, (list, tuple)) and len(internal) == 2):
+            if not (isinstance(internal, list) and len(internal) == 2
+                    and not any(isinstance(v, bool) for v in internal)):
                 raise ValidationError(
-                    f"zone {zone_id}: internal_point must be [lon, lat]", path=str(path)
+                    f"zone {zone_id}: internal_point must be [lon, lat]", path=path
                 )
             lon, lat = internal
-            point = (_parse_float(lat, f"zone {zone_id}: internal_point latitude", str(path)),
-                     _parse_float(lon, f"zone {zone_id}: internal_point longitude", str(path)))
+            point = (_parse_float(lat, f"zone {zone_id}: internal_point latitude", path),
+                     _parse_float(lon, f"zone {zone_id}: internal_point longitude", path))
         else:
             log.warning("zone %s has no internal_point; distance analytics skip it", zone_id)
         density = props.get("population_density")
-        if density is not None and not isinstance(density, (int, float)):
+        if density is not None and (isinstance(density, bool)
+                                    or not isinstance(density, (int, float))):
             raise ValidationError(
                 f"zone {zone_id}: population_density must be a number, got {density!r}",
-                path=str(path),
+                path=path,
             )
         try:
             collection.zones[zone_id] = Zone(
                 zone_id=zone_id, internal_point=point, population_density=density
             )
         except ValidationError as exc:
-            raise ValidationError(str(exc), path=str(path)) from None
+            raise ValidationError(str(exc), path=path) from None
         collection.geometries[zone_id] = feature.get("geometry")
     return collection
 

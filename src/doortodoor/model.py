@@ -17,14 +17,18 @@ station table, and reads one that falls in a DST gap or overlap with
 ``path:line:``.  Local time is used only to classify an instant into its
 local date and day period (``local_date_period``).  The per-trip computation is split in two:
 ``segment_legs`` does the work that depends on the segment alone, once per
-segment, and ``zone_trip`` completes it for each destination zone.  A trip
-keeps the ``ZoneRideStat`` records its access and egress rides used.
+segment, and ``zone_trip`` completes it for each destination zone.  Every
+phase invariant of ``TripPhaseTimes`` holds by construction there (ride
+stats, dwells and ``in_s`` are checked upstream), so a ``TripRecord`` is a
+light slotted record of the segment's shared ``SegmentLegs``, the zone, the
+egress ``ZoneRideStat`` and the arrival; ids, the access ride, ``phases``
+and totals are read off those on demand.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date, datetime, tzinfo
 from enum import Enum
 from typing import Optional, Tuple
@@ -60,6 +64,10 @@ class DayPeriod(Enum):
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"DayPeriod.{self.name}"
+
+    # Members are singletons, so an identity hash agrees with equality, and it
+    # runs in C (Enum.__hash__ runs in Python; periods key every lookup).
+    __hash__ = object.__hash__
 
 
 CLASSIFIABLE_PERIODS = tuple(p for p in DayPeriod if p is not DayPeriod.DAILY_ONLY)
@@ -134,9 +142,10 @@ class Zone:
     def __post_init__(self):
         if self.internal_point is not None:
             _check_lat_lon(*self.internal_point)
-        if self.population_density is not None and self.population_density < 0:
+        density = self.population_density
+        if density is not None and not 0 <= density < math.inf:  # NaN fails too
             raise ValidationError(
-                f"zone {self.zone_id}: negative population density"
+                f"zone {self.zone_id}: population density must be finite and >= 0"
             )
 
 
@@ -247,59 +256,6 @@ class TripPhaseTimes:
         return self.dep_s - self.wait_s
 
 
-@dataclass(frozen=True)
-class TripRecord:
-    """One evaluated door-to-door trip."""
-
-    segment_id: str
-    mode_id: str
-    dep_station_id: str
-    arr_station_id: str
-    origin_zone_id: str
-    dest_zone_id: str
-    phases: TripPhaseTimes  # mean-variant ride legs
-    ride_to: ZoneRideStat
-    ride_from: ZoneRideStat
-    arrival_period: DayPeriod
-    arrival_date: date
-
-    @property
-    def used_daily_fallback_to(self) -> bool:
-        return self.ride_to.period is DayPeriod.DAILY_ONLY
-
-    @property
-    def used_daily_fallback_from(self) -> bool:
-        return self.ride_from.period is DayPeriod.DAILY_ONLY
-
-    @property
-    def total_mean_s(self) -> int:
-        return self.phases.total_s
-
-    @property
-    def total_min_s(self) -> int:
-        return (
-            self.ride_to.min_s
-            + self.phases.dep_s
-            + self.phases.in_s
-            + self.phases.arr_s
-            + self.ride_from.min_s
-        )
-
-    @property
-    def total_max_s(self) -> int:
-        return (
-            self.ride_to.max_s
-            + self.phases.dep_s
-            + self.phases.in_s
-            + self.phases.arr_s
-            + self.ride_from.max_s
-        )
-
-    @property
-    def variability_s(self) -> int:
-        return self.total_max_s - self.total_min_s
-
-
 def local_date_period(epoch_s: int, tz: tzinfo) -> Tuple[date, DayPeriod]:
     """Local date and day period of an absolute instant in timezone ``tz``."""
     local = datetime.fromtimestamp(epoch_s, tz)
@@ -309,7 +265,8 @@ def local_date_period(epoch_s: int, tz: tzinfo) -> Tuple[date, DayPeriod]:
 @dataclass(frozen=True)
 class SegmentLegs:
     """The part of a trip that depends on its segment alone: the access ride,
-    both dwells, the in-vehicle time and the egress instant."""
+    both dwells, the in-vehicle time and the egress instant, plus the sums
+    that every trip of the segment shares."""
 
     segment: ScheduledSegment
     origin_zone_id: str
@@ -322,6 +279,52 @@ class SegmentLegs:
     egress_date: date
     egress_period: DayPeriod
     arr_tz: tzinfo
+    core_s: int = field(init=False)  # dep_s + in_s + arr_s
+    door_to_exit_s: int = field(init=False)  # ride_to.mean_s + core_s
+    to_spread_s: int = field(init=False)  # ride_to.max_s - ride_to.min_s
+
+    def __post_init__(self):
+        core_s = self.dep_s + self.in_s + self.arr_s
+        object.__setattr__(self, "core_s", core_s)
+        object.__setattr__(self, "door_to_exit_s", self.ride_to.mean_s + core_s)
+        object.__setattr__(self, "to_spread_s", self.ride_to.max_s - self.ride_to.min_s)
+
+
+@dataclass(slots=True)
+class TripRecord:
+    """One evaluated door-to-door trip: its segment's legs plus the facts that
+    depend on the destination zone; everything else is read off those."""
+
+    legs: SegmentLegs
+    dest_zone_id: str
+    ride_from: ZoneRideStat
+    arrival_date: date
+    arrival_period: DayPeriod
+
+    segment_id = property(lambda self: self.legs.segment.segment_id)
+    mode_id = property(lambda self: self.legs.segment.mode_id)
+    dep_station_id = property(lambda self: self.legs.segment.dep_station.station_id)
+    arr_station_id = property(lambda self: self.legs.segment.arr_station.station_id)
+    origin_zone_id = property(lambda self: self.legs.origin_zone_id)
+    ride_to = property(lambda self: self.legs.ride_to)
+    used_daily_fallback_to = property(
+        lambda self: self.legs.ride_to.period is DayPeriod.DAILY_ONLY)
+    used_daily_fallback_from = property(
+        lambda self: self.ride_from.period is DayPeriod.DAILY_ONLY)
+    total_mean_s = property(lambda self: self.legs.door_to_exit_s + self.ride_from.mean_s)
+    total_min_s = property(
+        lambda self: self.legs.ride_to.min_s + self.legs.core_s + self.ride_from.min_s)
+    total_max_s = property(
+        lambda self: self.legs.ride_to.max_s + self.legs.core_s + self.ride_from.max_s)
+    variability_s = property(
+        lambda self: self.legs.to_spread_s + self.ride_from.max_s - self.ride_from.min_s)
+
+    @property
+    def phases(self) -> TripPhaseTimes:
+        """The five phases, mean-variant ride legs."""
+        legs = self.legs
+        return TripPhaseTimes(legs.ride_to.mean_s, legs.dep_s, legs.in_s, legs.arr_s,
+                              self.ride_from.mean_s, legs.wait_s)
 
 
 def segment_legs(
@@ -404,8 +407,7 @@ def zone_trip(legs: SegmentLegs, dest_zone: Zone, rides) -> TripRecord:
     Raises TripNotComputableError when the egress ride has no statistic at
     period or daily level.
     """
-    segment = legs.segment
-    egress_zone_id = segment.arr_station.zone_id
+    egress_zone_id = legs.segment.arr_station.zone_id
     ride_from = rides.lookup(
         egress_zone_id, dest_zone.zone_id, legs.egress_date, legs.egress_period
     )
@@ -417,26 +419,7 @@ def zone_trip(legs: SegmentLegs, dest_zone: Zone, rides) -> TripRecord:
     arrival_date, arrival_period = local_date_period(
         legs.egress_s + ride_from.mean_s, legs.arr_tz
     )
-    return TripRecord(
-        segment_id=segment.segment_id,
-        mode_id=segment.mode_id,
-        dep_station_id=segment.dep_station.station_id,
-        arr_station_id=segment.arr_station.station_id,
-        origin_zone_id=legs.origin_zone_id,
-        dest_zone_id=dest_zone.zone_id,
-        phases=TripPhaseTimes(
-            to_s=legs.ride_to.mean_s,
-            dep_s=legs.dep_s,
-            in_s=legs.in_s,
-            arr_s=legs.arr_s,
-            from_s=ride_from.mean_s,
-            wait_s=legs.wait_s,
-        ),
-        ride_to=legs.ride_to,
-        ride_from=ride_from,
-        arrival_period=arrival_period,
-        arrival_date=arrival_date,
-    )
+    return TripRecord(legs, dest_zone.zone_id, ride_from, arrival_date, arrival_period)
 
 
 def compute_trip(

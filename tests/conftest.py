@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
 from datetime import date
+from functools import lru_cache
 
 import pytest
 
@@ -11,12 +13,12 @@ from doortodoor import (
     RideStatIndex,
     ScheduledSegment,
     Station,
-    TripPhaseTimes,
     TripRecord,
     Zone,
     ZoneRideStat,
 )
 from doortodoor.ingestion import _parse_local_ts
+from doortodoor.model import SegmentLegs
 
 AMS_TZ = "Europe/Amsterdam"
 PAR_TZ = "Europe/Paris"
@@ -67,31 +69,50 @@ def make_rides(entries):
     return index
 
 
+@lru_cache(maxsize=None)
+def _trip_segment(segment_id, mode_id, dep_station_id, arr_station_id):
+    return make_segment(
+        segment_id=segment_id, mode_id=mode_id,
+        dep_station=make_station(dep_station_id, zone_id="AZ1", tz=AMS_TZ,
+                                 lat=52.3105, lon=4.7683),
+        arr_station=make_station(arr_station_id))
+
+
 def make_trip(dest_zone="PZ1", mode_id="via_CDG", arrival_date="2018-01-02",
               arrival_period=DayPeriod.MIDDAY, to_s=1800, dep_s=5400, in_s=4800,
               arr_s=2700, from_s=1500, wait_s=0, to_spread=0, from_spread=0,
-              segment_id="F1", origin_zone="AZ1"):
-    """A TripRecord with symmetric min/max ride spreads around the means.
+              segment_id="F1", origin_zone="AZ1",
+              dep_station_id="AMS", arr_station_id="CDG"):
+    """A TripRecord over its own SegmentLegs, with symmetric min/max ride
+    spreads around the means.
 
     Both rides are period-level stats (no daily fallback) of the arrival
-    date and period."""
+    date and period.  A ride of 0 s, which ``ZoneRideStat`` rejects (it
+    needs ``min > 0``), is built without that check so that phase shares
+    can be tested with empty phases."""
     when = date.fromisoformat(arrival_date)
 
     def ride(origin, dest, mean_s, spread):
-        return ZoneRideStat(origin, dest, when, arrival_period, max(1, mean_s),
-                            max(1, mean_s - spread), max(1, mean_s + spread))
+        values = (origin, dest, when, arrival_period, max(1, mean_s),
+                  max(1, mean_s - spread), max(1, mean_s + spread))
+        if mean_s > 0:
+            return ZoneRideStat(*values)
+        stat = object.__new__(ZoneRideStat)
+        for f, value in zip(fields(ZoneRideStat), values[:4] + (0, 0, 0)):
+            object.__setattr__(stat, f.name, value)
+        return stat
 
-    return TripRecord(
-        segment_id=segment_id, mode_id=mode_id,
-        dep_station_id="AMS", arr_station_id="CDG",
-        origin_zone_id=origin_zone, dest_zone_id=dest_zone,
-        phases=TripPhaseTimes(to_s=to_s, dep_s=dep_s, in_s=in_s,
-                              arr_s=arr_s, from_s=from_s, wait_s=wait_s),
+    segment = _trip_segment(segment_id, mode_id, dep_station_id, arr_station_id)
+    legs = SegmentLegs(
+        segment=segment, origin_zone_id=origin_zone,
         ride_to=ride(origin_zone, "AZ1", to_s, to_spread),
-        ride_from=ride("PZ9", dest_zone, from_s, from_spread),
-        arrival_period=arrival_period,
-        arrival_date=when,
+        dep_s=dep_s, wait_s=wait_s, in_s=in_s, arr_s=arr_s,
+        egress_s=segment.sched_arr + arr_s, egress_date=when,
+        egress_period=arrival_period, arr_tz=segment.arr_station.tzinfo,
     )
+    return TripRecord(legs=legs, dest_zone_id=dest_zone,
+                      ride_from=ride("PZ9", dest_zone, from_s, from_spread),
+                      arrival_date=when, arrival_period=arrival_period)
 
 
 @pytest.fixture

@@ -1,7 +1,6 @@
 """Leg decomposition, integration regression, weather diff, delay sensitivity."""
 
 import random
-from dataclasses import replace
 from datetime import date
 from fractions import Fraction
 
@@ -69,8 +68,7 @@ class TestLegShares:
 
     def test_sorted_by_in_vehicle_share(self):
         long_haul = make_trip(in_s=30000, segment_id="L")
-        short_haul = make_trip(in_s=1800, segment_id="S")
-        object.__setattr__(short_haul, "dep_station_id", "BOS")
+        short_haul = make_trip(in_s=1800, segment_id="S", dep_station_id="BOS")
         shares = leg_shares([long_haul, short_haul])
         assert [s.city_pair for s in shares] == ["BOS-CDG", "AMS-CDG"]
         assert shares[0].pct_in < shares[1].pct_in
@@ -110,9 +108,9 @@ class TestLegShares:
         trips = []
         for k, (pair, phases) in enumerate(draws):
             dep, arr = pair.split("-")
-            trip = make_trip(**dict(zip(("to_s", "dep_s", "in_s", "arr_s", "from_s"),
-                                        phases)), segment_id=f"T{k}")
-            trips.append(replace(trip, dep_station_id=dep, arr_station_id=arr))
+            trips.append(make_trip(**dict(zip(("to_s", "dep_s", "in_s", "arr_s", "from_s"),
+                                              phases)), segment_id=f"T{k}",
+                                   dep_station_id=dep, arr_station_id=arr))
         shares = leg_shares(trips)
         assert [(s.city_pair, s.as_tuple(), s.n_trips) for s in shares] == expected
         assert sum(s.n_trips for s in shares) == sum(sum(p) > 0 for _, p in draws)

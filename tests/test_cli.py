@@ -1,5 +1,6 @@
 """Command-line contract: exit codes, config handling, export shapes."""
 
+import gc
 import json
 from datetime import date
 from pathlib import Path
@@ -70,10 +71,54 @@ class TestValidate:
         assert (error["error"], error["path"], error["line"]) == ("ValidationError", str(weekly), 2)
         assert error["message"] == f"{weekly}:2: {message}"
 
+    @pytest.mark.parametrize("flag, data, line", [
+        (1, b"origin_zone,dest_zone,date,period,mean_s,min_s,max_s\n"
+            b"AZ1,PZ1,2018-01-02,2,1800,1500,2400\xff\n", 2),
+        (9, b'{"type":"FeatureCollection","features":[]}\n\xff', 2),
+    ], ids=["ride_stats", "zones"])
+    def test_bytes_not_utf8_exit_2(self, tmp_path, capsys, flag, data, line):
+        bad = tmp_path / "bad"
+        bad.write_bytes(data)
+        flags = BASE_FLAGS.copy()
+        flags[flag] = str(bad)
+        assert main(["validate"] + flags) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert (error["error"], error["path"], error["line"]) == ("ValidationError", str(bad), line)
+
+    @pytest.mark.parametrize("doc", [
+        "[1,2]",
+        '{"type":"FeatureCollection","features":[1]}',
+        '{"type":"FeatureCollection","features":[{"properties":{"zone_id":["a"]}}]}',
+        '{"type":"FeatureCollection","features":'
+        '[{"properties":{"zone_id":"Z1","population_density":true}}]}',
+        '{"type":"FeatureCollection","features":'
+        '[{"properties":{"zone_id":"Z1","internal_point":[true,false]}}]}',
+        '{"type":"FeatureCollection","features":'
+        '[{"properties":{"zone_id":"Z1","population_density":NaN}}]}',
+        '{"type":"FeatureCollection","features":'
+        '[{"properties":{"zone_id":"Z1","population_density":Infinity}}]}',
+    ], ids=["top-level-list", "feature-not-object", "zone-id-list", "density-bool",
+            "point-bool", "density-nan", "density-infinite"])
+    def test_zones_of_the_wrong_shape_exit_2(self, tmp_path, capsys, doc):
+        zones = tmp_path / "zones.geojson"
+        zones.write_text(doc)
+        flags = BASE_FLAGS.copy()
+        flags[9] = str(zones)
+        assert main(["validate"] + flags) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert (error["error"], error["path"]) == ("ValidationError", str(zones))
+
     def test_missing_stations_exits_2(self):
         flags = BASE_FLAGS.copy()
         flags[7] = str(FIXTURES / "nope.csv")
         assert main(["validate"] + flags) == 2
+
+    def test_unreadable_input_exits_2(self, tmp_path, capsys):
+        flags = BASE_FLAGS.copy()
+        flags[1] = str(tmp_path)  # a directory
+        assert main(["validate"] + flags) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert (error["error"], error["path"]) == ("ValidationError", str(tmp_path))
 
 
 class TestConfigHandling:
@@ -270,3 +315,37 @@ class TestIntegrationCommand:
                               "2018-01-01", "2018-01-07")]
         assert main(["integration"] + flags +
                     ["--out-dir", str(tmp_path / "o")]) == 2
+
+
+class TestGcPolicy:
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize("argv, code", [
+        (["validate"] + BASE_FLAGS, 0),
+        (["validate", "--jobs", "two"] + BASE_FLAGS, 2),
+    ], ids=["exit-0", "exit-2"])
+    def test_collector_left_as_found(self, capsys, enabled, argv, code):
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert main(argv) == code
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    def test_unreachable_cycles_do_not_grow_with_trips(self, tmp_path):
+        def legs_run(to_date):
+            """(trips evaluated, objects the collector frees after the run)."""
+            out = tmp_path / to_date
+            flags = BASE_FLAGS.copy()
+            flags[13] = to_date
+            gc.collect()
+            assert main(["legs"] + flags + ["--out-dir", str(out)]) == 0
+            found = gc.collect()
+            rows = (out / "leg_shares.csv").read_text().splitlines()[1:]
+            return sum(int(row.rsplit(",", 1)[1]) for row in rows), found
+
+        legs_run("2018-01-03")  # first use fills module-level caches
+        few_trips, few_found = legs_run("2018-01-02")
+        many_trips, many_found = legs_run("2018-01-07")
+        assert few_trips < many_trips
+        assert many_found <= few_found
