@@ -74,7 +74,7 @@ CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
 
 def _read_config_file(path: str) -> Dict[str, object]:
     values = {}
-    for lineno, line in enumerate(ingestion.read_text(path).splitlines(), 1):
+    for lineno, line in enumerate(ingestion.physical_lines(ingestion.read_text(path)), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -136,7 +136,8 @@ def load_inputs(config: RunConfig, *, need_segments: bool = True) -> LoadedInput
             raise ValidationError("--from-date/--to-date required with a weekly schedule")
         rows = ingestion.load_weekly_schedule(config.weekly_schedule)
         segments.extend(
-            ingestion.expand_weekly_schedule(rows, stations, config.from_date, config.to_date)
+            ingestion.expand_weekly_schedule(rows, stations, config.from_date, config.to_date,
+                                             taken_ids=[s.segment_id for s in segments])
         )
     if need_segments and not segments:
         raise ValidationError("no segments: provide --segments and/or --weekly-schedule")

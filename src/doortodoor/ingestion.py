@@ -1,4 +1,4 @@
-"""Parsers, validators and indexes for the four input datasets.
+r"""Parsers, validators and indexes for the four input datasets.
 
 Canonical file formats:
 
@@ -24,6 +24,13 @@ force before the change (PEP 495).  A ``segments.csv`` row whose times then
 no longer run forward (arrival not after departure) is rejected with
 ``path:line:``; an expanded weekly row, with its segment id and the
 ``path:line:`` of its weekly row.
+
+Line numbers are physical lines: line N is the text after the (N-1)-th
+``\n``, in every CSV input and in the config file.  A ``\r\n`` line end is
+accepted; no other character (``\r`` alone, ``\x0c``, ``\x85``, ...) ends a
+line.  Segment ids are unique across ``segments.csv`` and the weekly
+expansion; a repeated id is rejected with the ``path:line:`` of the row that
+repeats it.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ import logging
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .errors import ValidationError
 from .model import (
@@ -135,69 +142,82 @@ def read_text(path) -> str:
                               line=data.count(b"\n", 0, exc.start) + 1) from None
 
 
-def _open_rows(path, expected_header: str):
-    path = Path(path)
-    lines = read_text(path).splitlines()
-    if not lines or lines[0] != expected_header:
-        raise ValidationError(
-            f"header must be exactly {expected_header!r}", path=str(path), line=1
-        )
-    reader = csv.reader(lines[1:])
-    return path, reader
+def physical_lines(text: str) -> List[str]:
+    r"""``text`` split on ``\n`` only, so that item N-1 is line N as every error
+    cites it; a ``\r\n`` line end reads as ``\n``."""
+    return text.replace("\r\n", "\n").split("\n")
 
 
-def _parse_int(value: str, what: str, path, line) -> int:
+def _load_rows(path, header: str, parse_row: Callable[[List[str], int], None]) -> None:
+    """Check the exact ``header`` of a CSV input, then call ``parse_row(row,
+    line)`` on each non-blank row, which must be as wide as the header.
+    ``line`` is the physical line the row starts on; a ValidationError raised
+    by ``parse_row`` (without a path) or a malformed row is re-raised citing
+    ``path:line:``."""
+    path = str(path)
+    lines = iter(physical_lines(read_text(path)))
+    if next(lines) != header:
+        raise ValidationError(f"header must be exactly {header!r}", path=path, line=1)
+    width = header.count(",") + 1
+    reader = csv.reader(lines)
+    line = 2
+    try:
+        for row in reader:
+            if row:
+                if len(row) != width:
+                    raise ValidationError(f"expected {width} fields, got {len(row)}")
+                parse_row(row, line)
+            line = reader.line_num + 2
+    except csv.Error as exc:
+        # Lines are split here, so csv's hint about universal-newline mode is cut.
+        reason = str(exc).partition(" - ")[0]
+        raise ValidationError(f"malformed CSV: {reason}", path=path, line=line) from None
+    except ValidationError as exc:
+        raise ValidationError(str(exc), path=path, line=line) from None
+
+
+def _parse_int(value: str, what: str) -> int:
     try:
         return int(value)
     except ValueError:
-        raise ValidationError(f"{what}: not an integer: {value!r}", path=path, line=line)
+        raise ValidationError(f"{what}: not an integer: {value!r}") from None
 
 
-def _parse_float(value, what: str, path, line=None) -> float:
+def _parse_float(value, what: str) -> float:
     try:
         return float(value)
     except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{what}: not a number: {value!r}", path=path, line=line)
+        raise ValidationError(f"{what}: not a number: {value!r}") from None
 
 
-def _parse_date(value: str, path, line) -> date:
+def _parse_date(value: str) -> date:
     try:
         return date.fromisoformat(value)
     except ValueError:
-        raise ValidationError(f"bad date {value!r}", path=path, line=line)
+        raise ValidationError(f"bad date {value!r}") from None
 
 
 def load_ride_stats(path) -> RideStatIndex:
     """Parse and index the zone-pair ride statistics file."""
-    path, reader = _open_rows(path, RIDE_STATS_HEADER)
     index = RideStatIndex()
-    loaded = 0
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 7:
-            raise ValidationError(f"expected 7 fields, got {len(row)}", path=str(path), line=lineno)
+
+    def parse_row(row, line):
         origin, dest, date_s, period_s, mean_s, min_s, max_s = row
-        code = _parse_int(period_s, "period", str(path), lineno)
+        code = _parse_int(period_s, "period")
         if code not in PERIOD_BY_CODE:
-            raise ValidationError(f"period code {code} not in 0..5", path=str(path), line=lineno)
-        try:
-            stat = ZoneRideStat(
-                origin_zone_id=origin,
-                dest_zone_id=dest,
-                date=_parse_date(date_s, str(path), lineno),
-                period=PERIOD_BY_CODE[code],
-                mean_s=_parse_int(mean_s, "mean_s", str(path), lineno),
-                min_s=_parse_int(min_s, "min_s", str(path), lineno),
-                max_s=_parse_int(max_s, "max_s", str(path), lineno),
-            )
-            index.add(stat)
-        except ValidationError as exc:
-            if exc.line is not None:
-                raise
-            raise ValidationError(str(exc), path=str(path), line=lineno)
-        loaded += 1
-    log.info("loaded %d ride stats from %s", loaded, path)
+            raise ValidationError(f"period code {code} not in 0..5")
+        index.add(ZoneRideStat(
+            origin_zone_id=origin,
+            dest_zone_id=dest,
+            date=_parse_date(date_s),
+            period=PERIOD_BY_CODE[code],
+            mean_s=_parse_int(mean_s, "mean_s"),
+            min_s=_parse_int(min_s, "min_s"),
+            max_s=_parse_int(max_s, "max_s"),
+        ))
+
+    _load_rows(path, RIDE_STATS_HEADER, parse_row)
+    log.info("loaded %d ride stats from %s", len(index), path)
     return index
 
 
@@ -242,43 +262,35 @@ class WeeklyScheduleRow:
 WEEKLY_HEADER = "mode_id,dep_station,arr_station,days,dep_time,arr_time"
 
 
-def _parse_hhmm(value: str, path, line) -> time:
+def _parse_hhmm(value: str) -> time:
     try:
         hh, mm = value.split(":")
         return time(int(hh), int(mm))
-    except Exception:
-        raise ValidationError(f"bad HH:MM time {value!r}", path=path, line=line)
+    except (ValueError, OverflowError):
+        raise ValidationError(f"bad HH:MM time {value!r}") from None
 
 
 def load_weekly_schedule(path) -> List[WeeklyScheduleRow]:
-    path, reader = _open_rows(path, WEEKLY_HEADER)
     rows = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 6:
-            raise ValidationError(f"expected 6 fields, got {len(row)}", path=str(path), line=lineno)
+
+    def parse_row(row, line):
         mode_id, dep_st, arr_st, days, dep_t, arr_t = row
         if len(days) != 7 or set(days) - {"0", "1"}:
-            raise ValidationError(f"days mask must be 7 chars of 0/1, got {days!r}",
-                                  path=str(path), line=lineno)
-        try:
-            rows.append(
-                WeeklyScheduleRow(
-                    mode_id=mode_id,
-                    dep_station_id=dep_st,
-                    arr_station_id=arr_st,
-                    days=tuple(c == "1" for c in days),
-                    dep_time=_parse_hhmm(dep_t, str(path), lineno),
-                    arr_time=_parse_hhmm(arr_t, str(path), lineno),
-                    path=str(path),
-                    line=lineno,
-                )
+            raise ValidationError(f"days mask must be 7 chars of 0/1, got {days!r}")
+        rows.append(
+            WeeklyScheduleRow(
+                mode_id=mode_id,
+                dep_station_id=dep_st,
+                arr_station_id=arr_st,
+                days=tuple(c == "1" for c in days),
+                dep_time=_parse_hhmm(dep_t),
+                arr_time=_parse_hhmm(arr_t),
+                path=str(path),
+                line=line,
             )
-        except ValidationError as exc:
-            if exc.line is not None:
-                raise
-            raise ValidationError(str(exc), path=str(path), line=lineno)
+        )
+
+    _load_rows(path, WEEKLY_HEADER, parse_row)
     return rows
 
 
@@ -287,17 +299,20 @@ def expand_weekly_schedule(
     stations: Dict[str, Station],
     start: date,
     end: date,
+    taken_ids: Iterable[str] = (),
 ) -> List[ScheduledSegment]:
     """Materialize weekly rows into dated segments over [start, end].
 
     Times are read in each station's own timezone and kept as epoch seconds;
     actual times are set to the scheduled ones (on-time assumption).  Rows
     whose arrival clock time precedes the departure roll the arrival to the
-    next date.
+    next date.  A segment id that another expanded row, or ``taken_ids``
+    (the ids of ``segments.csv``), already holds is rejected.
     """
     if end < start:
         raise ValidationError(f"empty date range {start}..{end}")
     segments = []
+    taken = set(taken_ids)
     for row in rows:
         try:
             dep_station = stations[row.dep_station_id]
@@ -313,11 +328,11 @@ def expand_weekly_schedule(
                 arr_day = day + timedelta(days=1) if row.overnight else day
                 sched_arr = int(datetime.combine(
                     arr_day, row.arr_time, tzinfo=arr_station.tzinfo).timestamp())
-                segment_id = (
-                    f"{row.mode_id}_{day.isoformat()}_"
-                    f"{row.dep_time.hour:02d}{row.dep_time.minute:02d}"
-                )
+                segment_id = f"{row.mode_id}_{day.isoformat()}_{row.dep_time:%H%M}"
                 try:
+                    if segment_id in taken:
+                        raise ValidationError(f"duplicate segment_id {segment_id}")
+                    taken.add(segment_id)
                     segments.append(
                         ScheduledSegment(
                             segment_id=segment_id,
@@ -341,41 +356,31 @@ STATIONS_HEADER = "station_id,kind,zone_id,lat,lon,tz,t_sec_dep_min,t_arr_min"
 
 
 def load_stations(path) -> Dict[str, Station]:
-    path, reader = _open_rows(path, STATIONS_HEADER)
     stations: Dict[str, Station] = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 8:
-            raise ValidationError(f"expected 8 fields, got {len(row)}", path=str(path), line=lineno)
+
+    def parse_row(row, line):
         station_id, kind, zone_id, lat, lon, tz, dep_min, arr_min = row
         if station_id in stations:
-            raise ValidationError(f"duplicate station {station_id}", path=str(path), line=lineno)
+            raise ValidationError(f"duplicate station {station_id}")
         if bool(dep_min) != bool(arr_min):
-            raise ValidationError(
-                "dwell override needs both t_sec_dep_min and t_arr_min",
-                path=str(path), line=lineno,
+            raise ValidationError("dwell override needs both t_sec_dep_min and t_arr_min")
+        dwell = None
+        if dep_min:
+            dwell = DwellProfile(
+                _parse_float(dep_min, "t_sec_dep_min"),
+                _parse_float(arr_min, "t_arr_min"),
             )
-        try:
-            dwell = None
-            if dep_min:
-                dwell = DwellProfile(
-                    _parse_float(dep_min, "t_sec_dep_min", str(path), lineno),
-                    _parse_float(arr_min, "t_arr_min", str(path), lineno),
-                )
-            stations[station_id] = Station(
-                station_id=station_id,
-                kind=kind,
-                zone_id=zone_id,
-                lat=_parse_float(lat, "lat", str(path), lineno),
-                lon=_parse_float(lon, "lon", str(path), lineno),
-                tz=tz,
-                dwell=dwell,
-            )
-        except ValidationError as exc:
-            if exc.line is not None:
-                raise
-            raise ValidationError(str(exc), path=str(path), line=lineno)
+        stations[station_id] = Station(
+            station_id=station_id,
+            kind=kind,
+            zone_id=zone_id,
+            lat=_parse_float(lat, "lat"),
+            lon=_parse_float(lon, "lon"),
+            tz=tz,
+            dwell=dwell,
+        )
+
+    _load_rows(path, STATIONS_HEADER, parse_row)
     return stations
 
 
@@ -385,15 +390,14 @@ SEGMENTS_HEADER = (
 )
 
 
-def _parse_local_ts(value: str, tz, path, line) -> int:
+def _parse_local_ts(value: str, tz) -> int:
     """Epoch seconds of an ISO timestamp; a naive one is local time in ``tz``."""
     try:
         moment = datetime.fromisoformat(value)
     except ValueError:
-        raise ValidationError(f"bad timestamp {value!r}", path=path, line=line)
+        raise ValidationError(f"bad timestamp {value!r}") from None
     if moment.microsecond:
-        raise ValidationError(f"sub-second timestamp {value!r} unsupported",
-                              path=path, line=line)
+        raise ValidationError(f"sub-second timestamp {value!r} unsupported")
     if moment.tzinfo is None:
         moment = moment.replace(tzinfo=tz)
     return int(moment.timestamp())
@@ -411,53 +415,41 @@ def load_segments_actuals(
     computation downstream.  Non-cancelled rows must carry actual times
     unless ``allow_missing_actuals`` (on-time mode) is set.
     """
-    path, reader = _open_rows(path, SEGMENTS_HEADER)
     segments = []
     seen = set()
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 9:
-            raise ValidationError(f"expected 9 fields, got {len(row)}", path=str(path), line=lineno)
+
+    def parse_row(row, line):
         (seg_id, mode_id, dep_st, arr_st,
          sched_dep, actual_dep, sched_arr, actual_arr, cancelled_s) = row
         if seg_id in seen:
-            raise ValidationError(f"duplicate segment_id {seg_id}", path=str(path), line=lineno)
+            raise ValidationError(f"duplicate segment_id {seg_id}")
         seen.add(seg_id)
         if cancelled_s not in ("0", "1"):
-            raise ValidationError(f"cancelled must be 0|1, got {cancelled_s!r}",
-                                  path=str(path), line=lineno)
+            raise ValidationError(f"cancelled must be 0|1, got {cancelled_s!r}")
         cancelled = cancelled_s == "1"
         try:
             dep_station = stations[dep_st]
             arr_station = stations[arr_st]
         except KeyError as exc:
-            raise ValidationError(f"unknown station {exc.args[0]!r}", path=str(path), line=lineno)
+            raise ValidationError(f"unknown station {exc.args[0]!r}") from None
         dep_tz, arr_tz = dep_station.tzinfo, arr_station.tzinfo
         if not cancelled and not allow_missing_actuals and not (actual_dep and actual_arr):
-            raise ValidationError(
-                "actual times required on a non-cancelled row", path=str(path), line=lineno
+            raise ValidationError("actual times required on a non-cancelled row")
+        segments.append(
+            ScheduledSegment(
+                segment_id=seg_id,
+                mode_id=mode_id,
+                dep_station=dep_station,
+                arr_station=arr_station,
+                sched_dep=_parse_local_ts(sched_dep, dep_tz),
+                sched_arr=_parse_local_ts(sched_arr, arr_tz),
+                actual_dep=_parse_local_ts(actual_dep, dep_tz) if actual_dep else None,
+                actual_arr=_parse_local_ts(actual_arr, arr_tz) if actual_arr else None,
+                cancelled=cancelled,
             )
-        try:
-            segments.append(
-                ScheduledSegment(
-                    segment_id=seg_id,
-                    mode_id=mode_id,
-                    dep_station=dep_station,
-                    arr_station=arr_station,
-                    sched_dep=_parse_local_ts(sched_dep, dep_tz, str(path), lineno),
-                    sched_arr=_parse_local_ts(sched_arr, arr_tz, str(path), lineno),
-                    actual_dep=_parse_local_ts(actual_dep, dep_tz, str(path), lineno)
-                    if actual_dep else None,
-                    actual_arr=_parse_local_ts(actual_arr, arr_tz, str(path), lineno)
-                    if actual_arr else None,
-                    cancelled=cancelled,
-                )
-            )
-        except ValidationError as exc:
-            if exc.line is not None:
-                raise
-            raise ValidationError(str(exc), path=str(path), line=lineno)
+        )
+
+    _load_rows(path, SEGMENTS_HEADER, parse_row)
     return segments
 
 
@@ -483,48 +475,49 @@ class ZoneCollection:
 
 def load_zones(path) -> ZoneCollection:
     """Parse the zones FeatureCollection."""
-    path = str(path)
+    text = read_text(path)
     try:
-        doc = json.loads(read_text(path))
+        return _zone_collection(text)
+    except ValidationError as exc:
+        raise ValidationError(str(exc), path=str(path)) from None
+
+
+def _zone_collection(text: str) -> ZoneCollection:
+    try:
+        doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
-        raise ValidationError(f"invalid JSON: {exc}", path=path) from None
+        raise ValidationError(f"invalid JSON: {exc}") from None
     if not (isinstance(doc, dict) and doc.get("type") == "FeatureCollection"
             and isinstance(doc.get("features"), list)):
-        raise ValidationError("expected a GeoJSON FeatureCollection", path=path)
+        raise ValidationError("expected a GeoJSON FeatureCollection")
     collection = ZoneCollection()
     for feature in doc["features"]:
         props = feature.get("properties") if isinstance(feature, dict) else None
         zone_id = props.get("zone_id") if isinstance(props, dict) else None
         if not (isinstance(zone_id, str) and zone_id):
-            raise ValidationError("feature without a string zone_id property", path=path)
+            raise ValidationError("feature without a string zone_id property")
         if zone_id in collection.zones:
-            raise ValidationError(f"duplicate zone_id {zone_id}", path=path)
+            raise ValidationError(f"duplicate zone_id {zone_id}")
         internal = props.get("internal_point")
         point = None
         if internal is not None:
             if not (isinstance(internal, list) and len(internal) == 2
                     and not any(isinstance(v, bool) for v in internal)):
-                raise ValidationError(
-                    f"zone {zone_id}: internal_point must be [lon, lat]", path=path
-                )
+                raise ValidationError(f"zone {zone_id}: internal_point must be [lon, lat]")
             lon, lat = internal
-            point = (_parse_float(lat, f"zone {zone_id}: internal_point latitude", path),
-                     _parse_float(lon, f"zone {zone_id}: internal_point longitude", path))
+            point = (_parse_float(lat, f"zone {zone_id}: internal_point latitude"),
+                     _parse_float(lon, f"zone {zone_id}: internal_point longitude"))
         else:
             log.warning("zone %s has no internal_point; distance analytics skip it", zone_id)
         density = props.get("population_density")
         if density is not None and (isinstance(density, bool)
                                     or not isinstance(density, (int, float))):
             raise ValidationError(
-                f"zone {zone_id}: population_density must be a number, got {density!r}",
-                path=path,
+                f"zone {zone_id}: population_density must be a number, got {density!r}"
             )
-        try:
-            collection.zones[zone_id] = Zone(
-                zone_id=zone_id, internal_point=point, population_density=density
-            )
-        except ValidationError as exc:
-            raise ValidationError(str(exc), path=path) from None
+        collection.zones[zone_id] = Zone(
+            zone_id=zone_id, internal_point=point, population_density=density
+        )
         collection.geometries[zone_id] = feature.get("geometry")
     return collection
 

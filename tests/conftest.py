@@ -40,7 +40,7 @@ def make_segment(segment_id="F1", mode_id="via_CDG",
 
     def ts(value, station):
         """Epoch seconds of a local ISO time, read as ingestion reads it."""
-        return _parse_local_ts(value, station.tzinfo, None, None)
+        return _parse_local_ts(value, station.tzinfo)
 
     sched_dep = ts(sched_dep, dep_station)
     sched_arr = ts(sched_arr, arr_station)

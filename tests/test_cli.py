@@ -71,6 +71,18 @@ class TestValidate:
         assert (error["error"], error["path"], error["line"]) == ("ValidationError", str(weekly), 2)
         assert error["message"] == f"{weekly}:2: {message}"
 
+    def test_segment_id_repeated_by_weekly_expansion_exits_2(self, tmp_path, capsys):
+        segments = tmp_path / "segments.csv"
+        segments.write_text((FIXTURES / "segments.csv").read_text()
+                            .replace("F_DELAY16", "via_CDG_2018-01-03_0645"))
+        flags = BASE_FLAGS.copy()
+        flags[3] = str(segments)
+        assert main(["validate"] + flags) == 2
+        error = json.loads(capsys.readouterr().err)
+        weekly = str(FIXTURES / "weekly_schedule.csv")
+        assert (error["error"], error["path"], error["line"]) == ("ValidationError", weekly, 2)
+        assert error["message"] == f"{weekly}:2: duplicate segment_id via_CDG_2018-01-03_0645"
+
     @pytest.mark.parametrize("flag, data, line", [
         (1, b"origin_zone,dest_zone,date,period,mean_s,min_s,max_s\n"
             b"AZ1,PZ1,2018-01-02,2,1800,1500,2400\xff\n", 2),
@@ -152,6 +164,14 @@ class TestConfigHandling:
         err = json.loads(capsys.readouterr().err)
         assert (err["error"], err["path"], err["line"]) == ("ValidationError", str(conf), 2)
         assert err["message"].startswith(f"{conf}:2: ")
+
+    def test_config_lines_are_physical_lines(self, tmp_path, capsys):
+        # U+0085 breaks a line for str.splitlines, not for the line count.
+        conf = tmp_path / "c.conf"
+        conf.write_bytes("# caf\u0085 note\nfrom_date=notadate\n".encode("utf-8"))
+        assert main(["--config", str(conf), "validate"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["message"] == f"{conf}:2: from_date: cannot parse 'notadate'"
 
     @pytest.mark.parametrize("argv", [
         ["validate", "--jobs", "two"],

@@ -69,7 +69,7 @@ def assert_loads_or_cites(loader, path: Path, data: bytes, line_based=True):
     except ValidationError as exc:
         assert exc.path == str(path)
         if line_based:
-            assert exc.line is not None
+            assert 1 <= exc.line <= data.count(b"\n") + 1
 
 
 def row_text(header, tokens):

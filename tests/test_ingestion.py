@@ -1,6 +1,8 @@
 """Parsers, indexes, weekly-schedule expansion and dwell defaults."""
 
-from datetime import date, datetime, timezone
+from datetime import date, datetime, time, timezone
+from pathlib import Path
+from zoneinfo import ZoneInfo
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,12 +24,16 @@ from doortodoor import (
 from doortodoor.ingestion import (
     DEFAULT_RAIL_DWELL,
     DEFAULT_STATION_DWELL,
+    WeeklyScheduleRow,
+    _parse_local_ts,
     dump_ride_stats,
     dump_zones,
 )
 from doortodoor.model import local_date_period
 
 from conftest import make_station
+
+GOLDEN = Path(__file__).parent / "fixtures" / "golden"
 
 RIDE_HEADER = "origin_zone,dest_zone,date,period,mean_s,min_s,max_s"
 
@@ -184,6 +190,14 @@ class TestWeeklySchedule:
         with pytest.raises(ValidationError, match="no weekday"):
             load_weekly_schedule(path)
 
+    @pytest.mark.parametrize("clock", ["24:00", "6:7:8", "-1:30", "9" * 20 + ":00"])
+    def test_bad_clock_time_cites_row(self, tmp_path, clock):
+        path = write(tmp_path, "weekly.csv",
+                     f"{WEEKLY_HEADER}\nvia_CDG,AMS,CDG,1111111,{clock},08:05\n")
+        with pytest.raises(ValidationError) as info:
+            load_weekly_schedule(path)
+        assert str(info.value) == f"{path}:2: bad HH:MM time {clock!r}"
+
     def test_late_evening_departure_same_date(self, tmp_path, stations):
         path = write(tmp_path, "weekly.csv",
                      f"{WEEKLY_HEADER}\nvia_CDG,AMS,CDG,1111111,21:45,23:05\n")
@@ -208,6 +222,28 @@ class TestWeeklySchedule:
                                           date(2018, 1, 1), date(2018, 1, 14))
         assert len(segments) == 14 + 10
         assert len({s.segment_id for s in segments}) == 24
+
+    @pytest.mark.parametrize("first, second", [
+        ("via_X,AMS,CDG,1111111,06:45,08:05", "via_X,CDG,GDN,0100000,06:45,07:05"),
+        ("via_X,CDG,GDN,0100000,06:45,07:05", "via_X,AMS,CDG,1111111,06:45,08:05"),
+    ], ids=["am-first", "midday-first"])
+    def test_same_id_from_two_rows_rejected(self, tmp_path, stations, first, second):
+        # Both rows expand to via_X_2018-01-02_0645 on the Tuesday, whatever
+        # their order; the row that repeats the id is cited.
+        path = write(tmp_path, "weekly.csv", f"{WEEKLY_HEADER}\n{first}\n{second}\n")
+        with pytest.raises(ValidationError) as info:
+            expand_weekly_schedule(load_weekly_schedule(path), stations,
+                                   date(2018, 1, 1), date(2018, 1, 7))
+        assert str(info.value) == f"{path}:3: duplicate segment_id via_X_2018-01-02_0645"
+
+    def test_id_taken_by_dated_segments_rejected(self, tmp_path, stations):
+        path = write(tmp_path, "weekly.csv",
+                     f"{WEEKLY_HEADER}\nvia_X,AMS,CDG,0100000,06:45,08:05\n")
+        with pytest.raises(ValidationError) as info:
+            expand_weekly_schedule(load_weekly_schedule(path), stations,
+                                   date(2018, 1, 1), date(2018, 1, 7),
+                                   taken_ids=["F1", "via_X_2018-01-02_0645"])
+        assert str(info.value) == f"{path}:2: duplicate segment_id via_X_2018-01-02_0645"
 
 
 SEGMENTS_HEADER = ("segment_id,mode_id,dep_station,arr_station,"
@@ -282,6 +318,93 @@ class TestLoadSegments:
                      "2018-01-02T13:20,2018-01-02T13:20,0\n")
         with pytest.raises(ValidationError, match="NOPE"):
             load_segments_actuals(path, stations)
+
+
+def write_utf8(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+class TestPhysicalLines:
+    """A row is cited by the line it starts on, counting ``\\n`` only."""
+
+    @pytest.mark.parametrize("zone_id", ["Z\x851", "Z\x0c1"], ids=["nel", "form-feed"])
+    def test_unicode_line_break_in_a_field_loads(self, tmp_path, zone_id):
+        path = write_utf8(tmp_path, "rides.csv",
+                          f"{RIDE_HEADER}\n{zone_id},Z9,2018-01-02,2,1800,1200,3600\n")
+        (stat,) = load_ride_stats(path)
+        assert stat.origin_zone_id == zone_id
+
+    def test_row_after_a_quoted_line_break_cites_its_own_line(self, tmp_path):
+        path = write(tmp_path, "rides.csv",
+                     f"{RIDE_HEADER}\n"
+                     '"Z\n1",Z9,2018-01-02,2,1800,1200,3600\n'
+                     "Z1,Z9,2018-01-02,2,xx,1200,3600\n")
+        with pytest.raises(ValidationError) as info:
+            load_ride_stats(path)
+        assert str(info.value) == f"{path}:4: mean_s: not an integer: 'xx'"
+
+    @pytest.mark.parametrize("row, message", [
+        ("Z\r1,Z9,2018-01-02,2,1800,1200,3600",
+         "malformed CSV: new-line character seen in unquoted field"),
+        ("Z" * 200_000 + ",Z9,2018-01-02,2,1800,1200,3600",
+         "malformed CSV: field larger than field limit (131072)"),
+    ], ids=["carriage-return", "huge-field"])
+    def test_malformed_csv_row_cites_its_line(self, tmp_path, row, message):
+        path = write_utf8(tmp_path, "rides.csv",
+                          f"{RIDE_HEADER}\nZ\x851,Z9,2018-01-02,2,1800,1200,3600\n{row}\n")
+        with pytest.raises(ValidationError) as info:
+            load_ride_stats(path)
+        assert str(info.value) == f"{path}:3: {message}"
+
+    @pytest.mark.parametrize("name, load", [
+        ("ride_stats.csv", lambda path: list(load_ride_stats(path))),
+        ("stations.csv", load_stations),
+        ("segments.csv",
+         lambda path: load_segments_actuals(path, load_stations(GOLDEN / "stations.csv"))),
+        ("weekly_schedule.csv",
+         lambda path: [(row, row.line) for row in load_weekly_schedule(path)]),
+    ])
+    def test_crlf_file_loads_like_its_lf_twin(self, tmp_path, name, load):
+        text = (GOLDEN / name).read_text()
+        crlf = write(tmp_path, name, text.replace("\n", "\r\n"))
+        assert load(crlf) == load(GOLDEN / name)
+
+
+def fold_0_epoch(local: datetime, tz: ZoneInfo) -> int:
+    """The PEP 495 ``fold=0`` reading of a naive local time, from the UTC
+    offsets at the start and end of its day: the earlier of the readings
+    that round-trip, or, in a gap, the reading with the offset before it."""
+    before = tz.utcoffset(local.replace(hour=0, minute=0))
+    after = tz.utcoffset(local.replace(hour=23, minute=59))
+    wall = int((local - datetime(1970, 1, 1)).total_seconds())
+    readings = sorted(
+        wall - int(offset.total_seconds()) for offset in {before, after}
+        if datetime.fromtimestamp(wall - offset.total_seconds(), tz).replace(tzinfo=None)
+        == local)
+    return readings[0] if readings else wall - int(before.total_seconds())
+
+
+DST_CHANGES_2018 = [
+    ("Europe/Paris", date(2018, 3, 25)), ("Europe/Paris", date(2018, 10, 28)),
+    ("America/New_York", date(2018, 3, 11)), ("America/New_York", date(2018, 11, 4)),
+]
+
+
+@given(change=st.sampled_from(DST_CHANGES_2018),
+       minute=st.one_of(st.integers(0, 4 * 60), st.integers(0, 23 * 60 - 1)))
+def test_dst_local_times_read_with_fold_0_by_both_sources(change, minute):
+    """A local time in or near a DST gap or overlap gets the same epoch from
+    segments.csv and from weekly expansion: its fold=0 reading."""
+    tz_name, day = change
+    local = datetime.combine(day, time(minute // 60, minute % 60))
+    station = make_station("S1", tz=tz_name)
+    row = WeeklyScheduleRow(mode_id="x", dep_station_id="S1", arr_station_id="S1",
+                            days=(True,) * 7, dep_time=local.time(), arr_time=time(23, 59))
+    (segment,) = expand_weekly_schedule([row], {"S1": station}, day, day)
+    from_segments_csv = _parse_local_ts(local.isoformat(), station.tzinfo)
+    assert segment.sched_dep == from_segments_csv == fold_0_epoch(local, ZoneInfo(tz_name))
 
 
 ZONES_GEOJSON = """{
