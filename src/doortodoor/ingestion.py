@@ -28,9 +28,11 @@ no longer run forward (arrival not after departure) is rejected with
 Line numbers are physical lines: line N is the text after the (N-1)-th
 ``\n``, in every CSV input and in the config file.  A ``\r\n`` line end is
 accepted; no other character (``\r`` alone, ``\x0c``, ``\x85``, ...) ends a
-line.  Segment ids are unique across ``segments.csv`` and the weekly
-expansion; a repeated id is rejected with the ``path:line:`` of the row that
-repeats it.
+line.  A field may not span lines: a quoted field holding a line break is
+rejected, citing the line its row starts on (every exporter writes ids into
+unquoted CSV, so no output holds one).  Segment ids are unique across
+``segments.csv`` and the weekly expansion; a repeated id is rejected with the
+``path:line:`` of the row that repeats it.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from .model import (
     Station,
     Zone,
     ZoneRideStat,
+    check_ride_stat,
 )
 
 log = logging.getLogger(__name__)
@@ -85,6 +88,13 @@ def resolve_dwell(station: Station, overrides: Optional[Dict[str, DwellProfile]]
     return DEFAULT_RAIL_DWELL if station.kind == "rail" else DEFAULT_AIR_DWELL
 
 
+def _duplicate_key(key) -> ValidationError:
+    """The error for a repeated ride-stat key, in the file's own spelling."""
+    origin, dest, day, period = key
+    return ValidationError(
+        f"duplicate ride stat key {origin},{dest},{day},{CODE_BY_PERIOD[period]}")
+
+
 class RideStatIndex:
     """Keyed ride-stat lookup with automatic daily-aggregate fallback."""
 
@@ -94,9 +104,11 @@ class RideStatIndex:
             self.add(stat)
 
     def add(self, stat: ZoneRideStat) -> None:
-        if stat.key in self._by_key:
-            raise ValidationError(f"duplicate ride stat key {stat.key}")
-        self._by_key[stat.key] = stat
+        check_ride_stat(stat)
+        key = stat.key
+        if key in self._by_key:
+            raise _duplicate_key(key)
+        self._by_key[key] = stat
 
     def __len__(self) -> int:
         return len(self._by_key)
@@ -163,11 +175,14 @@ def _load_rows(path, header: str, parse_row: Callable[[List[str], int], None]) -
     line = 2
     try:
         for row in reader:
+            end = reader.line_num + 1  # the physical line the row ends on
+            if end != line:
+                raise ValidationError("malformed CSV: line break inside a quoted field")
             if row:
                 if len(row) != width:
                     raise ValidationError(f"expected {width} fields, got {len(row)}")
                 parse_row(row, line)
-            line = reader.line_num + 2
+            line = end + 1
     except csv.Error as exc:
         # Lines are split here, so csv's hint about universal-newline mode is cut.
         reason = str(exc).partition(" - ")[0]
@@ -197,24 +212,58 @@ def _parse_date(value: str) -> date:
         raise ValidationError(f"bad date {value!r}") from None
 
 
+class _Memo(dict):
+    """``memo[text]`` is ``parse(text)``, computed on the first sight of each
+    distinct ``text``; an exception from ``parse`` stores nothing."""
+
+    __slots__ = ("parse",)
+
+    def __init__(self, parse: Callable[[str], object]):
+        self.parse = parse
+
+    def __missing__(self, text: str):
+        value = self[text] = self.parse(text)
+        return value
+
+
+def _parse_period(value: str) -> DayPeriod:
+    code = _parse_int(value, "period")
+    if code not in PERIOD_BY_CODE:
+        raise ValidationError(f"period code {code} not in 0..5")
+    return PERIOD_BY_CODE[code]
+
+
 def load_ride_stats(path) -> RideStatIndex:
-    """Parse and index the zone-pair ride statistics file."""
+    """Parse and index the zone-pair ride statistics file.
+
+    A row is checked in this order: period, date, ``mean_s``, ``min_s``,
+    ``max_s``, then ``0 < min <= mean <= max``, then the key's uniqueness.
+    Each distinct period, date and integer text is parsed once per load, and
+    equal zone ids and values share one object."""
     index = RideStatIndex()
+    by_key = index._by_key
+    periods, dates = _Memo(_parse_period), _Memo(_parse_date)
+    ints, zone_ids = _Memo(int), _Memo(str)
+    new = tuple.__new__  # builds a ZoneRideStat in C, not via its Python __new__
 
     def parse_row(row, line):
         origin, dest, date_s, period_s, mean_s, min_s, max_s = row
-        code = _parse_int(period_s, "period")
-        if code not in PERIOD_BY_CODE:
-            raise ValidationError(f"period code {code} not in 0..5")
-        index.add(ZoneRideStat(
-            origin_zone_id=origin,
-            dest_zone_id=dest,
-            date=_parse_date(date_s),
-            period=PERIOD_BY_CODE[code],
-            mean_s=_parse_int(mean_s, "mean_s"),
-            min_s=_parse_int(min_s, "min_s"),
-            max_s=_parse_int(max_s, "max_s"),
-        ))
+        period = periods[period_s]
+        day = dates[date_s]
+        try:
+            mean, low, high = ints[mean_s], ints[min_s], ints[max_s]
+        except ValueError:
+            mean = _parse_int(mean_s, "mean_s")
+            low = _parse_int(min_s, "min_s")
+            high = _parse_int(max_s, "max_s")
+        origin, dest = zone_ids[origin], zone_ids[dest]
+        stat = new(ZoneRideStat, (origin, dest, day, period, mean, low, high))
+        if not 0 < low <= mean <= high:
+            check_ride_stat(stat)
+        key = (origin, dest, day, period)
+        if key in by_key:
+            raise _duplicate_key(key)
+        by_key[key] = stat
 
     _load_rows(path, RIDE_STATS_HEADER, parse_row)
     log.info("loaded %d ride stats from %s", len(index), path)

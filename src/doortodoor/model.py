@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 from datetime import date, datetime, tzinfo
 from enum import Enum
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 from zoneinfo import ZoneInfo
 
 from .errors import TripNotComputableError, ValidationError
@@ -84,9 +84,12 @@ PERIOD_BY_CODE = {
 CODE_BY_PERIOD = {p: c for c, p in PERIOD_BY_CODE.items()}
 
 
-@dataclass(frozen=True)
-class ZoneRideStat:
-    """Zone-pair ride-time aggregate for one date and day period, in seconds."""
+class ZoneRideStat(NamedTuple):
+    """Zone-pair ride-time aggregate for one date and day period, in seconds.
+
+    A plain tuple of its fields, so construction checks nothing:
+    ``check_ride_stat`` holds the ``0 < min <= mean <= max`` rule, and
+    ``load_ride_stats`` and ``RideStatIndex.add`` apply it."""
 
     origin_zone_id: str
     dest_zone_id: str
@@ -96,16 +99,18 @@ class ZoneRideStat:
     min_s: int
     max_s: int
 
-    def __post_init__(self):
-        if not 0 < self.min_s <= self.mean_s <= self.max_s:
-            raise ValidationError(
-                f"ride stat {self.origin_zone_id}->{self.dest_zone_id} {self.date}: "
-                f"need 0 < min <= mean <= max, got {self.min_s}/{self.mean_s}/{self.max_s}"
-            )
-
     @property
     def key(self):
-        return (self.origin_zone_id, self.dest_zone_id, self.date, self.period)
+        return self[:4]
+
+
+def check_ride_stat(stat: ZoneRideStat) -> None:
+    """Reject a ride stat unless 0 < min <= mean <= max."""
+    if not 0 < stat.min_s <= stat.mean_s <= stat.max_s:
+        raise ValidationError(
+            f"ride stat {stat.origin_zone_id}->{stat.dest_zone_id} {stat.date}: "
+            f"need 0 < min <= mean <= max, got {stat.min_s}/{stat.mean_s}/{stat.max_s}"
+        )
 
 
 def classify_period(local_time) -> DayPeriod:

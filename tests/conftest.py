@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import fields
 from datetime import date
 from functools import lru_cache
 
@@ -87,9 +86,9 @@ def make_trip(dest_zone="PZ1", mode_id="via_CDG", arrival_date="2018-01-02",
     spreads around the means.
 
     Both rides are period-level stats (no daily fallback) of the arrival
-    date and period.  A ride of 0 s, which ``ZoneRideStat`` rejects (it
-    needs ``min > 0``), is built without that check so that phase shares
-    can be tested with empty phases."""
+    date and period.  A ride of 0 s, which ``load_ride_stats`` and
+    ``RideStatIndex.add`` reject (they need ``min > 0``), lets phase shares
+    be tested with empty phases; constructing one checks nothing."""
     when = date.fromisoformat(arrival_date)
 
     def ride(origin, dest, mean_s, spread):
@@ -97,10 +96,7 @@ def make_trip(dest_zone="PZ1", mode_id="via_CDG", arrival_date="2018-01-02",
                   max(1, mean_s - spread), max(1, mean_s + spread))
         if mean_s > 0:
             return ZoneRideStat(*values)
-        stat = object.__new__(ZoneRideStat)
-        for f, value in zip(fields(ZoneRideStat), values[:4] + (0, 0, 0)):
-            object.__setattr__(stat, f.name, value)
-        return stat
+        return ZoneRideStat(*values[:4], 0, 0, 0)
 
     segment = _trip_segment(segment_id, mode_id, dep_station_id, arr_station_id)
     legs = SegmentLegs(

@@ -5,7 +5,7 @@ from pathlib import Path
 from zoneinfo import ZoneInfo
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from doortodoor import (
     DayPeriod,
@@ -29,7 +29,7 @@ from doortodoor.ingestion import (
     dump_ride_stats,
     dump_zones,
 )
-from doortodoor.model import local_date_period
+from doortodoor.model import PERIOD_BY_CODE, local_date_period
 
 from conftest import make_station
 
@@ -75,8 +75,29 @@ class TestLoadRideStats:
                      f"{RIDE_HEADER}\n"
                      "Z1,Z9,2018-01-02,2,1800,1200,3600\n"
                      "Z1,Z9,2018-01-02,2,1900,1300,3700\n")
-        with pytest.raises(ValidationError, match="duplicate"):
+        with pytest.raises(ValidationError) as info:
             load_ride_stats(path)
+        assert str(info.value) == f"{path}:3: duplicate ride stat key Z1,Z9,2018-01-02,2"
+
+    def test_error_order_on_a_row_with_several_faults(self, tmp_path):
+        """Each step fixes the fault the step before it reported."""
+        steps = [
+            ("Z1,Z9,2018-13-01,p,a,b,c", "period: not an integer: 'p'"),
+            ("Z1,Z9,2018-13-01,9,a,b,c", "period code 9 not in 0..5"),
+            ("Z1,Z9,2018-13-01,2,a,b,c", "bad date '2018-13-01'"),
+            ("Z1,Z9,2018-01-02,2,a,b,c", "mean_s: not an integer: 'a'"),
+            ("Z1,Z9,2018-01-02,2,1800,b,c", "min_s: not an integer: 'b'"),
+            ("Z1,Z9,2018-01-02,2,1800,1900,c", "max_s: not an integer: 'c'"),
+            ("Z1,Z9,2018-01-02,2,1800,1900,3600",
+             "ride stat Z1->Z9 2018-01-02: need 0 < min <= mean <= max, got 1900/1800/3600"),
+            ("Z1,Z9,2018-01-02,2,1800,1200,3600", "duplicate ride stat key Z1,Z9,2018-01-02,2"),
+        ]
+        for row, message in steps:
+            path = write(tmp_path, "rides.csv",
+                         f"{RIDE_HEADER}\nZ1,Z9,2018-01-02,2,1700,1100,3500\n{row}\n")
+            with pytest.raises(ValidationError) as info:
+                load_ride_stats(path)
+            assert str(info.value) == f"{path}:3: {message}"
 
     def test_period_zero_is_daily_fallback(self, tmp_path):
         path = write(tmp_path, "rides.csv",
@@ -115,6 +136,110 @@ class TestLoadRideStats:
         )
         path = write(tmp_path, "rides.csv", canonical)
         assert dump_ride_stats(load_ride_stats(path)) == canonical
+
+
+def oracle_ride_stats(rows):
+    """What ``load_ride_stats`` gives for ``rows`` (lists of 7 fields from
+    line 2 on), checked field by field: the canonical dump, or the first
+    error as ``line: message``."""
+    stats = {}
+    for line, (origin, dest, date_s, period_s, *ints) in enumerate(rows, start=2):
+        try:
+            code = int(period_s)
+        except ValueError:
+            return f"{line}: period: not an integer: {period_s!r}"
+        if code not in PERIOD_BY_CODE:
+            return f"{line}: period code {code} not in 0..5"
+        try:
+            day = date.fromisoformat(date_s)
+        except ValueError:
+            return f"{line}: bad date {date_s!r}"
+        values = []
+        for name, text in zip(("mean_s", "min_s", "max_s"), ints):
+            try:
+                values.append(int(text))
+            except ValueError:
+                return f"{line}: {name}: not an integer: {text!r}"
+        mean, low, high = values
+        if not 0 < low <= mean <= high:
+            return (f"{line}: ride stat {origin}->{dest} {day}: "
+                    f"need 0 < min <= mean <= max, got {low}/{mean}/{high}")
+        key = (origin, dest, day, code)
+        if key in stats:
+            return f"{line}: duplicate ride stat key {origin},{dest},{day},{code}"
+        stats[key] = (mean, low, high)
+    return "".join([f"{RIDE_HEADER}\n"] + [
+        f"{origin},{dest},{day},{code},{mean},{low},{high}\n"
+        for (origin, dest, day, code), (mean, low, high) in sorted(stats.items())])
+
+
+def spelled(n):
+    """Spellings of ``n`` that ``int()`` accepts, mostly the canonical one."""
+    return st.sampled_from([str(n)] * 4 + [f" {n}", f"+{n}", f"0{n}", f"{n}\t", f"{n}_0"])
+
+
+# Clean rows parse (their keys often collide through other spellings of the
+# same date or period); noisy rows are clean rows with one to three of their
+# date, period and integer fields replaced by text that is bad, zero or
+# negative in some of them.
+clean_row = st.tuples(
+    st.sampled_from(["Z1", " Z1"]), st.just("Z9"),
+    st.sampled_from(["2018-01-02", "20180102", "2018-01-03"]),
+    st.sampled_from(["2", "02", " 2", "+2", "0", "5"]),
+    st.lists(st.integers(1, 40), min_size=3, max_size=3).map(sorted).flatmap(
+        lambda t: st.tuples(spelled(t[1]), spelled(t[0]), spelled(t[2]))),
+).map(lambda r: r[:4] + r[4])
+noisy_row = st.tuples(clean_row, st.dictionaries(
+    st.integers(2, 6),
+    st.sampled_from(["", "x", "1.5", "1__0", "0x1", "\u0663", "0", "-1", "6", "2018-02-30",
+                     "2018-1-2"]),
+    min_size=1, max_size=3,
+)).map(lambda r: tuple(r[1].get(i, text) for i, text in enumerate(r[0])))
+ride_rows = st.lists(st.one_of(clean_row, clean_row, noisy_row), max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=ride_rows)
+def test_ride_stats_load_like_a_field_by_field_oracle(tmp_path_factory, rows):
+    """Non-canonical spellings, bad fields and repeated keys load, or fail
+    with the ``path:line:`` message, exactly as checked field by field."""
+    path = write_utf8(tmp_path_factory.getbasetemp(), "differential.csv",
+                      "".join([f"{RIDE_HEADER}\n"] + [",".join(row) + "\n" for row in rows]))
+    try:
+        outcome = dump_ride_stats(load_ride_stats(path))
+    except ValidationError as exc:
+        outcome = str(exc)
+    expected = oracle_ride_stats(rows)
+    assert outcome == (expected if expected.startswith(RIDE_HEADER) else f"{path}:{expected}")
+
+
+class TestRideStatIndexChecks:
+    """Constructing a ZoneRideStat checks nothing; indexing one does."""
+
+    STAT = ZoneRideStat("Z1", "Z9", date(2018, 1, 2), DayPeriod.AM, 1800, 1200, 3600)
+
+    def test_record_is_the_tuple_of_its_fields(self):
+        assert ZoneRideStat("Z1", "Z9", date(2018, 1, 2), DayPeriod.AM, 0, 0, 0) == (
+            "Z1", "Z9", date(2018, 1, 2), DayPeriod.AM, 0, 0, 0)
+        assert self.STAT.key == ("Z1", "Z9", date(2018, 1, 2), DayPeriod.AM)
+
+    @pytest.mark.parametrize("mean, low, high", [(1800, 1900, 3600), (1800, 0, 3600)],
+                             ids=["min-above-mean", "min-zero"])
+    @pytest.mark.parametrize("build", [lambda stat: RideStatIndex().add(stat),
+                                       lambda stat: RideStatIndex([stat])],
+                             ids=["add", "constructor"])
+    def test_invariant_rejected(self, build, mean, low, high):
+        with pytest.raises(ValidationError) as info:
+            build(self.STAT._replace(mean_s=mean, min_s=low, max_s=high))
+        assert str(info.value) == (
+            f"ride stat Z1->Z9 2018-01-02: need 0 < min <= mean <= max, got {low}/{mean}/{high}")
+
+    def test_duplicate_key_rejected_by_add(self):
+        index = RideStatIndex([self.STAT])
+        with pytest.raises(ValidationError) as info:
+            index.add(self.STAT._replace(mean_s=1900))
+        assert str(info.value) == "duplicate ride stat key Z1,Z9,2018-01-02,2"
+        assert list(index) == [self.STAT]
 
 
 period_codes = st.sampled_from(list(DayPeriod))
@@ -337,13 +462,25 @@ class TestPhysicalLines:
         assert stat.origin_zone_id == zone_id
 
     def test_row_after_a_quoted_line_break_cites_its_own_line(self, tmp_path):
+        """A quoted field spanning lines is rejected, citing the line its row
+        starts on, before any later row is read."""
         path = write(tmp_path, "rides.csv",
                      f"{RIDE_HEADER}\n"
+                     "Z1,Z8,2018-01-02,2,1800,1200,3600\n"
                      '"Z\n1",Z9,2018-01-02,2,1800,1200,3600\n'
                      "Z1,Z9,2018-01-02,2,xx,1200,3600\n")
         with pytest.raises(ValidationError) as info:
             load_ride_stats(path)
-        assert str(info.value) == f"{path}:4: mean_s: not an integer: 'xx'"
+        assert str(info.value) == f"{path}:3: malformed CSV: line break inside a quoted field"
+
+    def test_quote_left_open_cites_its_row(self, tmp_path):
+        path = write(tmp_path, "rides.csv",
+                     f"{RIDE_HEADER}\n"
+                     "Z1,Z8,2018-01-02,2,1800,1200,3600\n"
+                     '"Z1,Z9,2018-01-02,2,1800,1200,3600\n')
+        with pytest.raises(ValidationError) as info:
+            load_ride_stats(path)
+        assert str(info.value) == f"{path}:3: malformed CSV: line break inside a quoted field"
 
     @pytest.mark.parametrize("row, message", [
         ("Z\r1,Z9,2018-01-02,2,1800,1200,3600",
