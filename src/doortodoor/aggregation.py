@@ -174,7 +174,6 @@ def evaluate_trips(
     rides: RideStatIndex,
     *,
     dwell_overrides: Optional[Dict[str, DwellProfile]] = None,
-    assume_on_time: bool = False,
 ) -> EvaluationReport:
     """Evaluate every (segment, destination zone) trip, in segment id then
     zone id order.
@@ -199,7 +198,6 @@ def evaluate_trips(
                 resolve_dwell(segment.dep_station, dwell_overrides),
                 resolve_dwell(segment.arr_station, dwell_overrides),
                 rides,
-                assume_on_time=assume_on_time,
             )
         except TripNotComputableError as exc:
             skipped.extend((segment.segment_id, zone.zone_id, str(exc)) for zone in dest_zones)

@@ -234,14 +234,10 @@ def delay_sensitivity(
     Zone deltas are weighted proportionally to population density (uniform
     weights, with a warning, when any density is missing).  Zones lacking a
     period-level ride stat in either period are excluded and reported.  A
-    cancelled segment, or one without an actual arrival, is rejected.
+    cancelled segment is rejected.
     """
     if segment.cancelled:
         raise ValidationError(f"segment {segment.segment_id} is cancelled")
-    if segment.actual_arr is None:
-        raise ValidationError(
-            f"segment {segment.segment_id}: actual arrival required"
-        )
     t_arr_s = resolve_dwell(segment.arr_station, dwell_overrides).t_arr_s
     arr_tz = segment.arr_station.tzinfo
     sched_date, sched_period = local_date_period(segment.sched_arr + t_arr_s, arr_tz)

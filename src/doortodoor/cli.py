@@ -29,13 +29,33 @@ EXIT_COMPUTE_ERROR = 3
 
 CONFIG_ENV_VAR = "D2D_CONFIG"
 
-# Parsers of the typed config-file values; the other values stay strings.
+FORMATS = ("geojson", "csv", "both")
+BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _parse_bool(value: str) -> bool:
+    """``1``/``true``/``yes`` or ``0``/``false``/``no``, in any case."""
+    try:
+        return BOOLEANS[value.lower()]
+    except KeyError:
+        raise ValueError(value) from None
+
+
+def _parse_format(value: str) -> str:
+    if value not in FORMATS:
+        raise ValueError(value)
+    return value
+
+
+# Parsers of the config-file values; a parser raises ValueError on a value it
+# rejects.  The other values stay strings.
 CONFIG_PARSERS = {
     "from_date": date.fromisoformat,
     "to_date": date.fromisoformat,
-    "on_time_mode": lambda value: value.lower() in ("1", "true", "yes"),
+    "on_time_mode": _parse_bool,
     "dep_proc_min": float,
     "arr_proc_min": float,
+    "format": _parse_format,
     "jobs": int,
 }
 
@@ -103,8 +123,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, key, None)
         if value is not None and value is not False:
             setattr(config, key, value)
-    if config.format not in ("geojson", "csv", "both"):
-        raise ValidationError(f"format must be geojson|csv|both, got {config.format!r}")
     return config
 
 
@@ -128,7 +146,7 @@ def load_inputs(config: RunConfig, *, need_segments: bool = True) -> LoadedInput
         segments.extend(
             ingestion.load_segments_actuals(
                 config.segments, stations,
-                allow_missing_actuals=config.on_time_mode,
+                assume_on_time=config.on_time_mode,
             )
         )
     if config.weekly_schedule:
@@ -172,7 +190,6 @@ def evaluate(config: RunConfig, inputs: LoadedInputs,
     return aggregation.evaluate_trips(
         segments, origin, list(inputs.zones), inputs.rides,
         dwell_overrides=dwell_overrides,
-        assume_on_time=config.on_time_mode,
     )
 
 
@@ -486,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dep-proc-min", dest="dep_proc_min", type=float)
         p.add_argument("--arr-proc-min", dest="arr_proc_min", type=float)
         p.add_argument("--out-dir", dest="out_dir")
-        p.add_argument("--format", dest="format", choices=["geojson", "csv", "both"])
+        p.add_argument("--format", dest="format", choices=FORMATS)
         p.add_argument("--origin-zone", dest="origin_zone")
         p.add_argument("--jobs", dest="jobs", type=int,
                        help="accepted for compatibility; evaluation is single-process")

@@ -7,7 +7,9 @@ Canonical file formats:
   evening), dates ISO-8601.
 - ``segments.csv``: ``segment_id,mode_id,dep_station,arr_station,sched_dep,``
   ``actual_dep,sched_arr,actual_arr,cancelled`` with local ISO timestamps
-  (timezone taken from the station table), in whole seconds.
+  (timezone taken from the station table), in whole seconds.  A
+  non-cancelled row needs both actual times, except in on-time mode, which
+  reads a missing one as the scheduled time.
 - ``weekly_schedule.csv``: ``mode_id,dep_station,arr_station,days,dep_time,``
   ``arr_time`` where days is a 7-char Mo..Su mask of 0/1.
 - ``stations.csv``: ``station_id,kind,zone_id,lat,lon,tz,t_sec_dep_min,t_arr_min``
@@ -167,11 +169,14 @@ def _load_rows(path, header: str, parse_row: Callable[[List[str], int], None]) -
     by ``parse_row`` (without a path) or a malformed row is re-raised citing
     ``path:line:``."""
     path = str(path)
-    lines = iter(physical_lines(read_text(path)))
-    if next(lines) != header:
+    # Popped from the end, so each line is freed once csv has copied its fields.
+    lines = physical_lines(read_text(path))
+    lines.append(None)
+    lines.reverse()
+    if lines.pop() != header:
         raise ValidationError(f"header must be exactly {header!r}", path=path, line=1)
     width = header.count(",") + 1
-    reader = csv.reader(lines)
+    reader = csv.reader(iter(lines.pop, None))
     line = 2
     try:
         for row in reader:
@@ -456,13 +461,14 @@ def load_segments_actuals(
     path,
     stations: Dict[str, Station],
     *,
-    allow_missing_actuals: bool = False,
+    assume_on_time: bool = False,
 ) -> List[ScheduledSegment]:
     """Parse dated segments with actual times (flight-record style file).
 
     Cancelled rows are retained but flagged; they are excluded from all trip
-    computation downstream.  Non-cancelled rows must carry actual times
-    unless ``allow_missing_actuals`` (on-time mode) is set.
+    computation downstream.  Non-cancelled rows must carry both actual times;
+    with ``assume_on_time`` (on-time mode) a missing one is the scheduled
+    time, and the row is then checked like any other.
     """
     segments = []
     seen = set()
@@ -482,8 +488,8 @@ def load_segments_actuals(
         except KeyError as exc:
             raise ValidationError(f"unknown station {exc.args[0]!r}") from None
         dep_tz, arr_tz = dep_station.tzinfo, arr_station.tzinfo
-        if not cancelled and not allow_missing_actuals and not (actual_dep and actual_arr):
-            raise ValidationError("actual times required on a non-cancelled row")
+        if assume_on_time and not cancelled:
+            actual_dep, actual_arr = actual_dep or sched_dep, actual_arr or sched_arr
         segments.append(
             ScheduledSegment(
                 segment_id=seg_id,

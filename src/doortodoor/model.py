@@ -15,7 +15,10 @@ station table, and reads one that falls in a DST gap or overlap with
 ``fold=0``, the offset in force before the change (PEP 495); a
 ``segments.csv`` row whose times then no longer run forward exits 2 with
 ``path:line:``.  Local time is used only to classify an instant into its
-local date and day period (``local_date_period``).  The per-trip computation is split in two:
+local date and day period (``local_date_period``).  A ``ScheduledSegment``
+holds both actual times unless it is cancelled: on-time mode fills a missing
+one with the scheduled time at load (``load_segments_actuals``), so the trip
+kernel takes no on-time setting.  The per-trip computation is split in two:
 ``segment_legs`` does the work that depends on the segment alone, once per
 segment, and ``zone_trip`` completes it for each destination zone.  Every
 phase invariant of ``TripPhaseTimes`` holds by construction there (ride
@@ -208,8 +211,8 @@ class Station:
 
 @dataclass(frozen=True)
 class ScheduledSegment:
-    """One flight or train movement with scheduled (and possibly actual)
-    times, in epoch seconds."""
+    """One flight or train movement with scheduled and actual times, in epoch
+    seconds.  Only a cancelled segment may lack its actual times."""
 
     segment_id: str
     mode_id: str
@@ -226,11 +229,13 @@ class ScheduledSegment:
             raise ValidationError(
                 f"segment {self.segment_id}: scheduled arrival not after departure"
             )
-        if self.actual_dep is not None and self.actual_arr is not None:
-            if self.actual_arr <= self.actual_dep:
-                raise ValidationError(
-                    f"segment {self.segment_id}: actual arrival not after departure"
-                )
+        if self.actual_dep is None or self.actual_arr is None:
+            if not self.cancelled:
+                raise ValidationError("actual times required on a non-cancelled row")
+        elif self.actual_arr <= self.actual_dep:
+            raise ValidationError(
+                f"segment {self.segment_id}: actual arrival not after departure"
+            )
 
 
 @dataclass(frozen=True)
@@ -338,16 +343,12 @@ def segment_legs(
     dwell_dep: DwellProfile,
     dwell_arr: DwellProfile,
     rides,
-    *,
-    assume_on_time: bool = False,
 ) -> SegmentLegs:
     """Evaluate the destination-independent part of a segment's trips.
 
     The access ride is taken at the period containing the station-arrival
     deadline (scheduled departure minus processing time); the egress instant
-    is the airport/station exit (actual arrival plus arrival dwell).  When
-    ``assume_on_time`` is set, missing actual times are substituted by the
-    scheduled ones.
+    is the airport/station exit (actual arrival plus arrival dwell).
 
     Raises TripNotComputableError when the access ride has no statistic at
     period or daily level.
@@ -355,24 +356,8 @@ def segment_legs(
     if segment.cancelled:
         raise ValidationError(f"segment {segment.segment_id} is cancelled")
 
-    actual_dep = segment.actual_dep
-    actual_arr = segment.actual_arr
-    if actual_dep is None or actual_arr is None:
-        if not assume_on_time:
-            raise ValidationError(
-                f"segment {segment.segment_id}: actual times missing "
-                "and on-time mode not enabled"
-            )
-        actual_dep = actual_dep if actual_dep is not None else segment.sched_dep
-        actual_arr = actual_arr if actual_arr is not None else segment.sched_arr
-
-    in_s = actual_arr - actual_dep
-    if in_s <= 0:
-        raise ValidationError(
-            f"segment {segment.segment_id}: actual arrival not after departure"
-        )
     # Early pushback cannot reduce dwell below the processing time.
-    wait_s = max(0, actual_dep - segment.sched_dep)
+    wait_s = max(0, segment.actual_dep - segment.sched_dep)
     sec_s = dwell_dep.t_sec_departure_s
     arr_s = dwell_arr.t_arr_s
 
@@ -388,7 +373,7 @@ def segment_legs(
         )
 
     arr_tz = segment.arr_station.tzinfo
-    egress_s = actual_arr + arr_s
+    egress_s = segment.actual_arr + arr_s
     egress_date, egress_period = local_date_period(egress_s, arr_tz)
     return SegmentLegs(
         segment=segment,
@@ -396,7 +381,7 @@ def segment_legs(
         ride_to=ride_to,
         dep_s=sec_s + wait_s,
         wait_s=wait_s,
-        in_s=in_s,
+        in_s=segment.actual_arr - segment.actual_dep,
         arr_s=arr_s,
         egress_s=egress_s,
         egress_date=egress_date,
@@ -434,8 +419,6 @@ def compute_trip(
     dwell_dep: DwellProfile,
     dwell_arr: DwellProfile,
     rides,
-    *,
-    assume_on_time: bool = False,
 ) -> TripRecord:
     """Evaluate one full door-to-door trip for a segment and a zone pair:
     ``segment_legs`` then ``zone_trip``.
@@ -447,10 +430,7 @@ def compute_trip(
     Raises TripNotComputableError when a leg has no ride statistic at period
     or daily level.
     """
-    legs = segment_legs(
-        segment, origin_zone, dwell_dep, dwell_arr, rides,
-        assume_on_time=assume_on_time,
-    )
+    legs = segment_legs(segment, origin_zone, dwell_dep, dwell_arr, rides)
     return zone_trip(legs, dest_zone, rides)
 
 

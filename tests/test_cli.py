@@ -71,6 +71,21 @@ class TestValidate:
         assert (error["error"], error["path"], error["line"]) == ("ValidationError", str(weekly), 2)
         assert error["message"] == f"{weekly}:2: {message}"
 
+    def test_on_time_mode_row_running_backwards_exits_2(self, tmp_path, capsys):
+        # Departs 23:59, and its missing arrival is read as the 18:02 schedule.
+        segments = tmp_path / "segments.csv"
+        segments.write_text((FIXTURES / "segments.csv").read_text().replace(
+            "2018-01-03T16:58,2018-01-03T18:02,2018-01-03T18:18,0",
+            "2018-01-03T23:59,2018-01-03T18:02,,0"))
+        flags = BASE_FLAGS.copy()
+        flags[3] = str(segments)
+        assert main(["validate", "--on-time-mode"] + flags) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert (error["error"], error["path"], error["line"]) == (
+            "ValidationError", str(segments), 2)
+        assert error["message"] == (
+            f"{segments}:2: segment F_DELAY16: actual arrival not after departure")
+
     def test_segment_id_repeated_by_weekly_expansion_exits_2(self, tmp_path, capsys):
         segments = tmp_path / "segments.csv"
         segments.write_text((FIXTURES / "segments.csv").read_text()
@@ -155,7 +170,7 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("entry", [
         "jobs=two", "dep_proc_min=fast", "arr_proc_min=",
-        "from_date=2018-13-01", "to_date=soon",
+        "from_date=2018-13-01", "to_date=soon", "on_time_mode=treu", "format=xml",
     ])
     def test_unparsable_config_value_exits_2(self, tmp_path, capsys, entry):
         conf = tmp_path / "bad.conf"
@@ -308,6 +323,19 @@ class TestDelayCommand:
                     "--out-dir", str(out)]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
         assert not out.exists()
+
+    def test_on_time_mode_reads_missing_actuals_as_scheduled(self, tmp_path):
+        segments = tmp_path / "segments.csv"
+        segments.write_text((FIXTURES / "segments.csv").read_text().replace(
+            "2018-01-03T16:58,2018-01-03T18:02,2018-01-03T18:18,0",
+            ",2018-01-03T18:02,,0"))
+        flags = BASE_FLAGS.copy()
+        flags[3] = str(segments)
+        out = tmp_path / "o"
+        assert main(["delay", "--on-time-mode"] + flags + [
+            "--segment-id", "F_DELAY16", "--out-dir", str(out)]) == 0
+        row = (out / "delay_sensitivity.csv").read_text().splitlines()[1]
+        assert row.startswith("F_DELAY16,pm,pm,0.000000,0.000000,")
 
     def test_unknown_segment_exits_2(self, tmp_path):
         assert main(["delay"] + BASE_FLAGS + ["--segment-id", "NOPE",

@@ -407,12 +407,17 @@ class TestLoadSegments:
 
     def test_missing_actuals_rejected_unless_on_time(self, tmp_path, stations):
         text = (f"{SEGMENTS_HEADER}\n"
-                "F1,via_CDG,AMS,CDG,2018-01-02T12:00,,2018-01-02T13:20,,0\n")
+                "F1,via_CDG,AMS,CDG,2018-01-02T12:00,,2018-01-02T13:20,,0\n"
+                "F2,via_CDG,AMS,CDG,2018-01-02T12:00,2018-01-02T12:10,"
+                "2018-01-02T13:20,,0\n"
+                "F3,via_CDG,AMS,CDG,2018-01-02T12:00,,2018-01-02T13:20,,1\n")
         path = write(tmp_path, "segments.csv", text)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=":2: actual times required"):
             load_segments_actuals(path, stations)
-        segments = load_segments_actuals(path, stations, allow_missing_actuals=True)
-        assert segments[0].actual_dep is None
+        f1, f2, f3 = load_segments_actuals(path, stations, assume_on_time=True)
+        assert (f1.actual_dep, f1.actual_arr) == (f1.sched_dep, f1.sched_arr)
+        assert (f2.actual_dep, f2.actual_arr) == (f2.sched_dep + 600, f2.sched_arr)
+        assert (f3.actual_dep, f3.actual_arr) == (None, None)  # cancelled
 
     def test_reversed_actuals_rejected(self, tmp_path, stations):
         path = write(tmp_path, "segments.csv",

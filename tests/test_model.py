@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from doortodoor import (
     DayPeriod,
     DwellProfile,
+    ScheduledSegment,
     TripNotComputableError,
     TripPhaseTimes,
     ValidationError,
@@ -83,7 +84,7 @@ MIDDAY_RIDES = [
 class TestComputeTrip:
     dwell = DwellProfile(90, 45)
 
-    def compute(self, segment, rides=None, **kwargs):
+    def compute(self, segment, rides=None):
         return compute_trip(
             segment,
             Zone("AZ1"),
@@ -91,7 +92,6 @@ class TestComputeTrip:
             self.dwell,
             self.dwell,
             rides or make_rides(MIDDAY_RIDES),
-            **kwargs,
         )
 
     def test_worked_example_270_minutes(self):
@@ -167,14 +167,17 @@ class TestComputeTrip:
             self.compute(make_segment(cancelled=True))
 
     def test_missing_actuals_need_on_time_flag(self):
-        segment = make_segment()
-        segment = type(segment)(**{**segment.__dict__,
-                                   "actual_dep": None, "actual_arr": None})
-        with pytest.raises(ValidationError):
-            self.compute(segment)
-        trip = self.compute(segment, assume_on_time=True)
-        assert trip.phases.wait_s == 0
-        assert trip.total_mean_s == 270 * 60
+        # On-time mode fills missing actual times at load; the type lets
+        # only a cancelled segment go without them.
+        fields = make_segment().__dict__
+        for missing in ({"actual_dep": None}, {"actual_arr": None},
+                        {"actual_dep": None, "actual_arr": None}):
+            with pytest.raises(ValidationError,
+                               match="actual times required on a non-cancelled row"):
+                ScheduledSegment(**{**fields, **missing})
+        cancelled = ScheduledSegment(
+            **{**fields, "actual_dep": None, "actual_arr": None, "cancelled": True})
+        assert cancelled.actual_dep is None and cancelled.actual_arr is None
 
     def test_access_period_from_station_deadline(self):
         # Deadline 12:00 - 90min = 10:30, so the access ride uses midday
