@@ -2,14 +2,17 @@
 
 ``evaluate_trips`` runs the per-trip model over every (segment, destination
 zone) pair, in one process, doing the per-segment work once per segment.
-``daily_zone_means`` groups the trips into (zone, date, period, mode) means
-of door-to-door time and variability, summing integer seconds per cell.
-``summarize`` reduces those in one pass per (zone, period): the days each
-mode was fastest, the days each mode was most reliable, and the fastest
-average time.  ``bin_zone_counts`` bins the summaries into reporting bands.
+``daily_zone_means`` groups the trips into (zone, date, period, mode) cells
+of door-to-door time and variability.  ``summarize`` reduces those in one
+pass per (zone, period): the days each mode was fastest, the days each mode
+was most reliable, and the fastest average time.  ``bin_zone_counts`` bins
+the summaries into reporting bands.
 
-All means are kept as exact Fractions of integer seconds so results are
-independent of summation order and safe to compare with zero tolerance.
+Each day cell is an integer (sum, n) pair of seconds, and two cells' means
+are compared by cross-multiplication (``t_a * n_b < t_b * n_a``), so results
+are exact, independent of summation order and safe to compare with zero
+tolerance.  The only rational built is one ``Fraction`` per summary, its
+fastest average time.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import date
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from math import gcd
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .errors import TripNotComputableError
 from .ingestion import RideStatIndex, resolve_dwell
@@ -39,17 +43,28 @@ def interval_bin(total_min) -> str:
     return INTERVAL_LABELS[-1]
 
 
-@dataclass(frozen=True)
-class ZonePeriodDayStat:
-    """Per (zone, date, period, mode) aggregate over one day's trips."""
+class ZonePeriodDayStat(NamedTuple):
+    """Per (zone, date, period, mode) sums over one day's trips, in integer
+    seconds: the cell's means are ``total_s / n_trips`` and
+    ``spread_s / n_trips``, exposed as exact ``e_s`` and ``v_s``."""
 
     zone_id: str
     period: DayPeriod
     date: date
     mode_id: str
-    e_s: Fraction  # mean door-to-door total, seconds
-    v_s: Fraction  # mean (max-variant total - min-variant total), seconds
+    total_s: int  # sum of door-to-door totals
+    spread_s: int  # sum of (max-variant total - min-variant total)
     n_trips: int
+
+    @property
+    def e_s(self) -> Fraction:
+        """Mean door-to-door total, seconds."""
+        return Fraction(self.total_s, self.n_trips)
+
+    @property
+    def v_s(self) -> Fraction:
+        """Mean variability (max-variant minus min-variant total), seconds."""
+        return Fraction(self.spread_s, self.n_trips)
 
 
 @dataclass(frozen=True)
@@ -76,10 +91,9 @@ class ZonePeriodSummary:
 
 
 def daily_zone_means(trips: Iterable[TripRecord]) -> List[ZonePeriodDayStat]:
-    """Mean door-to-door time and variability per (zone, date, period, mode),
-    bucketing each trip by the date and period of its final arrival."""
-    # (zone, date, period, mode) -> [sum total, sum variability, count] in
-    # integer seconds, then one Fraction per mean.
+    """Summed door-to-door time and variability per (zone, date, period,
+    mode), bucketing each trip by the date and period of its final arrival."""
+    # (zone, date, period, mode) -> [sum total, sum variability, count]
     cells: Dict[tuple, List[int]] = {}
     for trip in trips:
         legs, ride = trip.legs, trip.ride_from
@@ -91,8 +105,7 @@ def daily_zone_means(trips: Iterable[TripRecord]) -> List[ZonePeriodDayStat]:
         sums[1] += legs.to_spread_s + ride.max_s - ride.min_s
         sums[2] += 1
     stats = [
-        ZonePeriodDayStat(zone_id=zone_id, period=period, date=when, mode_id=mode_id,
-                          e_s=Fraction(total, n), v_s=Fraction(spread, n), n_trips=n)
+        ZonePeriodDayStat(zone_id, period, when, mode_id, total, spread, n)
         for (zone_id, when, period, mode_id), (total, spread, n) in cells.items()
     ]
     stats.sort(key=lambda s: (s.zone_id, s.date, s.period.label, s.mode_id))
@@ -125,14 +138,28 @@ def summarize(day_stats: Iterable[ZonePeriodDayStat]) -> List[ZonePeriodSummary]
     for (zone_id, period), days in cells.items():
         fastest: Dict[str, int] = {}
         reliable: Dict[str, int] = {}
-        minima_sum = Fraction(0)
+        # Sum of the daily minimum means, as minima_num / minima_den with
+        # minima_den the lcm of the minima's trip counts.
+        minima_num, minima_den = 0, 1
         for stats in days.values():
-            best_e = min(s.e_s for s in stats)
-            best_v = min(s.v_s for s in stats)
-            minima_sum += best_e
+            # The day's minimum mean time e_t / e_n and variability v_t / v_n;
+            # means t / n compare as t_a * n_b < t_b * n_a.
+            first = stats[0]
+            e_t, e_n = first.total_s, first.n_trips
+            v_t, v_n = first.spread_s, first.n_trips
             for s in stats:
-                fastest[s.mode_id] = fastest.get(s.mode_id, 0) + (s.e_s == best_e)
-                reliable[s.mode_id] = reliable.get(s.mode_id, 0) + (s.v_s == best_v)
+                n = s.n_trips
+                if s.total_s * e_n < e_t * n:
+                    e_t, e_n = s.total_s, n
+                if s.spread_s * v_n < v_t * n:
+                    v_t, v_n = s.spread_s, n
+            for s in stats:
+                n, mode_id = s.n_trips, s.mode_id
+                fastest[mode_id] = fastest.get(mode_id, 0) + (s.total_s * e_n == e_t * n)
+                reliable[mode_id] = reliable.get(mode_id, 0) + (s.spread_s * v_n == v_t * n)
+            g = gcd(minima_den, e_n)
+            minima_num = minima_num * (e_n // g) + e_t * (minima_den // g)
+            minima_den = minima_den // g * e_n
         summaries.append(
             ZonePeriodSummary(
                 zone_id=zone_id,
@@ -141,7 +168,7 @@ def summarize(day_stats: Iterable[ZonePeriodDayStat]) -> List[ZonePeriodSummary]
                 reliability_by_mode=dict(sorted(reliable.items())),
                 fastest_mode=_argmax_mode(fastest),
                 most_reliable_mode=_argmax_mode(reliable),
-                e_bar_s=minima_sum / len(days),
+                e_bar_s=Fraction(minima_num, minima_den * len(days)),
                 days_used=len(days),
                 days_total=days_total,
             )

@@ -79,6 +79,12 @@ class RunConfig:
     origin_zone: Optional[str] = None
     jobs: int = 1  # accepted for compatibility; evaluation is single-process
 
+    def __post_init__(self):
+        # The rule of the --format flag and the format= config key, so a
+        # config built in Python is held to it too.
+        if self.format not in FORMATS:
+            raise ValidationError(f"format: cannot parse {self.format!r}")
+
     def dwell_overrides(self) -> Optional[Dict[str, DwellProfile]]:
         """Per-kind override of airport processing times, when requested."""
         if self.dep_proc_min is None and self.arr_proc_min is None:
@@ -114,16 +120,13 @@ def _read_config_file(path: str) -> Dict[str, object]:
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     """Merge config file (if any) and command-line flags; flags win."""
-    config = RunConfig()
     config_path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
-    if config_path:
-        for key, value in _read_config_file(config_path).items():
-            setattr(config, key, value)
+    values = _read_config_file(config_path) if config_path else {}
     for key in CONFIG_KEYS:
         value = getattr(args, key, None)
         if value is not None and value is not False:
-            setattr(config, key, value)
-    return config
+            values[key] = value
+    return RunConfig(**values)
 
 
 @dataclass

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from doortodoor import (
     DayPeriod,
@@ -270,6 +271,69 @@ class TestOracleEquivalence:
         assert sum(bins.values()) == len(summaries)
         for summary in summaries:
             assert interval_bin(float(summary.e_bar_s) / 60) == summary.interval_bin
+
+
+# A day cell's mean time and mean variability are drawn as fractions p / q
+# with small p and q, and its trip count as k * q_time * q_variability, so
+# equal means often meet with different trip counts (3/2 against 6/4) and
+# equal daily minima often have different denominators.
+fractions_pq = st.tuples(st.integers(0, 5), st.integers(1, 3))
+tie_cells = st.dictionaries(
+    st.tuples(st.sampled_from(["Z0", "Z1"]), st.integers(1, 4),
+              st.sampled_from([DayPeriod.AM, DayPeriod.MIDDAY]),
+              st.sampled_from(["a", "b", "c"])),
+    st.tuples(fractions_pq, fractions_pq, st.integers(1, 2)),
+    min_size=1, max_size=24)
+
+
+def tie_trips(cells):
+    """Trips whose (zone, day, period, mode) cells have the drawn means: the
+    whole remainder above a round base sits on each cell's first trip."""
+    trips = []
+    for (zone, day, period, mode), ((p_e, q_e), (p_v, q_v), k) in cells.items():
+        for i in range(k * q_e * q_v):
+            # make_trip's variability is twice to_spread.
+            trips.append(make_trip(
+                dest_zone=zone, mode_id=mode, arrival_date=f"2018-01-0{day}",
+                arrival_period=period,
+                in_s=3600 + (p_e * k * q_v if i == 0 else 0),
+                to_spread=p_v * k * q_e if i == 0 else 0))
+    return trips
+
+
+class TestTieOracle:
+    @settings(deadline=None)
+    @given(tie_cells, st.randoms(use_true_random=False))
+    @example({("Z0", 1, DayPeriod.AM, "a"): ((3, 2), (3, 2), 1),
+              ("Z0", 1, DayPeriod.AM, "b"): ((3, 2), (3, 2), 2),
+              ("Z0", 2, DayPeriod.AM, "b"): ((1, 1), (1, 1), 1),
+              ("Z0", 2, DayPeriod.AM, "c"): ((2, 2), (3, 3), 2)}, random.Random(0))
+    def test_summaries_match_the_oracle(self, cells, rng):
+        base_e = 11400 + 3600  # make_trip's phase sum with in_s=3600
+        day_means = {key: (base_e + Fraction(p_e, q_e), 2 * Fraction(p_v, q_v))
+                     for key, ((p_e, q_e), (p_v, q_v), _) in cells.items()}
+        trips = tie_trips(cells)
+        rng.shuffle(trips)
+        day_stats = daily_zone_means(trips)
+        assert {(s.zone_id, s.date.day, s.period, s.mode_id): (s.e_s, s.v_s)
+                for s in day_stats} == day_means
+
+        rng.shuffle(day_stats)
+        summaries = by_cell(summarize(day_stats))
+        fastest = oracle_winner_counts(day_means, 0)
+        reliable = oracle_winner_counts(day_means, 1)
+        assert {k: s.n_by_mode for k, s in summaries.items()} == fastest
+        assert {k: s.reliability_by_mode for k, s in summaries.items()} == reliable
+        e_bar = oracle_fastest_time(day_means)
+        assert {k: s.e_bar_s for k, s in summaries.items()} == e_bar
+        days_total = len({day for (_, day, _, _) in cells})
+        for key, summary in summaries.items():
+            for mode, counts in ((summary.fastest_mode, fastest[key]),
+                                 (summary.most_reliable_mode, reliable[key])):
+                best = max(counts.values())
+                assert mode == min(m for m, c in counts.items() if c == best)
+            assert summary.days_used == len({d for (z, d, p, _) in cells if (z, p) == key})
+            assert summary.days_total == days_total
 
 
 class TestMonotonicity:

@@ -2,12 +2,15 @@
 
 import gc
 import json
+from dataclasses import replace
 from datetime import date
 from pathlib import Path
 
 import pytest
 
-from doortodoor.cli import RunConfig, evaluate, load_inputs, main
+from doortodoor import cli
+from doortodoor.cli import COMMANDS, RunConfig, evaluate, load_inputs, main
+from doortodoor.errors import ValidationError
 
 FIXTURES = Path(__file__).parent / "fixtures" / "golden"
 
@@ -179,6 +182,21 @@ class TestConfigHandling:
         err = json.loads(capsys.readouterr().err)
         assert (err["error"], err["path"], err["line"]) == ("ValidationError", str(conf), 2)
         assert err["message"].startswith(f"{conf}:2: ")
+
+    def test_config_built_in_python_is_checked(self, tmp_path, monkeypatch, capsys):
+        # The golden run with a format no writer knows, built in Python rather
+        # than read from a flag or a config file.
+        monkeypatch.chdir(FIXTURES.parents[2])  # run.conf paths are relative to it
+        args = cli.build_parser().parse_args(
+            ["--config", str(FIXTURES / "run.conf"), "fastest", "--out-dir", str(tmp_path)])
+        config = cli.build_config(args)
+        with pytest.raises(ValidationError, match="^format: cannot parse 'xml'$"):
+            COMMANDS["fastest"][0](replace(config, format="xml"), args)
+        monkeypatch.setattr(cli, "build_config", lambda args: replace(config, format="xml"))
+        assert main(["fastest"]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValidationError", "message": "format: cannot parse 'xml'"}
+        assert list(tmp_path.iterdir()) == []
 
     def test_config_lines_are_physical_lines(self, tmp_path, capsys):
         # U+0085 breaks a line for str.splitlines, not for the line count.
