@@ -12,12 +12,10 @@ from .model import (
     DwellProfile,
     ScheduledSegment,
     Station,
-    TripPhaseTimes,
     TripRecord,
     Zone,
     ZoneRideStat,
     classify_period,
-    compute_trip,
     geodesic_distance,
 )
 from .ingestion import (

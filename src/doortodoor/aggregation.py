@@ -104,12 +104,10 @@ def daily_zone_means(trips: Iterable[TripRecord]) -> List[ZonePeriodDayStat]:
         sums[0] += legs.door_to_exit_s + ride.mean_s
         sums[1] += legs.to_spread_s + ride.max_s - ride.min_s
         sums[2] += 1
-    stats = [
+    return [
         ZonePeriodDayStat(zone_id, period, when, mode_id, total, spread, n)
         for (zone_id, when, period, mode_id), (total, spread, n) in cells.items()
     ]
-    stats.sort(key=lambda s: (s.zone_id, s.date, s.period.label, s.mode_id))
-    return stats
 
 
 def _argmax_mode(counts: Dict[str, int]) -> str:

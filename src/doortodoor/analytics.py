@@ -38,9 +38,6 @@ class LegShare:
     pct_from: float
     n_trips: int
 
-    def as_tuple(self):
-        return (self.pct_to, self.pct_dep, self.pct_in, self.pct_arr, self.pct_from)
-
 
 def leg_shares(trips: Iterable[TripRecord]) -> List[LegShare]:
     """Average per-phase time shares per city pair, sorted ascending by the
@@ -51,9 +48,8 @@ def leg_shares(trips: Iterable[TripRecord]) -> List[LegShare]:
 
     The mean is exact and built without a rational per trip: trips with the
     same total share a denominator, so phase seconds (read off the trip's
-    legs and egress ride, not a per-trip ``phases``) are summed as integers
-    per (city pair, total), and the mean of phase i over the n trips of a
-    pair is the single rational
+    legs and egress ride) are summed as integers per (city pair, total), and
+    the mean of phase i over the n trips of a pair is the single rational
     ``100 * sum_t(S_i(t) * (L // t)) / (L * n)`` with ``L = lcm(totals)``.
     """
     # pair -> total -> [sum to, sum dep, sum in, sum arr, sum from, count]
@@ -209,8 +205,11 @@ def weather_diff(
 
 @dataclass(frozen=True)
 class DelaySensitivity:
-    """Extra egress travel time induced by a flight leaving its scheduled
-    arrival period, aggregated over destination zones."""
+    """Extra egress travel time induced by a flight's delay, aggregated over
+    destination zones: the egress rides of the actual station exit's (date,
+    period) bucket minus those of the scheduled exit's.  Every delta is 0
+    when the two buckets are the same; a delay of about a day into the same
+    period compares two dates."""
 
     segment_id: str
     scheduled_egress_period: DayPeriod
@@ -229,11 +228,11 @@ def delay_sensitivity(
     dwell_overrides: Optional[Dict[str, DwellProfile]] = None,
 ) -> DelaySensitivity:
     """Compare egress ride times between the scheduled and actual airport-exit
-    periods of one segment.
+    (date, period) buckets of one segment.
 
     Zone deltas are weighted proportionally to population density (uniform
     weights, with a warning, when any density is missing).  Zones lacking a
-    period-level ride stat in either period are excluded and reported.  A
+    period-level ride stat in either bucket are excluded and reported.  A
     cancelled segment is rejected.
     """
     if segment.cancelled:
@@ -274,12 +273,8 @@ def delay_sensitivity(
         total = Fraction(sum(Fraction(d) for d in densities))
         weights = [Fraction(d) / total for d in densities]
 
-    if sched_period is actual_period:
-        weighted_mean = Fraction(0)
-        max_of_max = 0
-    else:
-        weighted_mean = sum(w * delta for w, (_, delta, _) in zip(weights, used))
-        max_of_max = max(delta for _, _, delta in used)
+    weighted_mean = sum(w * delta for w, (_, delta, _) in zip(weights, used))
+    max_of_max = max(delta for _, _, delta in used)
 
     return DelaySensitivity(
         segment_id=segment.segment_id,

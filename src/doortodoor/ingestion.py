@@ -116,8 +116,7 @@ class RideStatIndex:
         return len(self._by_key)
 
     def __iter__(self):
-        return iter(sorted(self._by_key.values(), key=lambda s: (
-            s.origin_zone_id, s.dest_zone_id, s.date, CODE_BY_PERIOD[s.period])))
+        return iter(self._by_key.values())
 
     def get_exact(self, origin, dest, when, period) -> Optional[ZoneRideStat]:
         return self._by_key.get((origin, dest, when, period))
@@ -273,17 +272,6 @@ def load_ride_stats(path) -> RideStatIndex:
     _load_rows(path, RIDE_STATS_HEADER, parse_row)
     log.info("loaded %d ride stats from %s", len(index), path)
     return index
-
-
-def dump_ride_stats(index: RideStatIndex) -> str:
-    """Canonical serialization; inverse of load_ride_stats for canonical files."""
-    lines = [RIDE_STATS_HEADER]
-    for stat in index:
-        lines.append(
-            f"{stat.origin_zone_id},{stat.dest_zone_id},{stat.date.isoformat()},"
-            f"{CODE_BY_PERIOD[stat.period]},{stat.mean_s},{stat.min_s},{stat.max_s}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -575,22 +563,3 @@ def _zone_collection(text: str) -> ZoneCollection:
         )
         collection.geometries[zone_id] = feature.get("geometry")
     return collection
-
-
-def dump_zones(collection: ZoneCollection) -> str:
-    """Canonical zones serialization; inverse of load_zones for canonical files."""
-    features = []
-    for zone in collection:
-        props = {"zone_id": zone.zone_id}
-        if zone.internal_point is not None:
-            lat, lon = zone.internal_point
-            props["internal_point"] = [lon, lat]
-        if zone.population_density is not None:
-            props["population_density"] = zone.population_density
-        features.append({
-            "type": "Feature",
-            "properties": props,
-            "geometry": collection.geometries.get(zone.zone_id),
-        })
-    doc = {"type": "FeatureCollection", "features": features}
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"

@@ -18,14 +18,14 @@ station table, and reads one that falls in a DST gap or overlap with
 local date and day period (``local_date_period``).  A ``ScheduledSegment``
 holds both actual times unless it is cancelled: on-time mode fills a missing
 one with the scheduled time at load (``load_segments_actuals``), so the trip
-kernel takes no on-time setting.  The per-trip computation is split in two:
-``segment_legs`` does the work that depends on the segment alone, once per
-segment, and ``zone_trip`` completes it for each destination zone.  Every
-phase invariant of ``TripPhaseTimes`` holds by construction there (ride
-stats, dwells and ``in_s`` are checked upstream), so a ``TripRecord`` is a
-light slotted record of the segment's shared ``SegmentLegs``, the zone, the
-egress ``ZoneRideStat`` and the arrival; ids, the access ride, ``phases``
-and totals are read off those on demand.
+kernel takes no on-time setting.  The trip kernel is ``segment_legs``, the
+work that depends on the segment alone (access ride, dwells, in-vehicle time
+and station exit), done once per segment, then ``zone_trip``, which adds the
+egress ride and the final arrival for each destination zone.  Every phase is
+non-negative by construction (ride stats, dwells and segment times are
+checked upstream), so a ``TripRecord`` is a light slotted record of the
+segment's shared ``SegmentLegs``, the zone, the egress ``ZoneRideStat`` and
+the arrival; ids, the access ride and the totals are read off those.
 """
 
 from __future__ import annotations
@@ -64,9 +64,6 @@ class DayPeriod(Enum):
         self.label = label
         self.start_min = start_min
         self.end_min = end_min
-
-    def __repr__(self):  # pragma: no cover - debugging aid
-        return f"DayPeriod.{self.name}"
 
     # Members are singletons, so an identity hash agrees with equality, and it
     # runs in C (Enum.__hash__ runs in Python; periods key every lookup).
@@ -238,34 +235,6 @@ class ScheduledSegment:
             )
 
 
-@dataclass(frozen=True)
-class TripPhaseTimes:
-    """The five phase durations of one trip, in whole seconds."""
-
-    to_s: int
-    dep_s: int
-    in_s: int
-    arr_s: int
-    from_s: int
-    wait_s: int
-
-    def __post_init__(self):
-        for name in ("to_s", "dep_s", "in_s", "arr_s", "from_s", "wait_s"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"phase {name} negative")
-        if self.wait_s > self.dep_s:
-            raise ValidationError("wait exceeds total departure dwell")
-
-    @property
-    def total_s(self) -> int:
-        return self.to_s + self.dep_s + self.in_s + self.arr_s + self.from_s
-
-    @property
-    def sec_s(self) -> int:
-        """Planned processing component of the departure dwell."""
-        return self.dep_s - self.wait_s
-
-
 def local_date_period(epoch_s: int, tz: tzinfo) -> Tuple[date, DayPeriod]:
     """Local date and day period of an absolute instant in timezone ``tz``."""
     local = datetime.fromtimestamp(epoch_s, tz)
@@ -326,15 +295,6 @@ class TripRecord:
         lambda self: self.legs.ride_to.min_s + self.legs.core_s + self.ride_from.min_s)
     total_max_s = property(
         lambda self: self.legs.ride_to.max_s + self.legs.core_s + self.ride_from.max_s)
-    variability_s = property(
-        lambda self: self.legs.to_spread_s + self.ride_from.max_s - self.ride_from.min_s)
-
-    @property
-    def phases(self) -> TripPhaseTimes:
-        """The five phases, mean-variant ride legs."""
-        legs = self.legs
-        return TripPhaseTimes(legs.ride_to.mean_s, legs.dep_s, legs.in_s, legs.arr_s,
-                              self.ride_from.mean_s, legs.wait_s)
 
 
 def segment_legs(
@@ -349,6 +309,7 @@ def segment_legs(
     The access ride is taken at the period containing the station-arrival
     deadline (scheduled departure minus processing time); the egress instant
     is the airport/station exit (actual arrival plus arrival dwell).
+    ``rides`` is a ``RideStatIndex``, whose ``lookup`` falls back to daily stats.
 
     Raises TripNotComputableError when the access ride has no statistic at
     period or daily level.
@@ -412,39 +373,20 @@ def zone_trip(legs: SegmentLegs, dest_zone: Zone, rides) -> TripRecord:
     return TripRecord(legs, dest_zone.zone_id, ride_from, arrival_date, arrival_period)
 
 
-def compute_trip(
-    segment: ScheduledSegment,
-    origin_zone: Zone,
-    dest_zone: Zone,
-    dwell_dep: DwellProfile,
-    dwell_arr: DwellProfile,
-    rides,
-) -> TripRecord:
-    """Evaluate one full door-to-door trip for a segment and a zone pair:
-    ``segment_legs`` then ``zone_trip``.
-
-    ``rides`` is a lookup with signature
-    ``lookup(origin_zone_id, dest_zone_id, date, period) -> ZoneRideStat | None``
-    that falls back to the daily aggregate when the period has no record.
-
-    Raises TripNotComputableError when a leg has no ride statistic at period
-    or daily level.
-    """
-    legs = segment_legs(segment, origin_zone, dwell_dep, dwell_arr, rides)
-    return zone_trip(legs, dest_zone, rides)
-
-
 def geodesic_distance(a: Tuple[float, float], b: Tuple[float, float]) -> float:
     """Great-circle distance in kilometers between two (lat, lon) points.
 
-    Haversine formula on a sphere of mean Earth radius; symmetric and
-    non-negative.
+    Spherical Vincenty formula on a sphere of mean Earth radius: ``atan2``
+    stays well conditioned near antipodes, where the haversine's
+    ``asin(sqrt(h))`` is not.  Symmetric and non-negative.
     """
     _check_lat_lon(*a)
     _check_lat_lon(*b)
     lat1, lon1 = map(math.radians, a)
     lat2, lon2 = map(math.radians, b)
-    dlat = lat2 - lat1
     dlon = lon2 - lon1
-    h = math.sin(dlat / 2) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2) ** 2
-    return 2 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))
+    sin1, cos1 = math.sin(lat1), math.cos(lat1)
+    sin2, cos2 = math.sin(lat2), math.cos(lat2)
+    return EARTH_RADIUS_KM * math.atan2(
+        math.hypot(cos2 * math.sin(dlon), cos1 * sin2 - sin1 * cos2 * math.cos(dlon)),
+        sin1 * sin2 + cos1 * cos2 * math.cos(dlon))

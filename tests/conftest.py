@@ -17,7 +17,7 @@ from doortodoor import (
     ZoneRideStat,
 )
 from doortodoor.ingestion import _parse_local_ts
-from doortodoor.model import SegmentLegs
+from doortodoor.model import SegmentLegs, segment_legs, zone_trip
 
 AMS_TZ = "Europe/Amsterdam"
 PAR_TZ = "Europe/Paris"
@@ -66,6 +66,10 @@ def make_rides(entries):
             mean_s=mean_s, min_s=min_s, max_s=max_s,
         ))
     return index
+
+
+def kernel_trip(segment, origin, dest, dwell_dep, dwell_arr, rides):
+    return zone_trip(segment_legs(segment, origin, dwell_dep, dwell_arr, rides), dest, rides)
 
 
 @lru_cache(maxsize=None)

@@ -345,7 +345,7 @@ class TestMonotonicity:
                 dest_zone=t.dest_zone_id, mode_id=t.mode_id,
                 arrival_date=t.arrival_date.isoformat(),
                 arrival_period=t.arrival_period,
-                in_s=t.phases.in_s + 600,
+                in_s=t.legs.in_s + 600,
                 to_spread=t.ride_to.mean_s - t.ride_to.min_s,
                 from_spread=t.ride_from.mean_s - t.ride_from.min_s,
                 segment_id=t.segment_id)

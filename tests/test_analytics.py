@@ -1,6 +1,7 @@
 """Leg decomposition, integration regression, weather diff, delay sensitivity."""
 
 import random
+from dataclasses import astuple
 from datetime import date
 from fractions import Fraction
 
@@ -41,7 +42,7 @@ class TestLegShares:
         trip = make_trip(to_s=30 * 60, dep_s=90 * 60, in_s=80 * 60,
                          arr_s=45 * 60, from_s=25 * 60)
         (share,) = leg_shares([trip])
-        assert share.as_tuple() == pytest.approx(
+        assert astuple(share)[1:6] == pytest.approx(
             (11.1111, 33.3333, 29.6296, 16.6667, 9.2593), abs=1e-3)
 
     def test_per_trip_vectors_sum_to_100(self):
@@ -53,7 +54,7 @@ class TestLegShares:
                            from_s=rng.randrange(300, 3000))
                  for _ in range(25)]
         (share,) = leg_shares(trips)
-        assert sum(share.as_tuple()) == pytest.approx(100, abs=1e-9)
+        assert sum(astuple(share)[1:6]) == pytest.approx(100, abs=1e-9)
 
     def test_single_phase_trip(self):
         trip = make_trip(to_s=0, dep_s=0, in_s=7200, arr_s=0, from_s=0)
@@ -64,7 +65,7 @@ class TestLegShares:
     def test_equal_phases(self):
         trip = make_trip(to_s=600, dep_s=600, in_s=600, arr_s=600, from_s=600)
         (share,) = leg_shares([trip])
-        assert share.as_tuple() == (20, 20, 20, 20, 20)
+        assert astuple(share)[1:6] == (20, 20, 20, 20, 20)
 
     def test_sorted_by_in_vehicle_share(self):
         long_haul = make_trip(in_s=30000, segment_id="L")
@@ -112,7 +113,7 @@ class TestLegShares:
                                               phases)), segment_id=f"T{k}",
                                    dep_station_id=dep, arr_station_id=arr))
         shares = leg_shares(trips)
-        assert [(s.city_pair, s.as_tuple(), s.n_trips) for s in shares] == expected
+        assert [(s.city_pair, astuple(s)[1:6], s.n_trips) for s in shares] == expected
         assert sum(s.n_trips for s in shares) == sum(sum(p) > 0 for _, p in draws)
         assert leg_shares(data.draw(st.permutations(trips))) == shares
 
@@ -296,6 +297,19 @@ class TestDelaySensitivity:
         assert result.scheduled_egress_period is result.actual_egress_period
         assert result.weighted_mean_delta_s == 0
         assert result.max_of_max_delta_s == 0
+
+    def test_same_period_next_day_compares_the_two_dates(self):
+        # A ~24 h delay exits in the same period a day later, when rides are
+        # slower: the deltas come from the two (date, period) buckets.
+        segment, rides, zones = delay_fixture(actual_arr="2018-02-16T18:06")
+        rides.add(ZoneRideStat("PZ9", "PZ1", date(2018, 2, 16), DayPeriod.PM, 1500, 900, 2600))
+        rides.add(ZoneRideStat("PZ9", "PZ2", date(2018, 2, 16), DayPeriod.PM, 1800, 900, 2200))
+        result = delay_sensitivity(segment, rides, zones)
+        assert result.scheduled_egress_period is result.actual_egress_period
+        # deltas 5 and 10 min weighted 1:3 -> 8.75 min
+        assert result.weighted_mean_delta_s == 8.75 * 60
+        assert result.max_of_max_delta_s == 600
+        assert result.zones_used == ("PZ1", "PZ2")
 
     def test_uniform_density_reduces_to_plain_mean(self):
         segment, rides, zones = delay_fixture(densities=(7, 7))
