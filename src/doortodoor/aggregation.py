@@ -1,7 +1,11 @@
 """Trip evaluation and its group-by reductions.
 
-``evaluate_trips`` runs the per-trip model over every (segment, destination
-zone) pair, in one process, doing the per-segment work once per segment.
+``evaluate_trips`` runs the trip model over every (segment, destination
+zone) pair, in one process: the per-segment work once per segment
+(``segment_legs``), the egress-ride lookups once per egress group (egress
+zone, egress date, egress period; ``egress_rides``), and per trip only the
+arrival, classified by one ``PeriodClassifier`` per arrival timezone
+(``zone_trips``).
 ``daily_zone_means`` groups the trips into (zone, date, period, mode) cells
 of door-to-door time and variability.  ``summarize`` reduces those in one
 pass per (zone, period): the days each mode was fastest, the days each mode
@@ -18,7 +22,7 @@ fastest average time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import date
+from datetime import date, tzinfo
 from fractions import Fraction
 from math import gcd
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
@@ -26,7 +30,8 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 from .errors import TripNotComputableError
 from .ingestion import RideStatIndex, resolve_dwell
 from .model import (
-    DayPeriod, DwellProfile, ScheduledSegment, TripRecord, Zone, segment_legs, zone_trip,
+    DayPeriod, DwellProfile, PeriodClassifier, ScheduledSegment, TripRecord, Zone,
+    egress_rides, segment_legs, zone_trips,
 )
 
 # Door-to-door time interval bins (minutes, half-open), per the four
@@ -204,14 +209,18 @@ def evaluate_trips(
     zone id order.
 
     The destination-independent part of each segment's trips is evaluated
-    once per segment (``segment_legs``), then completed per zone
-    (``zone_trip``).  Cancelled segments are skipped.  Zone/segment
-    combinations lacking ride statistics are recorded in ``skipped`` rather
-    than failing the batch; a missing access ride skips every zone of the
-    segment.
+    once per segment (``segment_legs``).  The egress rides are looked up once
+    per egress group (``egress_rides``), and every segment of the group
+    completes its trips from them (``zone_trips``), with one arrival-period
+    classifier per timezone for the call.  Cancelled segments are skipped.
+    Zone/segment combinations lacking ride statistics are recorded in
+    ``skipped`` rather than failing the batch; a missing access ride skips
+    every zone of the segment.
     """
     dest_zones = sorted(dest_zones, key=lambda z: z.zone_id)
     trips, skipped = [], []
+    groups: Dict[tuple, tuple] = {}  # (egress zone, date, period) -> egress_rides
+    classifiers: Dict[tzinfo, PeriodClassifier] = {}  # arrival tz -> classifier
     for segment in sorted(segments, key=lambda s: s.segment_id):
         if segment.cancelled:
             skipped.append((segment.segment_id, "*", "cancelled"))
@@ -227,9 +236,14 @@ def evaluate_trips(
         except TripNotComputableError as exc:
             skipped.extend((segment.segment_id, zone.zone_id, str(exc)) for zone in dest_zones)
             continue
-        for zone in dest_zones:
-            try:
-                trips.append(zone_trip(legs, zone, rides))
-            except TripNotComputableError as exc:
-                skipped.append((segment.segment_id, zone.zone_id, str(exc)))
+        group = (segment.arr_station.zone_id, legs.egress_date, legs.egress_period)
+        zone_rides = groups.get(group)
+        if zone_rides is None:
+            zone_rides = groups[group] = egress_rides(legs, dest_zones, rides)
+        arrival = classifiers.get(legs.arr_tz)
+        if arrival is None:
+            arrival = classifiers[legs.arr_tz] = PeriodClassifier(legs.arr_tz)
+        segment_trips, segment_skipped = zone_trips(legs, zone_rides, arrival)
+        trips += segment_trips
+        skipped += segment_skipped
     return EvaluationReport(trips=trips, skipped=skipped)

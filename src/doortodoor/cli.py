@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields, replace
 from datetime import date, timedelta
 from functools import partial
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import aggregation, analytics, ingestion
 from .errors import DoorToDoorError, ValidationError
@@ -212,9 +212,21 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8", newline="")
 
 
-def _geojson_bytes(features: List[dict]) -> str:
-    doc = {"type": "FeatureCollection", "features": features}
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+def _json(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _geometry_json(zones: ingestion.ZoneCollection) -> Dict[str, str]:
+    """Each zone's geometry, JSON-encoded once for every file that exports it."""
+    return {zone.zone_id: _json(zones.geometries.get(zone.zone_id)) for zone in zones}
+
+
+def _geojson_text(features: Iterable[Tuple[str, dict]]) -> str:
+    """A FeatureCollection of (geometry JSON, properties) features, as
+    ``_json`` encodes the whole document: keys sorted, no spaces."""
+    return '{"features":[%s],"type":"FeatureCollection"}\n' % ",".join(
+        '{"geometry":%s,"properties":%s,"type":"Feature"}' % (geometry, _json(properties))
+        for geometry, properties in features)
 
 
 def _csv_text(header: List[str], rows: List[List[object]]) -> str:
@@ -257,6 +269,7 @@ def export_summaries(
     """One artifact per day period, covering every zone of the input (zones
     without data carry null properties)."""
     by_key = {(s.zone_id, s.period): s for s in summaries}
+    geometries = _geometry_json(zones) if fmt in ("geojson", "both") else {}
     written = []
     for period in CLASSIFIABLE_PERIODS:
         features, rows = [], []
@@ -267,11 +280,7 @@ def export_summaries(
                 "most_reliable_mode": None, "e_bar_min": None,
                 "interval_bin": None, "days_used": 0, "days_total": 0,
             }
-            features.append({
-                "type": "Feature",
-                "properties": props,
-                "geometry": zones.geometries.get(zone.zone_id),
-            })
+            features.append((geometries.get(zone.zone_id), props))
             rows.append([
                 zone.zone_id, period.label, props["fastest_mode"],
                 props["most_reliable_mode"], props["e_bar_min"],
@@ -279,7 +288,7 @@ def export_summaries(
             ])
         if fmt in ("geojson", "both"):
             path = out_dir / f"{stem}_{period.label}.geojson"
-            _write_text(path, _geojson_bytes(features))
+            _write_text(path, _geojson_text(features))
             written.append(path)
         if fmt in ("csv", "both"):
             path = out_dir / f"{stem}_{period.label}.csv"
@@ -427,13 +436,13 @@ def cmd_weather_diff(config: RunConfig, args: argparse.Namespace) -> int:
             by_zone[d.zone_id][f"delta_min_{d.period.label}"] = (
                 None if d.delta_min is None else round(d.delta_min, 6))
             by_zone[d.zone_id]["disappeared"] |= d.disappeared
+        geometries = _geometry_json(inputs.zones)
         features = [
-            {"type": "Feature", "properties": by_zone.get(
-                zone.zone_id, {"zone_id": zone.zone_id, "disappeared": False}),
-             "geometry": inputs.zones.geometries.get(zone.zone_id)}
+            (geometries[zone.zone_id],
+             by_zone.get(zone.zone_id, {"zone_id": zone.zone_id, "disappeared": False}))
             for zone in inputs.zones
         ]
-        _write_text(out / "weather_diff.geojson", _geojson_bytes(features))
+        _write_text(out / "weather_diff.geojson", _geojson_text(features))
     return EXIT_OK
 
 

@@ -18,10 +18,14 @@ station table, and reads one that falls in a DST gap or overlap with
 local date and day period (``local_date_period``).  A ``ScheduledSegment``
 holds both actual times unless it is cancelled: on-time mode fills a missing
 one with the scheduled time at load (``load_segments_actuals``), so the trip
-kernel takes no on-time setting.  The trip kernel is ``segment_legs``, the
-work that depends on the segment alone (access ride, dwells, in-vehicle time
-and station exit), done once per segment, then ``zone_trip``, which adds the
-egress ride and the final arrival for each destination zone.  Every phase is
+kernel takes no on-time setting.
+
+The trip kernel has two stages.  ``segment_legs`` does the work that depends
+on the segment alone (access ride, dwells, in-vehicle time and station exit),
+once per segment.  ``zone_trips`` then completes the segment's trip to every
+destination zone from the rides of its egress group (``egress_rides``, shared
+by every segment with the same egress zone, date and period) and buckets each
+final arrival with a ``PeriodClassifier``.  Every phase is
 non-negative by construction (ride stats, dwells and segment times are
 checked upstream), so a ``TripRecord`` is a light slotted record of the
 segment's shared ``SegmentLegs``, the zone, the egress ``ZoneRideStat`` and
@@ -31,10 +35,11 @@ the arrival; ids, the access ride and the totals are read off those.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from datetime import date, datetime, tzinfo
+from datetime import date, datetime, time, timedelta, tzinfo
 from enum import Enum
-from typing import NamedTuple, Optional, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 from zoneinfo import ZoneInfo
 
 from .errors import TripNotComputableError, ValidationError
@@ -351,26 +356,96 @@ def segment_legs(
     )
 
 
-def zone_trip(legs: SegmentLegs, dest_zone: Zone, rides) -> TripRecord:
-    """Complete a segment's trip to one destination zone: the egress ride,
-    taken at the period of the station exit, and the final arrival.
+_ONE_DAY = timedelta(days=1)
+_PERIOD_CLOCKS = tuple(time(p.start_min // 60, p.start_min % 60) for p in CLASSIFIABLE_PERIODS)
+# Seconds from midnight to each period start and to the next midnight.
+_START_OFFSETS_S = (*(p.start_min * 60 for p in CLASSIFIABLE_PERIODS), MINUTES_PER_DAY * 60)
 
-    Raises TripNotComputableError when the egress ride has no statistic at
-    period or daily level.
+
+class PeriodClassifier:
+    """``local_date_period`` in one timezone for many instants, by integer
+    comparison.
+
+    For each local date it asks about, it keeps the six period starts
+    (midnight, 07:00, 10:00, 16:00, 19:00 and the next midnight) as epoch
+    seconds, under the same ``fold=0`` rule as ingestion.  A day is regular
+    when it is 86,400 s long and each start lies at its nominal minute after
+    midnight; an instant on a regular day is classified by ``bisect`` on its
+    starts, and every instant of that day shares one ``date``.  On any other
+    day (an offset change, a skipped date, a date that goes backward at
+    midnight) the answer is ``local_date_period`` itself.  The rule assumes
+    that an offset change shows in its day's length or in one of its starts.
     """
+
+    __slots__ = ("tz", "_days")
+
+    def __init__(self, tz: tzinfo):
+        self.tz = tz
+        # date -> (six period starts..., date), or () for an irregular day
+        self._days: dict = {}
+
+    def _day(self, day: date) -> tuple:
+        starts = [int(datetime.combine(day, clock, self.tz).timestamp())
+                  for clock in _PERIOD_CLOCKS]
+        starts.append(int(datetime.combine(day + _ONE_DAY, time(), self.tz).timestamp()))
+        if any(s - starts[0] != offset_s for s, offset_s in zip(starts, _START_OFFSETS_S)):
+            return ()
+        return (*starts, day)
+
+    def classify(self, epoch_s: int, hint: date) -> Tuple[date, DayPeriod]:
+        """Local date and day period of ``epoch_s``; ``hint`` is a local date
+        no later than its own (an arrival is never before its station exit),
+        and the search steps forward from it one day at a time."""
+        days, day = self._days, hint
+        while True:
+            starts = days.get(day)
+            if starts is None:
+                starts = days[day] = self._day(day)
+            if not starts or epoch_s < starts[0]:
+                return local_date_period(epoch_s, self.tz)
+            if epoch_s < starts[5]:
+                return starts[6], CLASSIFIABLE_PERIODS[bisect_right(starts, epoch_s, 1, 5) - 1]
+            day += _ONE_DAY
+
+
+def egress_rides(
+    legs: SegmentLegs, dest_zones: Iterable[Zone], rides
+) -> Tuple[Tuple[str, Optional[ZoneRideStat]], ...]:
+    """Each destination zone's egress ride, from the segment's egress zone at
+    the date and period of its station exit, as ``(zone_id, stat or None)``
+    in the order of ``dest_zones``.  Every segment of one egress group (egress
+    zone, egress date, egress period) gets the same answer."""
     egress_zone_id = legs.segment.arr_station.zone_id
-    ride_from = rides.lookup(
-        egress_zone_id, dest_zone.zone_id, legs.egress_date, legs.egress_period
-    )
-    if ride_from is None:
-        raise TripNotComputableError(
-            f"no ride stat {egress_zone_id}->{dest_zone.zone_id} "
-            f"on {legs.egress_date} ({legs.egress_period.label} or daily)"
-        )
-    arrival_date, arrival_period = local_date_period(
-        legs.egress_s + ride_from.mean_s, legs.arr_tz
-    )
-    return TripRecord(legs, dest_zone.zone_id, ride_from, arrival_date, arrival_period)
+    when, period = legs.egress_date, legs.egress_period
+    return tuple((zone.zone_id, rides.lookup(egress_zone_id, zone.zone_id, when, period))
+                 for zone in dest_zones)
+
+
+def zone_trips(
+    legs: SegmentLegs,
+    zone_rides: Iterable[Tuple[str, Optional[ZoneRideStat]]],
+    arrival: PeriodClassifier,
+) -> Tuple[List[TripRecord], List[Tuple[str, str, str]]]:
+    """Complete a segment's trip to each destination zone: the egress ride
+    (``zone_rides``, from ``egress_rides``) and the final arrival, bucketed by
+    ``arrival``, the classifier of the arrival station's timezone.
+
+    Returns the trips and the ``(segment_id, zone_id, reason)`` skips of the
+    zones whose egress ride has no statistic at period or daily level.
+    """
+    trips, skipped = [], []
+    egress_s, egress_date = legs.egress_s, legs.egress_date
+    classify = arrival.classify
+    for zone_id, ride in zone_rides:
+        if ride is None:
+            skipped.append((
+                legs.segment.segment_id, zone_id,
+                f"no ride stat {legs.segment.arr_station.zone_id}->{zone_id} "
+                f"on {egress_date} ({legs.egress_period.label} or daily)"))
+            continue
+        arrival_date, arrival_period = classify(egress_s + ride.mean_s, egress_date)
+        trips.append(TripRecord(legs, zone_id, ride, arrival_date, arrival_period))
+    return trips, skipped
 
 
 def geodesic_distance(a: Tuple[float, float], b: Tuple[float, float]) -> float:

@@ -17,7 +17,10 @@ from doortodoor import (
     ZoneRideStat,
 )
 from doortodoor.ingestion import _parse_local_ts
-from doortodoor.model import SegmentLegs, segment_legs, zone_trip
+from doortodoor.errors import TripNotComputableError
+from doortodoor.model import (
+    PeriodClassifier, SegmentLegs, egress_rides, segment_legs, zone_trips,
+)
 
 AMS_TZ = "Europe/Amsterdam"
 PAR_TZ = "Europe/Paris"
@@ -69,7 +72,14 @@ def make_rides(entries):
 
 
 def kernel_trip(segment, origin, dest, dwell_dep, dwell_arr, rides):
-    return zone_trip(segment_legs(segment, origin, dwell_dep, dwell_arr, rides), dest, rides)
+    """One trip through the kernel's stages, as ``evaluate_trips`` runs them;
+    a missing egress ride raises with the message of its skip."""
+    legs = segment_legs(segment, origin, dwell_dep, dwell_arr, rides)
+    trips, skipped = zone_trips(legs, egress_rides(legs, [dest], rides),
+                                PeriodClassifier(legs.arr_tz))
+    if skipped:
+        raise TripNotComputableError(skipped[0][2])
+    return trips[0]
 
 
 @lru_cache(maxsize=None)

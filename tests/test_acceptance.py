@@ -78,7 +78,7 @@ def test_criterion_2_worked_trip_and_runtime():
         start = time_mod.perf_counter()
         kernel_trip(on_time, origin, dest, dwell, dwell, rides)
         best = min(best, time_mod.perf_counter() - start)
-    assert best < 1e-3, f"segment_legs + zone_trip took {best * 1e3:.3f} ms"
+    assert best < 1e-3, f"the trip kernel took {best * 1e3:.3f} ms"
     report(2, f"worked trip totals 270/286 min; runtime {best * 1e6:.0f} us < 1 ms")
 
 

@@ -1,6 +1,7 @@
 """Aggregation reductions checked against exhaustive brute-force oracles."""
 
 import random
+from datetime import datetime
 from fractions import Fraction
 
 import pytest
@@ -17,8 +18,9 @@ from doortodoor import (
     summarize,
 )
 from doortodoor.aggregation import interval_bin
+from doortodoor.model import local_date_period
 
-from conftest import make_rides, make_segment, make_trip
+from conftest import make_rides, make_segment, make_station, make_trip
 
 
 # ---------------------------------------------------------------------------
@@ -443,13 +445,6 @@ class TestEvaluateTrips:
                                   ("late_2018-01-01", "PZ2", message)]
 
     def test_access_ride_looked_up_once_per_segment(self):
-        class CountingRides(RideStatIndex):
-            lookups = 0
-
-            def lookup(self, *key):
-                self.lookups += 1
-                return super().lookup(*key)
-
         segments, origin, zones, rides = whatif_fixture()
         rides = CountingRides(rides)
         segments = segments + [make_segment(segment_id="X", cancelled=True)]
@@ -457,3 +452,53 @@ class TestEvaluateTrips:
         n_segments, n_zones = len(segments) - 1, len(zones)
         assert len(report.trips) == n_segments * n_zones  # every bucket present
         assert rides.lookups == n_segments + n_segments * n_zones
+
+    def test_egress_rides_looked_up_once_per_egress_group(self):
+        segments, origin, zones, rides = whatif_fixture()
+        rides = CountingRides(rides)
+        # Exits CDG at 14:35, in the midday group of noon_2018-01-01 (14:05).
+        segments.append(make_segment(segment_id="noon2_2018-01-01",
+                                     sched_dep="2018-01-01T12:30",
+                                     sched_arr="2018-01-01T13:50"))
+        report = evaluate_trips(segments, origin, zones, rides)
+        groups = {(t.legs.segment.arr_station.zone_id, t.legs.egress_date,
+                   t.legs.egress_period) for t in report.trips}
+        assert len(report.trips) == len(segments) * len(zones)
+        assert len(groups) == len(segments) - 1
+        assert rides.lookups == len(segments) + len(groups) * len(zones)
+
+    def test_arrivals_across_dst_changes_bucketed_like_local_date_period(self):
+        # Paris -> Nice evenings before the 2018 DST nights; egress rides of
+        # 5 min to 11 h put arrivals on both sides of each change.
+        paris = make_station("PLY", kind="rail", zone_id="PZ5", lat=48.84, lon=2.37)
+        nice = make_station("NCE", kind="rail", zone_id="NZ1", lat=43.70, lon=7.26)
+        nights = ("2018-03-24", "2018-10-27")
+        segments = [make_segment(segment_id=f"{night}_{hour}", dep_station=paris,
+                                 arr_station=nice, sched_dep=f"{night}T{hour}:00",
+                                 sched_arr=f"{night}T{hour}:50")
+                    for night in nights for hour in (19, 21, 23)]
+        ride_s = (300, 1800, 3600, 2 * 3600, 3 * 3600, 5 * 3600, 8 * 3600, 11 * 3600)
+        zones = [Zone(f"NZ9{k}") for k in range(len(ride_s))]
+        days = ("2018-03-24", "2018-03-25", "2018-10-27", "2018-10-28")
+        rides = make_rides(
+            [("PZ1", "PZ5", day, DayPeriod.DAILY_ONLY, 1200) for day in days]
+            + [("NZ1", zone.zone_id, day, DayPeriod.DAILY_ONLY, mean_s)
+               for day in days for zone, mean_s in zip(zones, ride_s)])
+        report = evaluate_trips(segments, Zone("PZ1"), zones, rides)
+        assert len(report.trips) == len(segments) * len(zones)
+        tz = nice.tzinfo
+        offsets = {}
+        for trip in report.trips:
+            arrival_s = trip.legs.egress_s + trip.ride_from.mean_s
+            assert (trip.arrival_date, trip.arrival_period) == local_date_period(arrival_s, tz)
+            night = trip.segment_id[:10]
+            offsets.setdefault(night, set()).add(datetime.fromtimestamp(arrival_s, tz).utcoffset())
+        assert all(len(offsets[night]) == 2 for night in nights)
+
+
+class CountingRides(RideStatIndex):
+    lookups = 0
+
+    def lookup(self, *key):
+        self.lookups += 1
+        return super().lookup(*key)

@@ -1,6 +1,8 @@
 """Core model: period taxonomy, the trip kernel, geodesic distance."""
 
 import math
+from datetime import datetime, timedelta, timezone, tzinfo
+from zoneinfo import ZoneInfo
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -15,7 +17,7 @@ from doortodoor import (
     classify_period,
     geodesic_distance,
 )
-from doortodoor.model import CLASSIFIABLE_PERIODS
+from doortodoor.model import CLASSIFIABLE_PERIODS, PeriodClassifier, local_date_period
 
 from conftest import kernel_trip, make_rides, make_segment, make_station
 
@@ -223,6 +225,97 @@ def test_same_timezone_trip_across_dst_change(case):
     assert trip.legs.in_s == in_s
     assert (trip.ride_to.mean_s, trip.ride_from.mean_s) == (1200, ride_s)
     assert (str(trip.arrival_date), trip.arrival_period) == arrival_key
+
+
+def utc_s(*fields):
+    return int(datetime(*fields, tzinfo=timezone.utc).timestamp())
+
+
+# (timezone, a UTC instant next to one of its offset changes or odd days).
+CLASSIFIER_ANCHORS = (
+    ("Europe/Paris", utc_s(2018, 3, 25, 1)), ("Europe/Paris", utc_s(2018, 10, 28, 1)),
+    ("America/New_York", utc_s(2018, 3, 11, 7)),
+    ("America/New_York", utc_s(2018, 11, 4, 6)),
+    # Both changes at local midnight: 24:00 turns back to 23:00, a midnight is skipped.
+    ("America/Santiago", utc_s(2018, 5, 13, 3)),
+    ("America/Santiago", utc_s(2018, 8, 12, 4)),
+    # The date goes backward: 7 Nov 00:01 NDT was 6 Nov 23:01 NST.
+    ("America/St_Johns", utc_s(2010, 11, 7, 2, 31)),
+    ("America/Havana", utc_s(2018, 3, 11, 5)), ("America/Havana", utc_s(2018, 11, 4, 5)),
+    # 2011-12-30 never happened in Apia: 29 Dec 24:00 (-10) was 31 Dec 00:00 (+14).
+    ("Pacific/Apia", utc_s(2011, 12, 30, 10)), ("Pacific/Apia", utc_s(2018, 4, 1, 1)),
+    # A 30-minute DST shift, and a +5:45 offset that once was +5:30.
+    ("Australia/Lord_Howe", utc_s(2018, 3, 31, 15)),
+    ("Australia/Lord_Howe", utc_s(2018, 10, 6, 15, 30)),
+    ("Asia/Kathmandu", utc_s(1985, 12, 31, 18, 30)), ("Asia/Kathmandu", utc_s(2018, 6, 1)),
+)
+TWO_DAYS_S = 2 * 86400
+egress_instants = st.sampled_from(CLASSIFIER_ANCHORS).flatmap(
+    lambda anchor: st.tuples(st.just(anchor[0]), st.integers(anchor[1] - TWO_DAYS_S,
+                                                             anchor[1] + TWO_DAYS_S)))
+arrival_delays = st.lists(st.integers(0, 48 * 3600), min_size=1, max_size=20)
+
+
+class ShiftedHours(tzinfo):
+    """UTC, but UTC+1 over the instants [start_s, end_s)."""
+
+    def __init__(self, start_s, end_s):
+        self.start_s, self.end_s = start_s, end_s
+
+    def _offset_s(self, epoch_s):
+        return 3600 if self.start_s <= epoch_s < self.end_s else 0
+
+    def utcoffset(self, dt):
+        # PEP 495: fold=0 picks the earlier instant of a repeated wall time
+        # and, for a skipped one, the offset before the change (here +0).
+        wall_s = utc_s(*dt.timetuple()[:6])
+        valid = [off for off in (3600, 0) if self._offset_s(wall_s - off) == off] or [0]
+        return timedelta(seconds=valid[min(dt.fold, len(valid) - 1)])
+
+    def dst(self, dt):
+        return None
+
+    def fromutc(self, dt):
+        epoch_s = utc_s(*dt.timetuple()[:6])
+        offset_s = self._offset_s(epoch_s)
+        repeated = offset_s == 0 and self._offset_s(epoch_s - 3600) == 3600
+        return (dt + timedelta(seconds=offset_s)).replace(fold=int(repeated))
+
+
+class TestPeriodClassifier:
+    @given(egress_instants, arrival_delays)
+    # Santiago, 2018-05-12: 23:59:59 -03 is followed by 23:00:00 -04.
+    @example(("America/Santiago", utc_s(2018, 5, 13, 2, 30)), [0, 2700, 5400, 86400])
+    # Apia: 29 Dec 23:30 -10 then 31 Dec 00:30 +14.
+    @example(("Pacific/Apia", utc_s(2011, 12, 30, 9, 30)), [0, 3600, 86400, 2 * 86400])
+    # St. John's: 6 Nov 23:30, 7 Nov 00:00, then 6 Nov 23:16 again.
+    @example(("America/St_Johns", utc_s(2010, 11, 7, 2)), [0, 1800, 2760, 5400, 86400])
+    def test_agrees_with_local_date_period(self, egress, delays):
+        tz_name, egress_s = egress
+        tz = ZoneInfo(tz_name)
+        classifier = PeriodClassifier(tz)
+        hint, _ = local_date_period(egress_s, tz)
+        for delay_s in delays:
+            arrival_s = egress_s + delay_s
+            assert classifier.classify(arrival_s, hint) == local_date_period(arrival_s, tz)
+
+    def test_offset_changes_that_undo_each_other_within_a_day(self):
+        # A 24-hour day whose 06:30-07:30 is skipped and 12:00-13:00 repeats:
+        # its 10:00 starts at 09:00 UTC, so it is not regular.
+        tz = ShiftedHours(utc_s(2018, 6, 1, 6, 30), utc_s(2018, 6, 1, 12))
+        classifier = PeriodClassifier(tz)
+        hint, _ = local_date_period(utc_s(2018, 6, 1), tz)
+        for minute in range(0, 2 * 1440, 10):
+            arrival_s = utc_s(2018, 6, 1) + minute * 60
+            assert classifier.classify(arrival_s, hint) == local_date_period(arrival_s, tz)
+
+    def test_a_regular_day_shares_one_date(self):
+        tz = ZoneInfo("Europe/Paris")
+        classifier = PeriodClassifier(tz)
+        hint, _ = local_date_period(utc_s(2018, 6, 1, 6), tz)
+        dates = {id(classifier.classify(utc_s(2018, 6, 1, hour), hint)[0])
+                 for hour in range(6, 20)}
+        assert len(dates) == 1
 
 
 latitudes = st.floats(min_value=-90, max_value=90, allow_nan=False)
