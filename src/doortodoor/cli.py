@@ -80,10 +80,13 @@ class RunConfig:
     jobs: int = 1  # accepted for compatibility; evaluation is single-process
 
     def __post_init__(self):
-        # The rule of the --format flag and the format= config key, so a
-        # config built in Python is held to it too.
+        # The rules of the --format and date flags and their config keys, so
+        # a config built in Python is held to them too.
         if self.format not in FORMATS:
             raise ValidationError(f"format: cannot parse {self.format!r}")
+        if (self.from_date is not None and self.to_date is not None
+                and self.from_date > self.to_date):
+            raise ValidationError(f"empty date range {self.from_date}..{self.to_date}")
 
     def dwell_overrides(self) -> Optional[Dict[str, DwellProfile]]:
         """Per-kind override of airport processing times, when requested."""
@@ -413,6 +416,12 @@ def cmd_integration(config: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_weather_diff(config: RunConfig, args: argparse.Namespace) -> int:
     inputs = load_inputs(config)
+    if config.weekly_schedule:
+        # Weekly segments exist only on the dates they were expanded over.
+        for flag, day in (("--date-a", args.date_a), ("--date-b", args.date_b)):
+            if not config.from_date <= day <= config.to_date:
+                raise ValidationError(f"{flag} {day} outside the weekly schedule's "
+                                      f"date range {config.from_date}..{config.to_date}")
 
     def summaries_for(day: date):
         result = run_pipeline(replace(config, from_date=day, to_date=day), inputs)
@@ -501,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help=f"config file (default: ${CONFIG_ENV_VAR})")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, **kwargs):
+    def subcommand(name, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.add_argument("--ride-stats", dest="ride_stats")
         p.add_argument("--segments", dest="segments")
@@ -523,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", dest="config", default=argparse.SUPPRESS)
         return p
 
-    parsers = {name: add(name, help=text) for name, (_, text) in COMMANDS.items()}
+    parsers = {name: subcommand(name, help=text) for name, (_, text) in COMMANDS.items()}
     p = parsers["weather-diff"]
     p.add_argument("--date-a", dest="date_a", type=date.fromisoformat, required=True)
     p.add_argument("--date-b", dest="date_b", type=date.fromisoformat, required=True)

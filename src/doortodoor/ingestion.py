@@ -49,7 +49,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .errors import ValidationError
 from .model import (
-    CODE_BY_PERIOD,
     PERIOD_BY_CODE,
     DayPeriod,
     DwellProfile,
@@ -57,7 +56,6 @@ from .model import (
     Station,
     Zone,
     ZoneRideStat,
-    check_ride_stat,
 )
 
 log = logging.getLogger(__name__)
@@ -90,51 +88,26 @@ def resolve_dwell(station: Station, overrides: Optional[Dict[str, DwellProfile]]
     return DEFAULT_RAIL_DWELL if station.kind == "rail" else DEFAULT_AIR_DWELL
 
 
-def _duplicate_key(key) -> ValidationError:
-    """The error for a repeated ride-stat key, in the file's own spelling."""
-    origin, dest, day, period = key
-    return ValidationError(
-        f"duplicate ride stat key {origin},{dest},{day},{CODE_BY_PERIOD[period]}")
+class RideStatIndex(dict):
+    """Ride stats keyed by ``(origin, dest, date, period)``, as
+    ``load_ride_stats`` builds them, with the daily-aggregate fallback."""
 
-
-class RideStatIndex:
-    """Keyed ride-stat lookup with automatic daily-aggregate fallback."""
-
-    def __init__(self, stats: Iterable[ZoneRideStat] = ()):
-        self._by_key: Dict[tuple, ZoneRideStat] = {}
-        for stat in stats:
-            self.add(stat)
-
-    def add(self, stat: ZoneRideStat) -> None:
-        check_ride_stat(stat)
-        key = stat.key
-        if key in self._by_key:
-            raise _duplicate_key(key)
-        self._by_key[key] = stat
-
-    def __len__(self) -> int:
-        return len(self._by_key)
-
-    def __iter__(self):
-        return iter(self._by_key.values())
-
-    def get_exact(self, origin, dest, when, period) -> Optional[ZoneRideStat]:
-        return self._by_key.get((origin, dest, when, period))
+    __slots__ = ()
 
     def lookup(self, origin, dest, when, period) -> Optional[ZoneRideStat]:
         """Period-level record when present, else the daily aggregate (whose
         ``period`` is ``DAILY_ONLY``), else None."""
-        stat = self._by_key.get((origin, dest, when, period))
+        stat = self.get((origin, dest, when, period))
         if stat is not None:
             return stat
-        return self._by_key.get((origin, dest, when, DayPeriod.DAILY_ONLY))
+        return self.get((origin, dest, when, DayPeriod.DAILY_ONLY))
 
     def daily_fraction(self) -> float:
         """Share of records that are daily-only aggregates."""
-        if not self._by_key:
+        if not self:
             return 0.0
-        daily = sum(1 for s in self._by_key.values() if s.period is DayPeriod.DAILY_ONLY)
-        return daily / len(self._by_key)
+        daily = sum(1 for s in self.values() if s.period is DayPeriod.DAILY_ONLY)
+        return daily / len(self)
 
 
 RIDE_STATS_HEADER = "origin_zone,dest_zone,date,period,mean_s,min_s,max_s"
@@ -245,7 +218,6 @@ def load_ride_stats(path) -> RideStatIndex:
     Each distinct period, date and integer text is parsed once per load, and
     equal zone ids and values share one object."""
     index = RideStatIndex()
-    by_key = index._by_key
     periods, dates = _Memo(_parse_period), _Memo(_parse_date)
     ints, zone_ids = _Memo(int), _Memo(str)
     new = tuple.__new__  # builds a ZoneRideStat in C, not via its Python __new__
@@ -261,13 +233,14 @@ def load_ride_stats(path) -> RideStatIndex:
             low = _parse_int(min_s, "min_s")
             high = _parse_int(max_s, "max_s")
         origin, dest = zone_ids[origin], zone_ids[dest]
-        stat = new(ZoneRideStat, (origin, dest, day, period, mean, low, high))
         if not 0 < low <= mean <= high:
-            check_ride_stat(stat)
+            raise ValidationError(f"ride stat {origin}->{dest} {day}: "
+                                  f"need 0 < min <= mean <= max, got {low}/{mean}/{high}")
         key = (origin, dest, day, period)
-        if key in by_key:
-            raise _duplicate_key(key)
-        by_key[key] = stat
+        if key in index:
+            raise ValidationError(
+                f"duplicate ride stat key {origin},{dest},{day},{period.code}")
+        index[key] = new(ZoneRideStat, (origin, dest, day, period, mean, low, high))
 
     _load_rows(path, RIDE_STATS_HEADER, parse_row)
     log.info("loaded %d ride stats from %s", len(index), path)

@@ -52,21 +52,23 @@ MINUTES_PER_DAY = 1440
 class DayPeriod(Enum):
     """Local-time buckets used by the ride-stat source.
 
-    Each concrete period carries a half-open [start, end) interval in
-    minutes from midnight; the five concrete periods partition the day.
-    DAILY_ONLY marks whole-day fallback aggregates and is never produced
-    by classification.
+    Each member carries its ``ride_stats.csv`` code and, for the five
+    concrete periods, a half-open [start, end) interval in minutes from
+    midnight; the five concrete periods (codes 1..5, in chronological order)
+    partition the day.  DAILY_ONLY (code 0) marks whole-day fallback
+    aggregates and is never produced by classification.
     """
 
-    EARLY_MORNING = ("early_morning", 0, 420)
-    AM = ("am", 420, 600)
-    MIDDAY = ("midday", 600, 960)
-    PM = ("pm", 960, 1140)
-    LATE_EVENING = ("late_evening", 1140, 1440)
-    DAILY_ONLY = ("daily", None, None)
+    EARLY_MORNING = ("early_morning", 1, 0, 420)
+    AM = ("am", 2, 420, 600)
+    MIDDAY = ("midday", 3, 600, 960)
+    PM = ("pm", 4, 960, 1140)
+    LATE_EVENING = ("late_evening", 5, 1140, 1440)
+    DAILY_ONLY = ("daily", 0, None, None)
 
-    def __init__(self, label: str, start_min, end_min):
+    def __init__(self, label: str, code: int, start_min, end_min):
         self.label = label
+        self.code = code
         self.start_min = start_min
         self.end_min = end_min
 
@@ -77,24 +79,14 @@ class DayPeriod(Enum):
 
 CLASSIFIABLE_PERIODS = tuple(p for p in DayPeriod if p is not DayPeriod.DAILY_ONLY)
 
-# CSV period codes: 0 = daily aggregate, 1..5 in chronological order.
-PERIOD_BY_CODE = {
-    0: DayPeriod.DAILY_ONLY,
-    1: DayPeriod.EARLY_MORNING,
-    2: DayPeriod.AM,
-    3: DayPeriod.MIDDAY,
-    4: DayPeriod.PM,
-    5: DayPeriod.LATE_EVENING,
-}
-CODE_BY_PERIOD = {p: c for c, p in PERIOD_BY_CODE.items()}
+PERIOD_BY_CODE = {p.code: p for p in DayPeriod}
 
 
 class ZoneRideStat(NamedTuple):
     """Zone-pair ride-time aggregate for one date and day period, in seconds.
 
     A plain tuple of its fields, so construction checks nothing:
-    ``check_ride_stat`` holds the ``0 < min <= mean <= max`` rule, and
-    ``load_ride_stats`` and ``RideStatIndex.add`` apply it."""
+    ``load_ride_stats`` rejects a row unless ``0 < min <= mean <= max``."""
 
     origin_zone_id: str
     dest_zone_id: str
@@ -103,19 +95,6 @@ class ZoneRideStat(NamedTuple):
     mean_s: int
     min_s: int
     max_s: int
-
-    @property
-    def key(self):
-        return self[:4]
-
-
-def check_ride_stat(stat: ZoneRideStat) -> None:
-    """Reject a ride stat unless 0 < min <= mean <= max."""
-    if not 0 < stat.min_s <= stat.mean_s <= stat.max_s:
-        raise ValidationError(
-            f"ride stat {stat.origin_zone_id}->{stat.dest_zone_id} {stat.date}: "
-            f"need 0 < min <= mean <= max, got {stat.min_s}/{stat.mean_s}/{stat.max_s}"
-        )
 
 
 def classify_period(local_time) -> DayPeriod:

@@ -56,19 +56,25 @@ def make_segment(segment_id="F1", mode_id="via_CDG",
     )
 
 
+def ride_index(stats):
+    """A RideStatIndex of ``stats``, each keyed by its first four fields, as
+    ``load_ride_stats`` keys them (it alone checks them)."""
+    return RideStatIndex((stat[:4], stat) for stat in stats)
+
+
 def make_rides(entries):
     """entries: (origin, dest, iso_date, period, mean_s[, min_s, max_s])."""
-    index = RideStatIndex()
+    stats = []
     for entry in entries:
         origin, dest, day, period, mean_s = entry[:5]
         min_s = entry[5] if len(entry) > 5 else mean_s
         max_s = entry[6] if len(entry) > 6 else mean_s
-        index.add(ZoneRideStat(
+        stats.append(ZoneRideStat(
             origin_zone_id=origin, dest_zone_id=dest,
             date=date.fromisoformat(day), period=period,
             mean_s=mean_s, min_s=min_s, max_s=max_s,
         ))
-    return index
+    return ride_index(stats)
 
 
 def kernel_trip(segment, origin, dest, dwell_dep, dwell_arr, rides):
@@ -100,9 +106,9 @@ def make_trip(dest_zone="PZ1", mode_id="via_CDG", arrival_date="2018-01-02",
     spreads around the means.
 
     Both rides are period-level stats (no daily fallback) of the arrival
-    date and period.  A ride of 0 s, which ``load_ride_stats`` and
-    ``RideStatIndex.add`` reject (they need ``min > 0``), lets phase shares
-    be tested with empty phases; constructing one checks nothing."""
+    date and period.  A ride of 0 s, which ``load_ride_stats`` rejects (it
+    needs ``min > 0``), lets phase shares be tested with empty phases;
+    constructing one checks nothing."""
     when = date.fromisoformat(arrival_date)
 
     def ride(origin, dest, mean_s, spread):

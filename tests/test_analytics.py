@@ -26,7 +26,7 @@ from doortodoor import (
 from doortodoor.analytics import _ols
 from doortodoor.ingestion import RideStatIndex, ZoneCollection
 
-from conftest import make_rides, make_segment, make_station, make_trip
+from conftest import make_rides, make_segment, make_station, make_trip, ride_index
 
 
 def zone_collection(*zones):
@@ -121,13 +121,13 @@ class TestLegShares:
 def linear_ride_index(station, zones, day, slope_min_per_km, intercept_min,
                       scale=1.0):
     """Daily ride stats lying exactly on time = slope*distance + intercept."""
-    index = RideStatIndex()
+    stats = []
     for zone in zones:
         dist = geodesic_distance(zone.internal_point, (station.lat, station.lon))
         mean_s = (slope_min_per_km * dist + intercept_min) * 60 * scale
-        index.add(ZoneRideStat(zone.zone_id, station.zone_id, day,
-                               DayPeriod.DAILY_ONLY, mean_s, mean_s, mean_s))
-    return index
+        stats.append(ZoneRideStat(zone.zone_id, station.zone_id, day,
+                                  DayPeriod.DAILY_ONLY, mean_s, mean_s, mean_s))
+    return ride_index(stats)
 
 
 class TestAirportIntegration:
@@ -148,10 +148,9 @@ class TestAirportIntegration:
     def test_equidistant_zones_undefined(self):
         zones = [Zone("Z1", internal_point=(0.0, 0.5)),
                  Zone("Z2", internal_point=(0.5, 0.0))]  # same distance
-        rides = RideStatIndex()
-        for zone in zones:
-            rides.add(ZoneRideStat(zone.zone_id, "SZ", self.day,
-                                   DayPeriod.DAILY_ONLY, 600, 600, 600))
+        rides = ride_index(ZoneRideStat(zone.zone_id, "SZ", self.day,
+                                        DayPeriod.DAILY_ONLY, 600, 600, 600)
+                           for zone in zones)
         with pytest.raises(FitUndefinedError):
             airport_integration(self.station, rides, zone_collection(*zones),
                                 [self.day])
@@ -174,11 +173,12 @@ class TestAirportIntegration:
 
     def test_residuals_orthogonal_to_distance(self):
         rng = random.Random(11)
-        rides = RideStatIndex()
+        stats = []
         for zone in self.zones:
             mean_s = rng.randrange(300, 7200)
-            rides.add(ZoneRideStat(zone.zone_id, "SZ", self.day,
-                                   DayPeriod.DAILY_ONLY, mean_s, mean_s, mean_s))
+            stats.append(ZoneRideStat(zone.zone_id, "SZ", self.day,
+                                      DayPeriod.DAILY_ONLY, mean_s, mean_s, mean_s))
+        rides = ride_index(stats)
         fit = airport_integration(self.station, rides,
                                   zone_collection(*self.zones), [self.day])
         dot = sum(x * (y - fit.slope_min_per_km * x - fit.intercept_min)
@@ -186,13 +186,11 @@ class TestAirportIntegration:
         assert dot == pytest.approx(0, abs=1e-6)
 
     def test_fit_invariant_to_input_ordering(self):
-        stats = list(linear_ride_index(self.station, self.zones, self.day, 1.3, 7))
-        shuffled = RideStatIndex()
-        for stat in random.Random(5).sample(stats, len(stats)):
-            shuffled.add(stat)
+        stats = list(linear_ride_index(self.station, self.zones, self.day, 1.3, 7).values())
+        shuffled = ride_index(random.Random(5).sample(stats, len(stats)))
         collection = zone_collection(*self.zones)
         fit1 = airport_integration(
-            self.station, RideStatIndex(stats), collection, [self.day])
+            self.station, ride_index(stats), collection, [self.day])
         fit2 = airport_integration(self.station, shuffled, collection, [self.day])
         assert fit1 == fit2
 
@@ -302,8 +300,8 @@ class TestDelaySensitivity:
         # A ~24 h delay exits in the same period a day later, when rides are
         # slower: the deltas come from the two (date, period) buckets.
         segment, rides, zones = delay_fixture(actual_arr="2018-02-16T18:06")
-        rides.add(ZoneRideStat("PZ9", "PZ1", date(2018, 2, 16), DayPeriod.PM, 1500, 900, 2600))
-        rides.add(ZoneRideStat("PZ9", "PZ2", date(2018, 2, 16), DayPeriod.PM, 1800, 900, 2200))
+        rides.update(make_rides([("PZ9", "PZ1", "2018-02-16", DayPeriod.PM, 1500, 900, 2600),
+                                 ("PZ9", "PZ2", "2018-02-16", DayPeriod.PM, 1800, 900, 2200)]))
         result = delay_sensitivity(segment, rides, zones)
         assert result.scheduled_egress_period is result.actual_egress_period
         # deltas 5 and 10 min weighted 1:3 -> 8.75 min

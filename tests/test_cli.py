@@ -25,6 +25,12 @@ BASE_FLAGS = [
 ]
 
 
+def without(flags, *names):
+    """``flags``, a list of flag-value pairs, less each named flag and its value."""
+    pairs = zip(flags[::2], flags[1::2])
+    return [item for flag, value in pairs if flag not in names for item in (flag, value)]
+
+
 def tree(path: Path):
     return sorted(str(p.relative_to(path)) for p in path.rglob("*") if p.is_file())
 
@@ -73,6 +79,37 @@ class TestValidate:
         error = json.loads(capsys.readouterr().err)
         assert (error["error"], error["path"], error["line"]) == ("ValidationError", str(weekly), 2)
         assert error["message"] == f"{weekly}:2: {message}"
+
+    @pytest.mark.parametrize("flag, row, message", [
+        (7, "XXX,bus,AZ1,52.0,4.0,Europe/Amsterdam,,", "station XXX: kind must be air|rail"),
+        (7, "XXX,air,AZ1,52.0,4.0,Nope/Zone,,",
+         "station XXX: unresolvable timezone 'Nope/Zone'"),
+        (7, "XXX,air,AZ1,52.0,4.0,Europe/Amsterdam,-5,40",
+         "dwell t_sec_departure_min=-5.0 must be finite and >= 0"),
+        (7, "XXX,air,AZ1,52.0,4.0,Europe/Amsterdam,95,nan",
+         "dwell t_arr_min=nan must be finite and >= 0"),
+        (7, "ACS,rail,AZ1,52.3791,4.9003,Europe/Amsterdam,,", "duplicate station ACS"),
+        (3, "X1,via_CDG,AMS,CDG,2018-01-03T25:00,2018-01-03T16:58,"
+            "2018-01-03T18:02,2018-01-03T18:18,0", "bad timestamp '2018-01-03T25:00'"),
+        (3, "X1,via_CDG,AMS,CDG,2018-01-03T16:42,2018-01-03T16:58,"
+            "2018-01-03T18:02,2018-01-03T18:18,2", "cancelled must be 0|1, got '2'"),
+        (3, "F_DELAY16,via_CDG,AMS,CDG,2018-01-05T16:42,2018-01-05T16:58,"
+            "2018-01-05T18:02,2018-01-05T18:18,0", "duplicate segment_id F_DELAY16"),
+    ], ids=["station-kind", "station-tz", "station-dwell-negative", "station-dwell-nan",
+            "station-duplicate", "segment-timestamp", "segment-cancelled",
+            "segment-duplicate"])
+    def test_bad_row_cites_its_line(self, tmp_path, capsys, flag, row, message):
+        source = Path(BASE_FLAGS[flag])
+        text = source.read_text()
+        bad = tmp_path / source.name
+        bad.write_text(text + row + "\n")
+        flags = BASE_FLAGS.copy()
+        flags[flag] = str(bad)
+        assert main(["validate"] + flags) == 2
+        error = json.loads(capsys.readouterr().err)
+        line = text.count("\n") + 1
+        assert (error["error"], error["path"], error["line"]) == ("ValidationError", str(bad), line)
+        assert error["message"] == f"{bad}:{line}: {message}"
 
     def test_on_time_mode_row_running_backwards_exits_2(self, tmp_path, capsys):
         # Departs 23:59, and its missing arrival is read as the 18:02 schedule.
@@ -210,9 +247,11 @@ class TestConfigHandling:
         ["validate", "--jobs", "two"],
         ["validate", "--from-date", "2018-13-01"],
         ["weather-diff", "--date-b", "2018-01-02"],
+        ["integration", "--to-date", "2017-12-31"],
     ])
     def test_malformed_flags_exit_2_with_json(self, capsys, argv):
-        assert main(argv + BASE_FLAGS) == 2
+        # The flags of argv come last, so they win over BASE_FLAGS.
+        assert main(argv[:1] + BASE_FLAGS + argv[1:]) == 2
         assert "error" in json.loads(capsys.readouterr().err)
 
     def test_help_still_exits_0(self, capsys):
@@ -375,12 +414,42 @@ class TestDelayCommand:
 
 
 class TestIntegrationCommand:
-    def test_exit_2_without_date_range(self, tmp_path):
-        flags = [f for f in BASE_FLAGS
-                 if f not in ("--from-date", "--to-date",
-                              "2018-01-01", "2018-01-07")]
+    def test_exit_2_without_date_range(self, tmp_path, capsys):
+        # No weekly schedule, so loading needs no dates and the command's own
+        # check is the one that fails.
+        flags = without(BASE_FLAGS, "--from-date", "--to-date", "--weekly-schedule")
         assert main(["integration"] + flags +
                     ["--out-dir", str(tmp_path / "o")]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValidationError",
+            "message": "--from-date/--to-date required for integration fit"}
+
+
+class TestCommandLineErrors:
+    @pytest.mark.parametrize("argv, message", [
+        (["fastest"] + without(BASE_FLAGS, "--origin-zone"), "missing --origin-zone"),
+        (["fastest"] + BASE_FLAGS + ["--origin-zone", "NOPE"],
+         "origin zone 'NOPE' not in zones file"),
+        (["whatif"] + BASE_FLAGS + ["--dep-proc-min", "60"],
+         "--dep-proc-min and --arr-proc-min go together"),
+        (["validate"] + without(BASE_FLAGS, "--ride-stats"),
+         "missing required input: --ride-stats"),
+        (["fastest"] + without(BASE_FLAGS, "--segments", "--weekly-schedule"),
+         "no segments: provide --segments and/or --weekly-schedule"),
+        (["legs"] + without(BASE_FLAGS, "--weekly-schedule")
+         + ["--from-date", "2018-01-07", "--to-date", "2018-01-01"],
+         "empty date range 2018-01-07..2018-01-01"),
+        (["weather-diff"] + BASE_FLAGS + ["--date-a", "2018-01-02", "--date-b", "2018-02-20"],
+         "--date-b 2018-02-20 outside the weekly schedule's date range 2018-01-01..2018-01-07"),
+    ], ids=["origin-zone-missing", "origin-zone-unknown", "lone-dep-proc-min",
+            "ride-stats-missing", "no-segments", "reversed-date-range",
+            "date-outside-weekly-range"])
+    def test_exits_2_with_one_json_object(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "o"
+        assert main(argv + ["--out-dir", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValidationError", "message": message}
+        assert not out.exists()
 
 
 class TestGcPolicy:

@@ -88,6 +88,8 @@ class TestLoadRideStats:
             ("Z1,Z9,2018-01-02,2,1800,1900,c", "max_s: not an integer: 'c'"),
             ("Z1,Z9,2018-01-02,2,1800,1900,3600",
              "ride stat Z1->Z9 2018-01-02: need 0 < min <= mean <= max, got 1900/1800/3600"),
+            ("Z1,Z9,2018-01-02,2,1800,0,3600",
+             "ride stat Z1->Z9 2018-01-02: need 0 < min <= mean <= max, got 0/1800/3600"),
             ("Z1,Z9,2018-01-02,2,1800,1200,3600", "duplicate ride stat key Z1,Z9,2018-01-02,2"),
         ]
         for row, message in steps:
@@ -192,40 +194,17 @@ def test_ride_stats_load_like_a_field_by_field_oracle(tmp_path_factory, rows):
     path = write_utf8(tmp_path_factory.getbasetemp(), "differential.csv",
                       "".join([f"{RIDE_HEADER}\n"] + [",".join(row) + "\n" for row in rows]))
     try:
-        outcome = {stat.key: stat for stat in load_ride_stats(path)}
+        outcome = dict(load_ride_stats(path))
     except ValidationError as exc:
         outcome = str(exc)
     expected = oracle_ride_stats(rows)
     assert outcome == (expected if isinstance(expected, dict) else f"{path}:{expected}")
 
 
-class TestRideStatIndexChecks:
-    """Constructing a ZoneRideStat checks nothing; indexing one does."""
-
-    STAT = ZoneRideStat("Z1", "Z9", date(2018, 1, 2), DayPeriod.AM, 1800, 1200, 3600)
-
-    def test_record_is_the_tuple_of_its_fields(self):
-        assert ZoneRideStat("Z1", "Z9", date(2018, 1, 2), DayPeriod.AM, 0, 0, 0) == (
-            "Z1", "Z9", date(2018, 1, 2), DayPeriod.AM, 0, 0, 0)
-        assert self.STAT.key == ("Z1", "Z9", date(2018, 1, 2), DayPeriod.AM)
-
-    @pytest.mark.parametrize("mean, low, high", [(1800, 1900, 3600), (1800, 0, 3600)],
-                             ids=["min-above-mean", "min-zero"])
-    @pytest.mark.parametrize("build", [lambda stat: RideStatIndex().add(stat),
-                                       lambda stat: RideStatIndex([stat])],
-                             ids=["add", "constructor"])
-    def test_invariant_rejected(self, build, mean, low, high):
-        with pytest.raises(ValidationError) as info:
-            build(self.STAT._replace(mean_s=mean, min_s=low, max_s=high))
-        assert str(info.value) == (
-            f"ride stat Z1->Z9 2018-01-02: need 0 < min <= mean <= max, got {low}/{mean}/{high}")
-
-    def test_duplicate_key_rejected_by_add(self):
-        index = RideStatIndex([self.STAT])
-        with pytest.raises(ValidationError) as info:
-            index.add(self.STAT._replace(mean_s=1900))
-        assert str(info.value) == "duplicate ride stat key Z1,Z9,2018-01-02,2"
-        assert list(index) == [self.STAT]
+def test_ride_stat_is_the_tuple_of_its_fields():
+    """Constructing a ZoneRideStat checks nothing; ``load_ride_stats`` does."""
+    stat = ZoneRideStat("Z1", "Z9", date(2018, 1, 2), DayPeriod.AM, 0, 0, 0)
+    assert stat == ("Z1", "Z9", date(2018, 1, 2), DayPeriod.AM, 0, 0, 0)
 
 
 period_codes = st.sampled_from(list(DayPeriod))
@@ -238,28 +217,23 @@ class TestRideStatIndexFallback:
         max_size=20))
     def test_fallback_semantics(self, rows):
         index = RideStatIndex()
-        keys = {}
         for origin, dest, day_n, period, mean_s in rows:
-            stat = ZoneRideStat(origin, dest, date(2018, 1, day_n), period,
-                                mean_s, mean_s, mean_s)
-            if stat.key in keys:
-                continue
-            keys[stat.key] = stat
-            index.add(stat)
-        for (origin, dest, day, period), stat in keys.items():
+            key = (origin, dest, date(2018, 1, day_n), period)
+            index.setdefault(key, ZoneRideStat(*key, mean_s, mean_s, mean_s))
+        for (origin, dest, day, period), stat in index.items():
             if period is DayPeriod.DAILY_ONLY:
                 continue
             hit = index.lookup(origin, dest, day, period)
             assert hit == stat
         # Keys with only a daily record fall back; absent pairs return None.
-        for (origin, dest, day, period) in list(keys):
+        for (origin, dest, day, period) in index:
             for probe in DayPeriod:
                 if probe is DayPeriod.DAILY_ONLY:
                     continue
-                if (origin, dest, day, probe) in keys:
+                if (origin, dest, day, probe) in index:
                     continue
                 hit = index.lookup(origin, dest, day, probe)
-                daily = keys.get((origin, dest, day, DayPeriod.DAILY_ONLY))
+                daily = index.get((origin, dest, day, DayPeriod.DAILY_ONLY))
                 if daily is not None:
                     assert hit == daily
                 else:
@@ -449,7 +423,7 @@ class TestPhysicalLines:
     def test_unicode_line_break_in_a_field_loads(self, tmp_path, zone_id):
         path = write_utf8(tmp_path, "rides.csv",
                           f"{RIDE_HEADER}\n{zone_id},Z9,2018-01-02,2,1800,1200,3600\n")
-        (stat,) = load_ride_stats(path)
+        (stat,) = load_ride_stats(path).values()
         assert stat.origin_zone_id == zone_id
 
     def test_row_after_a_quoted_line_break_cites_its_own_line(self, tmp_path):
@@ -487,7 +461,7 @@ class TestPhysicalLines:
         assert str(info.value) == f"{path}:3: {message}"
 
     @pytest.mark.parametrize("name, load", [
-        ("ride_stats.csv", lambda path: list(load_ride_stats(path))),
+        ("ride_stats.csv", lambda path: list(load_ride_stats(path).items())),
         ("stations.csv", load_stations),
         ("segments.csv",
          lambda path: load_segments_actuals(path, load_stations(GOLDEN / "stations.csv"))),

@@ -17,7 +17,9 @@ from doortodoor import (
     classify_period,
     geodesic_distance,
 )
-from doortodoor.model import CLASSIFIABLE_PERIODS, PeriodClassifier, local_date_period
+from doortodoor.model import (
+    CLASSIFIABLE_PERIODS, PERIOD_BY_CODE, PeriodClassifier, local_date_period,
+)
 
 from conftest import kernel_trip, make_rides, make_segment, make_station
 
@@ -54,6 +56,13 @@ class TestClassifyPeriod:
     def test_daily_only_never_classified(self):
         assert all(classify_period(m) is not DayPeriod.DAILY_ONLY
                    for m in range(0, 1440, 13))
+
+    def test_csv_codes(self):
+        """ride_stats.csv codes: 0 the daily aggregate, 1..5 in chronological order."""
+        assert PERIOD_BY_CODE == {
+            0: DayPeriod.DAILY_ONLY, 1: DayPeriod.EARLY_MORNING, 2: DayPeriod.AM,
+            3: DayPeriod.MIDDAY, 4: DayPeriod.PM, 5: DayPeriod.LATE_EVENING,
+        }
 
 
 MIDDAY_RIDES = [
