@@ -4,7 +4,6 @@ from .errors import (
     DoorToDoorError,
     FitUndefinedError,
     SensitivityUndefinedError,
-    TripNotComputableError,
     ValidationError,
 )
 from .model import (

@@ -27,7 +27,6 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from .errors import TripNotComputableError
 from .ingestion import RideStatIndex, resolve_dwell
 from .model import (
     DayPeriod, DwellProfile, PeriodClassifier, ScheduledSegment, TripRecord, Zone,
@@ -191,7 +190,10 @@ def bin_zone_counts(summaries: Iterable[ZonePeriodSummary]) -> Dict[Tuple[str, D
 
 @dataclass
 class EvaluationReport:
-    """Trips produced by a batch evaluation plus per-segment/zone skips."""
+    """Trips produced by a batch evaluation plus per-segment/zone skips, each
+    with a reason code: ``"cancelled"`` (one per segment, zone ``"*"``),
+    ``"no_access_ride"`` (one per zone of the segment) or ``"no_egress_ride"``
+    (no ride statistic at period or daily level for that leg)."""
 
     trips: List[TripRecord]
     skipped: List[Tuple[str, str, str]]  # (segment_id, dest_zone_id, reason)
@@ -225,16 +227,16 @@ def evaluate_trips(
         if segment.cancelled:
             skipped.append((segment.segment_id, "*", "cancelled"))
             continue
-        try:
-            legs = segment_legs(
-                segment,
-                origin_zone,
-                resolve_dwell(segment.dep_station, dwell_overrides),
-                resolve_dwell(segment.arr_station, dwell_overrides),
-                rides,
-            )
-        except TripNotComputableError as exc:
-            skipped.extend((segment.segment_id, zone.zone_id, str(exc)) for zone in dest_zones)
+        legs = segment_legs(
+            segment,
+            origin_zone,
+            resolve_dwell(segment.dep_station, dwell_overrides),
+            resolve_dwell(segment.arr_station, dwell_overrides),
+            rides,
+        )
+        if legs is None:
+            skipped.extend((segment.segment_id, zone.zone_id, "no_access_ride")
+                           for zone in dest_zones)
             continue
         group = (segment.arr_station.zone_id, legs.egress_date, legs.egress_period)
         zone_rides = groups.get(group)

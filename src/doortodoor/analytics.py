@@ -44,7 +44,8 @@ def leg_shares(trips: Iterable[TripRecord]) -> List[LegShare]:
     in-vehicle share.
 
     Each trip's phase percentages are computed against its own total (so they
-    sum to 100 exactly) before averaging.  Zero-total trips are excluded.
+    sum to 100 exactly) before averaging.  Every total is at least 2 s, since
+    ``load_ride_stats`` requires ``0 < min_s <= mean_s`` of both rides.
 
     The mean is exact and built without a rational per trip: trips with the
     same total share a denominator, so phase seconds (read off the trip's
@@ -57,10 +58,6 @@ def leg_shares(trips: Iterable[TripRecord]) -> List[LegShare]:
     for trip in trips:
         legs, from_s = trip.legs, trip.ride_from.mean_s
         total = legs.door_to_exit_s + from_s
-        if total <= 0:
-            log.warning("trip %s has zero total time; excluded from leg shares",
-                        trip.segment_id)
-            continue
         pair = f"{trip.dep_station_id}-{trip.arr_station_id}"
         sums = groups.setdefault(pair, {}).setdefault(total, [0] * 6)
         sums[0] += legs.ride_to.mean_s

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import aggregation, analytics, ingestion
-from .errors import DoorToDoorError, ValidationError
+from .errors import DoorToDoorError, FitUndefinedError, ValidationError
 from .model import CLASSIFIABLE_PERIODS, DwellProfile, local_date_period
 
 EXIT_OK = 0
@@ -395,14 +395,14 @@ def cmd_integration(config: RunConfig, args: argparse.Namespace) -> int:
             continue
         try:
             fit = analytics.airport_integration(station, inputs.rides, inputs.zones, dates)
-        except DoorToDoorError:
+        except FitUndefinedError:
             continue
         rows.append([fit.station_id, fit.slope_min_per_km, fit.intercept_min,
                      fit.max_range_km, len(fit.samples)])
         for distance, ride_min in fit.samples:
             sample_rows.append([fit.station_id, distance, ride_min])
     if not rows:
-        raise ValidationError("no station has enough daily ride data for a fit")
+        raise FitUndefinedError("no station has enough daily ride data for a fit")
     out = Path(config.out_dir)
     _write_text(out / "integration.csv", _csv_text(
         ["station_id", "slope_min_per_km", "intercept_min", "max_range_km", "n_zones"],

@@ -24,10 +24,6 @@ class ValidationError(DoorToDoorError):
         super().__init__(prefix + message)
 
 
-class TripNotComputableError(DoorToDoorError):
-    """No ride statistic exists at period or daily level for a trip leg."""
-
-
 class FitUndefinedError(DoorToDoorError):
     """Regression requested on a degenerate sample set."""
 

@@ -322,10 +322,9 @@ def expand_weekly_schedule(
     actual times are set to the scheduled ones (on-time assumption).  Rows
     whose arrival clock time precedes the departure roll the arrival to the
     next date.  A segment id that another expanded row, or ``taken_ids``
-    (the ids of ``segments.csv``), already holds is rejected.
+    (the ids of ``segments.csv``), already holds is rejected.  A range with
+    ``end < start`` expands to no segments (``RunConfig`` rejects one).
     """
-    if end < start:
-        raise ValidationError(f"empty date range {start}..{end}")
     segments = []
     taken = set(taken_ids)
     for row in rows:

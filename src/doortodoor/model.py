@@ -42,7 +42,7 @@ from enum import Enum
 from typing import Iterable, List, NamedTuple, Optional, Tuple
 from zoneinfo import ZoneInfo
 
-from .errors import TripNotComputableError, ValidationError
+from .errors import ValidationError
 
 EARTH_RADIUS_KM = 6371.0088
 
@@ -232,7 +232,6 @@ class SegmentLegs:
     that every trip of the segment shares."""
 
     segment: ScheduledSegment
-    origin_zone_id: str
     ride_to: ZoneRideStat
     dep_s: int
     wait_s: int
@@ -268,7 +267,6 @@ class TripRecord:
     mode_id = property(lambda self: self.legs.segment.mode_id)
     dep_station_id = property(lambda self: self.legs.segment.dep_station.station_id)
     arr_station_id = property(lambda self: self.legs.segment.arr_station.station_id)
-    origin_zone_id = property(lambda self: self.legs.origin_zone_id)
     ride_to = property(lambda self: self.legs.ride_to)
     used_daily_fallback_to = property(
         lambda self: self.legs.ride_to.period is DayPeriod.DAILY_ONLY)
@@ -287,20 +285,18 @@ def segment_legs(
     dwell_dep: DwellProfile,
     dwell_arr: DwellProfile,
     rides,
-) -> SegmentLegs:
-    """Evaluate the destination-independent part of a segment's trips.
+) -> Optional[SegmentLegs]:
+    """Evaluate the destination-independent part of a segment's trips; the
+    segment is not cancelled.
 
     The access ride is taken at the period containing the station-arrival
     deadline (scheduled departure minus processing time); the egress instant
     is the airport/station exit (actual arrival plus arrival dwell).
     ``rides`` is a ``RideStatIndex``, whose ``lookup`` falls back to daily stats.
 
-    Raises TripNotComputableError when the access ride has no statistic at
-    period or daily level.
+    Returns None when the access ride has no statistic at period or daily
+    level.
     """
-    if segment.cancelled:
-        raise ValidationError(f"segment {segment.segment_id} is cancelled")
-
     # Early pushback cannot reduce dwell below the processing time.
     wait_s = max(0, segment.actual_dep - segment.sched_dep)
     sec_s = dwell_dep.t_sec_departure_s
@@ -312,17 +308,13 @@ def segment_legs(
     )
     ride_to = rides.lookup(origin_zone.zone_id, access_zone_id, to_date, to_period)
     if ride_to is None:
-        raise TripNotComputableError(
-            f"no ride stat {origin_zone.zone_id}->{access_zone_id} "
-            f"on {to_date} ({to_period.label} or daily)"
-        )
+        return None
 
     arr_tz = segment.arr_station.tzinfo
     egress_s = segment.actual_arr + arr_s
     egress_date, egress_period = local_date_period(egress_s, arr_tz)
     return SegmentLegs(
         segment=segment,
-        origin_zone_id=origin_zone.zone_id,
         ride_to=ride_to,
         dep_s=sec_s + wait_s,
         wait_s=wait_s,
@@ -409,18 +401,16 @@ def zone_trips(
     (``zone_rides``, from ``egress_rides``) and the final arrival, bucketed by
     ``arrival``, the classifier of the arrival station's timezone.
 
-    Returns the trips and the ``(segment_id, zone_id, reason)`` skips of the
-    zones whose egress ride has no statistic at period or daily level.
+    Returns the trips and the ``(segment_id, zone_id, "no_egress_ride")``
+    skips of the zones whose egress ride has no statistic at period or daily
+    level.
     """
     trips, skipped = [], []
     egress_s, egress_date = legs.egress_s, legs.egress_date
     classify = arrival.classify
     for zone_id, ride in zone_rides:
         if ride is None:
-            skipped.append((
-                legs.segment.segment_id, zone_id,
-                f"no ride stat {legs.segment.arr_station.zone_id}->{zone_id} "
-                f"on {egress_date} ({legs.egress_period.label} or daily)"))
+            skipped.append((legs.segment.segment_id, zone_id, "no_egress_ride"))
             continue
         arrival_date, arrival_period = classify(egress_s + ride.mean_s, egress_date)
         trips.append(TripRecord(legs, zone_id, ride, arrival_date, arrival_period))

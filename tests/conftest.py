@@ -17,7 +17,6 @@ from doortodoor import (
     ZoneRideStat,
 )
 from doortodoor.ingestion import _parse_local_ts
-from doortodoor.errors import TripNotComputableError
 from doortodoor.model import (
     PeriodClassifier, SegmentLegs, egress_rides, segment_legs, zone_trips,
 )
@@ -78,14 +77,14 @@ def make_rides(entries):
 
 
 def kernel_trip(segment, origin, dest, dwell_dep, dwell_arr, rides):
-    """One trip through the kernel's stages, as ``evaluate_trips`` runs them;
-    a missing egress ride raises with the message of its skip."""
+    """One trip through the kernel's stages, as ``evaluate_trips`` runs them,
+    or None when the access or the egress ride is missing."""
     legs = segment_legs(segment, origin, dwell_dep, dwell_arr, rides)
-    trips, skipped = zone_trips(legs, egress_rides(legs, [dest], rides),
-                                PeriodClassifier(legs.arr_tz))
-    if skipped:
-        raise TripNotComputableError(skipped[0][2])
-    return trips[0]
+    if legs is None:
+        return None
+    trips, _ = zone_trips(legs, egress_rides(legs, [dest], rides),
+                          PeriodClassifier(legs.arr_tz))
+    return trips[0] if trips else None
 
 
 @lru_cache(maxsize=None)
@@ -120,7 +119,7 @@ def make_trip(dest_zone="PZ1", mode_id="via_CDG", arrival_date="2018-01-02",
 
     segment = _trip_segment(segment_id, mode_id, dep_station_id, arr_station_id)
     legs = SegmentLegs(
-        segment=segment, origin_zone_id=origin_zone,
+        segment=segment,
         ride_to=ride(origin_zone, "AZ1", to_s, to_spread),
         dep_s=dep_s, wait_s=wait_s, in_s=in_s, arr_s=arr_s,
         egress_s=segment.sched_arr + arr_s, egress_date=when,

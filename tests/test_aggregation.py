@@ -433,16 +433,16 @@ class TestEvaluateTrips:
         zones = zones + [Zone("PZ_NO_DATA")]
         report = evaluate_trips(segments, origin, zones, rides)
         assert ("X", "*", "cancelled") in report.skipped
-        assert any(z == "PZ_NO_DATA" for _, z, _ in report.skipped)
+        assert [s for s in report.skipped if s[1] == "PZ_NO_DATA"] == [
+            (segments[0].segment_id, "PZ_NO_DATA", "no_egress_ride")]
         assert all(t.dest_zone_id != "PZ_NO_DATA" for t in report.trips)
 
     def test_missing_access_ride_skips_every_zone(self):
         segments, origin, zones, rides = whatif_fixture()
         report = evaluate_trips(segments[:1], Zone("AZ_NO_DATA"), zones, rides)
         assert report.trips == []
-        message = "no ride stat AZ_NO_DATA->AZ1 on 2018-01-01 (late_evening or daily)"
-        assert report.skipped == [("late_2018-01-01", "PZ1", message),
-                                  ("late_2018-01-01", "PZ2", message)]
+        assert report.skipped == [("late_2018-01-01", "PZ1", "no_access_ride"),
+                                  ("late_2018-01-01", "PZ2", "no_access_ride")]
 
     def test_access_ride_looked_up_once_per_segment(self):
         segments, origin, zones, rides = whatif_fixture()

@@ -89,6 +89,8 @@ class TestValidate:
         (7, "XXX,air,AZ1,52.0,4.0,Europe/Amsterdam,95,nan",
          "dwell t_arr_min=nan must be finite and >= 0"),
         (7, "ACS,rail,AZ1,52.3791,4.9003,Europe/Amsterdam,,", "duplicate station ACS"),
+        (7, "XXX,air,AZ1,52.0,4.0,Europe/Amsterdam,40,",
+         "dwell override needs both t_sec_dep_min and t_arr_min"),
         (3, "X1,via_CDG,AMS,CDG,2018-01-03T25:00,2018-01-03T16:58,"
             "2018-01-03T18:02,2018-01-03T18:18,0", "bad timestamp '2018-01-03T25:00'"),
         (3, "X1,via_CDG,AMS,CDG,2018-01-03T16:42,2018-01-03T16:58,"
@@ -96,8 +98,8 @@ class TestValidate:
         (3, "F_DELAY16,via_CDG,AMS,CDG,2018-01-05T16:42,2018-01-05T16:58,"
             "2018-01-05T18:02,2018-01-05T18:18,0", "duplicate segment_id F_DELAY16"),
     ], ids=["station-kind", "station-tz", "station-dwell-negative", "station-dwell-nan",
-            "station-duplicate", "segment-timestamp", "segment-cancelled",
-            "segment-duplicate"])
+            "station-duplicate", "station-dwell-half", "segment-timestamp",
+            "segment-cancelled", "segment-duplicate"])
     def test_bad_row_cites_its_line(self, tmp_path, capsys, flag, row, message):
         source = Path(BASE_FLAGS[flag])
         text = source.read_text()
@@ -174,6 +176,15 @@ class TestValidate:
         assert main(["validate"] + flags) == 2
         error = json.loads(capsys.readouterr().err)
         assert (error["error"], error["path"]) == ("ValidationError", str(zones))
+
+    def test_header_only_ride_stats_reports_zero(self, tmp_path, capsys):
+        rides = tmp_path / "rides.csv"
+        rides.write_text("origin_zone,dest_zone,date,period,mean_s,min_s,max_s\n")
+        flags = BASE_FLAGS.copy()
+        flags[1] = str(rides)
+        assert main(["validate"] + flags) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["ride_stats"], report["ride_stats_daily_fraction"]) == (0, 0.0)
 
     def test_missing_stations_exits_2(self):
         flags = BASE_FLAGS.copy()
@@ -424,6 +435,28 @@ class TestIntegrationCommand:
             "error": "ValidationError",
             "message": "--from-date/--to-date required for integration fit"}
 
+    def test_exit_3_when_no_station_can_be_fit(self, tmp_path, capsys):
+        # Valid inputs, but no daily ride data falls in the date range.
+        flags = without(BASE_FLAGS, "--segments", "--weekly-schedule", "--from-date",
+                        "--to-date")
+        out = tmp_path / "o"
+        assert main(["integration"] + flags + ["--from-date", "2019-06-01", "--to-date",
+                    "2019-06-02", "--out-dir", str(out)]) == 3
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "FitUndefinedError",
+            "message": "no station has enough daily ride data for a fit"}
+        assert not out.exists()
+
+
+class TestLegsCommand:
+    def test_segments_alone_without_dates(self, tmp_path):
+        # Every dated segment is in range when no dates are given.
+        flags = without(BASE_FLAGS, "--weekly-schedule", "--from-date", "--to-date")
+        out = tmp_path / "o"
+        assert main(["legs"] + flags + ["--out-dir", str(out)]) == 0
+        rows = (out / "leg_shares.csv").read_text().splitlines()
+        assert [(r.split(",")[0], r.split(",")[-1]) for r in rows[1:]] == [("AMS-CDG", "4")]
+
 
 class TestCommandLineErrors:
     @pytest.mark.parametrize("argv, message", [
@@ -434,6 +467,8 @@ class TestCommandLineErrors:
          "--dep-proc-min and --arr-proc-min go together"),
         (["validate"] + without(BASE_FLAGS, "--ride-stats"),
          "missing required input: --ride-stats"),
+        (["validate"] + without(BASE_FLAGS, "--from-date", "--to-date"),
+         "--from-date/--to-date required with a weekly schedule"),
         (["fastest"] + without(BASE_FLAGS, "--segments", "--weekly-schedule"),
          "no segments: provide --segments and/or --weekly-schedule"),
         (["legs"] + without(BASE_FLAGS, "--weekly-schedule")
@@ -442,8 +477,8 @@ class TestCommandLineErrors:
         (["weather-diff"] + BASE_FLAGS + ["--date-a", "2018-01-02", "--date-b", "2018-02-20"],
          "--date-b 2018-02-20 outside the weekly schedule's date range 2018-01-01..2018-01-07"),
     ], ids=["origin-zone-missing", "origin-zone-unknown", "lone-dep-proc-min",
-            "ride-stats-missing", "no-segments", "reversed-date-range",
-            "date-outside-weekly-range"])
+            "ride-stats-missing", "weekly-schedule-without-dates", "no-segments",
+            "reversed-date-range", "date-outside-weekly-range"])
     def test_exits_2_with_one_json_object(self, tmp_path, capsys, argv, message):
         out = tmp_path / "o"
         assert main(argv + ["--out-dir", str(out)]) == 2
