@@ -9,7 +9,9 @@ one JSON object on stderr: ``error`` and ``message``, plus ``path`` and
 from __future__ import annotations
 
 import argparse
+import csv
 import gc
+import io
 import json
 import os
 import sys
@@ -80,20 +82,20 @@ class RunConfig:
     jobs: int = 1  # accepted for compatibility; evaluation is single-process
 
     def __post_init__(self):
-        # The rules of the --format and date flags and their config keys, so
-        # a config built in Python is held to them too.
+        # The rules of the --format, date and processing-time flags and their
+        # config keys, so a config built in Python is held to them too.
         if self.format not in FORMATS:
             raise ValidationError(f"format: cannot parse {self.format!r}")
         if (self.from_date is not None and self.to_date is not None
                 and self.from_date > self.to_date):
             raise ValidationError(f"empty date range {self.from_date}..{self.to_date}")
+        if (self.dep_proc_min is None) != (self.arr_proc_min is None):
+            raise ValidationError("--dep-proc-min and --arr-proc-min go together")
 
     def dwell_overrides(self) -> Optional[Dict[str, DwellProfile]]:
         """Per-kind override of airport processing times, when requested."""
-        if self.dep_proc_min is None and self.arr_proc_min is None:
+        if self.dep_proc_min is None:
             return None
-        if self.dep_proc_min is None or self.arr_proc_min is None:
-            raise ValidationError("--dep-proc-min and --arr-proc-min go together")
         return {"air": DwellProfile(self.dep_proc_min, self.arr_proc_min)}
 
 
@@ -187,22 +189,20 @@ def _origin_zone(config: RunConfig, inputs: LoadedInputs):
     return inputs.zones[config.origin_zone]
 
 
-def evaluate(config: RunConfig, inputs: LoadedInputs,
-             dwell_overrides=None) -> aggregation.EvaluationReport:
+def evaluate(config: RunConfig, inputs: LoadedInputs) -> aggregation.EvaluationReport:
     """Every trip from the origin zone to every zone, over the segments that
-    depart inside the configured date range."""
+    depart inside the date range, under the configured processing times."""
     origin = _origin_zone(config, inputs)
     segments = [s for s in inputs.segments if _in_date_range(config, s)]
     return aggregation.evaluate_trips(
         segments, origin, list(inputs.zones), inputs.rides,
-        dwell_overrides=dwell_overrides,
+        dwell_overrides=config.dwell_overrides(),
     )
 
 
-def run_pipeline(config: RunConfig, inputs: LoadedInputs,
-                 dwell_overrides=None) -> List[aggregation.ZonePeriodSummary]:
+def run_pipeline(config: RunConfig, inputs: LoadedInputs) -> List[aggregation.ZonePeriodSummary]:
     """Per (zone, period) summaries of the trips ``evaluate`` gives."""
-    trips = evaluate(config, inputs, dwell_overrides).trips
+    trips = evaluate(config, inputs).trips
     return aggregation.summarize(aggregation.daily_zone_means(trips))
 
 
@@ -233,6 +233,7 @@ def _geojson_text(features: Iterable[Tuple[str, dict]]) -> str:
 
 
 def _csv_text(header: List[str], rows: List[List[object]]) -> str:
+    """CSV with LF line ends, quoting a cell only where it must."""
     def cell(v):
         if v is None:
             return ""
@@ -240,9 +241,11 @@ def _csv_text(header: List[str], rows: List[List[object]]) -> str:
             return format(v, ".6f")
         return str(v)
 
-    lines = [",".join(header)]
-    lines.extend(",".join(cell(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([cell(v) for v in row] for row in rows)
+    return buf.getvalue()
 
 
 def _summary_properties(summary: aggregation.ZonePeriodSummary) -> dict:
@@ -350,12 +353,11 @@ def cmd_summaries(config: RunConfig, args: argparse.Namespace, *,
 
 
 def cmd_whatif(config: RunConfig, args: argparse.Namespace) -> int:
-    overrides = config.dwell_overrides()
-    if overrides is None:
+    if config.dep_proc_min is None:
         raise ValidationError("what-if needs --dep-proc-min and --arr-proc-min")
     inputs = load_inputs(config)
-    baseline = run_pipeline(config, inputs)
-    override = run_pipeline(config, inputs, dwell_overrides=overrides)
+    baseline = run_pipeline(replace(config, dep_proc_min=None, arr_proc_min=None), inputs)
+    override = run_pipeline(config, inputs)
     out = Path(config.out_dir)
     export_summaries(baseline, inputs.zones, out / "baseline", "fastest", config.format)
     export_bins(baseline, out / "baseline")

@@ -31,10 +31,11 @@ Line numbers are physical lines: line N is the text after the (N-1)-th
 ``\n``, in every CSV input and in the config file.  A ``\r\n`` line end is
 accepted; no other character (``\r`` alone, ``\x0c``, ``\x85``, ...) ends a
 line.  A field may not span lines: a quoted field holding a line break is
-rejected, citing the line its row starts on (every exporter writes ids into
-unquoted CSV, so no output holds one).  Segment ids are unique across
-``segments.csv`` and the weekly expansion; a repeated id is rejected with the
-``path:line:`` of the row that repeats it.
+rejected, citing the line its row starts on.  (An exported CSV quotes any
+cell that needs it, so a zone id from ``zones.geojson`` may span lines
+there.)  Segment ids are unique across ``segments.csv`` and the weekly
+expansion; a repeated id is rejected with the ``path:line:`` of the row
+that repeats it.
 """
 
 from __future__ import annotations
@@ -240,7 +241,7 @@ def load_ride_stats(path) -> RideStatIndex:
         if key in index:
             raise ValidationError(
                 f"duplicate ride stat key {origin},{dest},{day},{period.code}")
-        index[key] = new(ZoneRideStat, (origin, dest, day, period, mean, low, high))
+        index[key] = new(ZoneRideStat, (period, mean, low, high))
 
     _load_rows(path, RIDE_STATS_HEADER, parse_row)
     log.info("loaded %d ride stats from %s", len(index), path)

@@ -53,24 +53,23 @@ class DayPeriod(Enum):
     """Local-time buckets used by the ride-stat source.
 
     Each member carries its ``ride_stats.csv`` code and, for the five
-    concrete periods, a half-open [start, end) interval in minutes from
-    midnight; the five concrete periods (codes 1..5, in chronological order)
-    partition the day.  DAILY_ONLY (code 0) marks whole-day fallback
-    aggregates and is never produced by classification.
+    concrete periods (codes 1..5, in chronological order), its start in
+    minutes from midnight; each ends where the next starts, the last at
+    midnight.  DAILY_ONLY (code 0) marks whole-day fallback aggregates and is
+    never produced by classification.
     """
 
-    EARLY_MORNING = ("early_morning", 1, 0, 420)
-    AM = ("am", 2, 420, 600)
-    MIDDAY = ("midday", 3, 600, 960)
-    PM = ("pm", 4, 960, 1140)
-    LATE_EVENING = ("late_evening", 5, 1140, 1440)
-    DAILY_ONLY = ("daily", 0, None, None)
+    EARLY_MORNING = ("early_morning", 1, 0)
+    AM = ("am", 2, 420)
+    MIDDAY = ("midday", 3, 600)
+    PM = ("pm", 4, 960)
+    LATE_EVENING = ("late_evening", 5, 1140)
+    DAILY_ONLY = ("daily", 0, None)
 
-    def __init__(self, label: str, code: int, start_min, end_min):
+    def __init__(self, label: str, code: int, start_min):
         self.label = label
         self.code = code
         self.start_min = start_min
-        self.end_min = end_min
 
     # Members are singletons, so an identity hash agrees with equality, and it
     # runs in C (Enum.__hash__ runs in Python; periods key every lookup).
@@ -80,17 +79,17 @@ class DayPeriod(Enum):
 CLASSIFIABLE_PERIODS = tuple(p for p in DayPeriod if p is not DayPeriod.DAILY_ONLY)
 
 PERIOD_BY_CODE = {p.code: p for p in DayPeriod}
+_PERIOD_STARTS_MIN = tuple(p.start_min for p in CLASSIFIABLE_PERIODS)
 
 
 class ZoneRideStat(NamedTuple):
-    """Zone-pair ride-time aggregate for one date and day period, in seconds.
+    """Zone-pair ride times in seconds; its ``RideStatIndex`` key holds the
+    zones and date.  ``period`` is the row's own, so a daily fallback reads
+    ``DAILY_ONLY`` whatever period was asked.
 
     A plain tuple of its fields, so construction checks nothing:
     ``load_ride_stats`` rejects a row unless ``0 < min <= mean <= max``."""
 
-    origin_zone_id: str
-    dest_zone_id: str
-    date: date
     period: DayPeriod
     mean_s: int
     min_s: int
@@ -107,10 +106,7 @@ def classify_period(local_time) -> DayPeriod:
         raise ValidationError(
             f"local time {local_time!r} outside [0, {MINUTES_PER_DAY})"
         )
-    for period in CLASSIFIABLE_PERIODS:
-        if period.start_min <= local_time < period.end_min:
-            return period
-    raise AssertionError("periods must partition the day")  # pragma: no cover
+    return CLASSIFIABLE_PERIODS[bisect_right(_PERIOD_STARTS_MIN, local_time) - 1]
 
 
 def _check_lat_lon(lat, lon):
@@ -328,9 +324,9 @@ def segment_legs(
 
 
 _ONE_DAY = timedelta(days=1)
-_PERIOD_CLOCKS = tuple(time(p.start_min // 60, p.start_min % 60) for p in CLASSIFIABLE_PERIODS)
+_PERIOD_CLOCKS = tuple(time(m // 60, m % 60) for m in _PERIOD_STARTS_MIN)
 # Seconds from midnight to each period start and to the next midnight.
-_START_OFFSETS_S = (*(p.start_min * 60 for p in CLASSIFIABLE_PERIODS), MINUTES_PER_DAY * 60)
+_START_OFFSETS_S = (*(m * 60 for m in _PERIOD_STARTS_MIN), MINUTES_PER_DAY * 60)
 
 
 class PeriodClassifier:

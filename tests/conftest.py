@@ -55,25 +55,22 @@ def make_segment(segment_id="F1", mode_id="via_CDG",
     )
 
 
-def ride_index(stats):
-    """A RideStatIndex of ``stats``, each keyed by its first four fields, as
-    ``load_ride_stats`` keys them (it alone checks them)."""
-    return RideStatIndex((stat[:4], stat) for stat in stats)
+def ride_index(rows):
+    """A RideStatIndex of ``(origin, dest, date, period, mean_s, min_s,
+    max_s)`` rows, each keyed by its first four fields and storing the rest,
+    as ``load_ride_stats`` builds it (it alone checks them)."""
+    return RideStatIndex((row[:4], ZoneRideStat(*row[3:])) for row in rows)
 
 
 def make_rides(entries):
     """entries: (origin, dest, iso_date, period, mean_s[, min_s, max_s])."""
-    stats = []
+    rows = []
     for entry in entries:
         origin, dest, day, period, mean_s = entry[:5]
         min_s = entry[5] if len(entry) > 5 else mean_s
         max_s = entry[6] if len(entry) > 6 else mean_s
-        stats.append(ZoneRideStat(
-            origin_zone_id=origin, dest_zone_id=dest,
-            date=date.fromisoformat(day), period=period,
-            mean_s=mean_s, min_s=min_s, max_s=max_s,
-        ))
-    return ride_index(stats)
+        rows.append((origin, dest, date.fromisoformat(day), period, mean_s, min_s, max_s))
+    return ride_index(rows)
 
 
 def kernel_trip(segment, origin, dest, dwell_dep, dwell_arr, rides):
@@ -99,34 +96,32 @@ def _trip_segment(segment_id, mode_id, dep_station_id, arr_station_id):
 def make_trip(dest_zone="PZ1", mode_id="via_CDG", arrival_date="2018-01-02",
               arrival_period=DayPeriod.MIDDAY, to_s=1800, dep_s=5400, in_s=4800,
               arr_s=2700, from_s=1500, wait_s=0, to_spread=0, from_spread=0,
-              segment_id="F1", origin_zone="AZ1",
-              dep_station_id="AMS", arr_station_id="CDG"):
+              segment_id="F1", dep_station_id="AMS", arr_station_id="CDG"):
     """A TripRecord over its own SegmentLegs, with symmetric min/max ride
     spreads around the means.
 
     Both rides are period-level stats (no daily fallback) of the arrival
-    date and period.  A ride of 0 s, which ``load_ride_stats`` rejects (it
+    period.  A ride of 0 s, which ``load_ride_stats`` rejects (it
     needs ``min > 0``), lets phase shares be tested with empty phases;
     constructing one checks nothing."""
     when = date.fromisoformat(arrival_date)
 
-    def ride(origin, dest, mean_s, spread):
-        values = (origin, dest, when, arrival_period, max(1, mean_s),
-                  max(1, mean_s - spread), max(1, mean_s + spread))
+    def ride(mean_s, spread):
         if mean_s > 0:
-            return ZoneRideStat(*values)
-        return ZoneRideStat(*values[:4], 0, 0, 0)
+            return ZoneRideStat(arrival_period, mean_s,
+                                max(1, mean_s - spread), max(1, mean_s + spread))
+        return ZoneRideStat(arrival_period, 0, 0, 0)
 
     segment = _trip_segment(segment_id, mode_id, dep_station_id, arr_station_id)
     legs = SegmentLegs(
         segment=segment,
-        ride_to=ride(origin_zone, "AZ1", to_s, to_spread),
+        ride_to=ride(to_s, to_spread),
         dep_s=dep_s, wait_s=wait_s, in_s=in_s, arr_s=arr_s,
         egress_s=segment.sched_arr + arr_s, egress_date=when,
         egress_period=arrival_period, arr_tz=segment.arr_station.tzinfo,
     )
     return TripRecord(legs=legs, dest_zone_id=dest_zone,
-                      ride_from=ride("PZ9", dest_zone, from_s, from_spread),
+                      ride_from=ride(from_s, from_spread),
                       arrival_date=when, arrival_period=arrival_period)
 
 

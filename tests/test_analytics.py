@@ -13,7 +13,6 @@ from doortodoor import (
     FitUndefinedError,
     SensitivityUndefinedError,
     Zone,
-    ZoneRideStat,
     airport_integration,
     daily_zone_means,
     delay_sensitivity,
@@ -42,6 +41,21 @@ def trip_phases(high):
     as ``load_ride_stats`` guarantees."""
     return st.tuples(st.integers(1, high), *[st.integers(0, high)] * 3,
                      st.integers(1, high))
+
+
+def oracle_leg_shares(draws):
+    """``(city pair, five mean phase percentages, trip count)`` rows, sorted
+    like ``leg_shares``, of ``(city pair, five phase seconds)`` draws: each
+    trip's percentages as exact rationals of its own total, then averaged."""
+    groups = {}
+    for pair, phases in draws:
+        total = sum(phases)
+        groups.setdefault(pair, []).append([Fraction(100 * p, total) for p in phases])
+    return sorted(
+        ((pair, tuple(float(sum(v[i] for v in vectors) / len(vectors))
+                      for i in range(5)), len(vectors))
+         for pair, vectors in groups.items()),
+        key=lambda row: (row[1][2], row[0]))
 
 
 class TestLegShares:
@@ -91,16 +105,7 @@ class TestLegShares:
     @settings(deadline=None)  # the per-trip Fraction oracle is slow by design
     @given(trip_draws, st.data())
     def test_exact_mean_of_per_trip_shares(self, draws, data):
-        groups = {}
-        for pair, phases in draws:
-            total = sum(phases)
-            groups.setdefault(pair, []).append([Fraction(100 * p, total) for p in phases])
-        expected = sorted(
-            ((pair, tuple(float(sum(v[i] for v in vectors) / len(vectors))
-                          for i in range(5)), len(vectors))
-             for pair, vectors in groups.items()),
-            key=lambda row: (row[1][2], row[0]))
-
+        expected = oracle_leg_shares(draws)
         trips = []
         for k, (pair, phases) in enumerate(draws):
             dep, arr = pair.split("-")
@@ -116,13 +121,13 @@ class TestLegShares:
 def linear_ride_index(station, zones, day, slope_min_per_km, intercept_min,
                       scale=1.0):
     """Daily ride stats lying exactly on time = slope*distance + intercept."""
-    stats = []
+    rows = []
     for zone in zones:
         dist = geodesic_distance(zone.internal_point, (station.lat, station.lon))
         mean_s = (slope_min_per_km * dist + intercept_min) * 60 * scale
-        stats.append(ZoneRideStat(zone.zone_id, station.zone_id, day,
-                                  DayPeriod.DAILY_ONLY, mean_s, mean_s, mean_s))
-    return ride_index(stats)
+        rows.append((zone.zone_id, station.zone_id, day,
+                     DayPeriod.DAILY_ONLY, mean_s, mean_s, mean_s))
+    return ride_index(rows)
 
 
 class TestAirportIntegration:
@@ -143,8 +148,8 @@ class TestAirportIntegration:
     def test_equidistant_zones_undefined(self):
         zones = [Zone("Z1", internal_point=(0.0, 0.5)),
                  Zone("Z2", internal_point=(0.5, 0.0))]  # same distance
-        rides = ride_index(ZoneRideStat(zone.zone_id, "SZ", self.day,
-                                        DayPeriod.DAILY_ONLY, 600, 600, 600)
+        rides = ride_index((zone.zone_id, "SZ", self.day,
+                            DayPeriod.DAILY_ONLY, 600, 600, 600)
                            for zone in zones)
         with pytest.raises(FitUndefinedError):
             airport_integration(self.station, rides, zone_collection(*zones),
@@ -168,12 +173,12 @@ class TestAirportIntegration:
 
     def test_residuals_orthogonal_to_distance(self):
         rng = random.Random(11)
-        stats = []
+        rows = []
         for zone in self.zones:
             mean_s = rng.randrange(300, 7200)
-            stats.append(ZoneRideStat(zone.zone_id, "SZ", self.day,
-                                      DayPeriod.DAILY_ONLY, mean_s, mean_s, mean_s))
-        rides = ride_index(stats)
+            rows.append((zone.zone_id, "SZ", self.day,
+                         DayPeriod.DAILY_ONLY, mean_s, mean_s, mean_s))
+        rides = ride_index(rows)
         fit = airport_integration(self.station, rides,
                                   zone_collection(*self.zones), [self.day])
         dot = sum(x * (y - fit.slope_min_per_km * x - fit.intercept_min)
@@ -181,11 +186,11 @@ class TestAirportIntegration:
         assert dot == pytest.approx(0, abs=1e-6)
 
     def test_fit_invariant_to_input_ordering(self):
-        stats = list(linear_ride_index(self.station, self.zones, self.day, 1.3, 7).values())
-        shuffled = ride_index(random.Random(5).sample(stats, len(stats)))
+        items = list(linear_ride_index(self.station, self.zones, self.day, 1.3, 7).items())
+        shuffled = RideStatIndex(random.Random(5).sample(items, len(items)))
         collection = zone_collection(*self.zones)
         fit1 = airport_integration(
-            self.station, ride_index(stats), collection, [self.day])
+            self.station, RideStatIndex(items), collection, [self.day])
         fit2 = airport_integration(self.station, shuffled, collection, [self.day])
         assert fit1 == fit2
 

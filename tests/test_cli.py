@@ -1,5 +1,6 @@
 """Command-line contract: exit codes, config handling, export shapes."""
 
+import csv
 import gc
 import json
 from dataclasses import replace
@@ -246,6 +247,13 @@ class TestConfigHandling:
             "error": "ValidationError", "message": "format: cannot parse 'xml'"}
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("lone", [{"dep_proc_min": 60}, {"arr_proc_min": 30}],
+                             ids=["dep", "arr"])
+    def test_lone_processing_time_in_python_raises(self, lone):
+        with pytest.raises(ValidationError,
+                           match="^--dep-proc-min and --arr-proc-min go together$"):
+            RunConfig(**lone)
+
     def test_config_lines_are_physical_lines(self, tmp_path, capsys):
         # U+0085 breaks a line for str.splitlines, not for the line count.
         conf = tmp_path / "c.conf"
@@ -353,6 +361,22 @@ class TestWhatIfCommand:
     def test_missing_override_flags_rejected(self, tmp_path):
         assert main(["whatif"] + BASE_FLAGS +
                     ["--out-dir", str(tmp_path / "o")]) == 2
+
+    def test_fastest_time_applies_the_processing_times(self, tmp_path):
+        """``fastest-time`` under both flags writes ``whatif``'s override files."""
+        flags = BASE_FLAGS + ["--dep-proc-min", "60", "--arr-proc-min", "30",
+                              "--format", "csv"]
+        assert main(["whatif"] + flags + ["--out-dir", str(tmp_path / "whatif")]) == 0
+        assert main(["fastest-time"] + flags + ["--out-dir", str(tmp_path / "ft")]) == 0
+        override = tmp_path / "whatif" / "override"
+        renamed = tmp_path / "renamed"
+        renamed.mkdir()
+        for path in override.iterdir():
+            (renamed / path.name.replace("fastest_", "fastest_time_")).write_bytes(
+                path.read_bytes())
+        assert_trees_identical(tmp_path / "ft", renamed)
+        baseline = (tmp_path / "whatif" / "baseline" / "fastest_early_morning.csv").read_bytes()
+        assert (override / "fastest_early_morning.csv").read_bytes() != baseline
 
 
 class TestDelayCommand:
@@ -476,15 +500,75 @@ class TestCommandLineErrors:
          "empty date range 2018-01-07..2018-01-01"),
         (["weather-diff"] + BASE_FLAGS + ["--date-a", "2018-01-02", "--date-b", "2018-02-20"],
          "--date-b 2018-02-20 outside the weekly schedule's date range 2018-01-01..2018-01-07"),
+        (["fastest"] + BASE_FLAGS + ["--dep-proc-min", "60"],
+         "--dep-proc-min and --arr-proc-min go together"),
+        (["legs"] + BASE_FLAGS + ["--arr-proc-min", "30"],
+         "--dep-proc-min and --arr-proc-min go together"),
+        (["validate"] + BASE_FLAGS + ["--dep-proc-min", "60"],
+         "--dep-proc-min and --arr-proc-min go together"),
     ], ids=["origin-zone-missing", "origin-zone-unknown", "lone-dep-proc-min",
             "ride-stats-missing", "weekly-schedule-without-dates", "no-segments",
-            "reversed-date-range", "date-outside-weekly-range"])
+            "reversed-date-range", "date-outside-weekly-range",
+            "lone-dep-proc-min-fastest", "lone-arr-proc-min-legs",
+            "lone-dep-proc-min-validate"])
     def test_exits_2_with_one_json_object(self, tmp_path, capsys, argv, message):
         out = tmp_path / "o"
         assert main(argv + ["--out-dir", str(out)]) == 2
         assert json.loads(capsys.readouterr().err) == {
             "error": "ValidationError", "message": message}
         assert not out.exists()
+
+
+class TestCsvExport:
+    """Ids from ``zones.geojson`` may hold commas and line breaks; every CSV
+    still parses to rows as wide as its header, with the ids intact."""
+
+    # (subcommand, its extra flags)
+    RUNS = [
+        ("fastest", []), ("fastest-time", []), ("reliability", []),
+        ("whatif", ["--dep-proc-min", "60", "--arr-proc-min", "30"]), ("legs", []),
+        ("integration", []),
+        ("weather-diff", ["--date-a", "2018-01-02", "--date-b", "2018-01-05"]),
+        ("delay", ["--segment-id", "F_DELAY16"]),
+    ]
+
+    @staticmethod
+    def awkward_inputs(tmp_path):
+        """The golden flags with zone PZ1 renamed ``P,Z1`` (quoted in
+        ``ride_stats.csv``), and a zone whose id holds a comma and a line
+        break added to the zones file only."""
+        doc = json.loads((FIXTURES / "zones.geojson").read_text())
+        for feature in doc["features"]:
+            if feature["properties"]["zone_id"] == "PZ1":
+                feature["properties"]["zone_id"] = "P,Z1"
+        doc["features"].append({"geometry": None, "properties": {"zone_id": "PZ,7\nbad"},
+                                "type": "Feature"})
+        zones, rides = tmp_path / "zones.geojson", tmp_path / "ride_stats.csv"
+        zones.write_text(json.dumps(doc))
+        rides.write_text((FIXTURES / "ride_stats.csv").read_text().replace("PZ1,", '"P,Z1",'))
+        flags = BASE_FLAGS.copy()
+        flags[1], flags[9] = str(rides), str(zones)
+        return flags, sorted(f["properties"]["zone_id"] for f in doc["features"])
+
+    @pytest.mark.parametrize("command, extra", RUNS, ids=[c for c, _ in RUNS])
+    def test_every_csv_parses_and_keeps_its_ids(self, tmp_path, command, extra):
+        flags, zone_ids = self.awkward_inputs(tmp_path)
+        out = tmp_path / "out"
+        assert main([command] + flags + extra + ["--format", "csv", "--out-dir", str(out)]) == 0
+        files = sorted(out.rglob("*.csv"))
+        assert files
+        for path in files:
+            with open(path, newline="", encoding="utf-8") as f:
+                header, *rows = csv.reader(f)
+            assert all(len(row) == len(header) for row in rows), path
+            columns = dict(zip(header, zip(*rows)))
+            if "days_total" in header:  # one row per zone of the input
+                assert sorted(columns["zone_id"]) == zone_ids
+            elif "zone_id" in header:
+                assert "P,Z1" in columns["zone_id"]
+            if "zones_used" in header:
+                (used,), (excluded,) = columns["zones_used"], columns["zones_excluded"]
+                assert sorted(used.split(";") + excluded.split(";")) == zone_ids
 
 
 class TestGcPolicy:

@@ -1,19 +1,27 @@
 """``evaluate_trips`` against a naive reference that evaluates every
 (segment, destination zone) pair on its own, on seeded random networks whose
 stations sit in three DST-observing timezones (Lord Howe's shift is 30
-minutes) and whose segments cluster around the 2018 offset changes."""
+minutes).  Dated segments cluster around the 2018 offset changes; weekly
+rows, some arriving after midnight, are expanded over the week around each
+change.  The same trips then go through the group-by and ``leg_shares``,
+compared with those layers' brute-force oracles."""
 
 import random
+from dataclasses import astuple
 from datetime import date, datetime, time, timedelta
+from typing import NamedTuple, Tuple
 from zoneinfo import ZoneInfo
 
 import pytest
 
 from doortodoor import (
-    DayPeriod, DwellProfile, ScheduledSegment, Station, Zone, ZoneRideStat, evaluate_trips,
+    DayPeriod, DwellProfile, ScheduledSegment, Station, WeeklyScheduleRow, Zone,
+    daily_zone_means, evaluate_trips, expand_weekly_schedule, leg_shares, summarize,
 )
 
 from conftest import ride_index
+from test_aggregation import oracle_daily_means, oracle_fastest_time, oracle_winner_counts
+from test_analytics import oracle_leg_shares
 
 # Each timezone's 2018 offset changes, as local dates.
 CHANGES = {
@@ -23,6 +31,9 @@ CHANGES = {
 }
 RIDE_DATES = sorted({day + timedelta(days=k) for days in CHANGES.values()
                      for day in days for k in range(-3, 5)})
+# The weekly schedule is expanded over the seven days centred on each change.
+WEEKS = sorted((day - timedelta(days=3), day + timedelta(days=3))
+               for days in CHANGES.values() for day in days)
 # Period starts in minutes from local midnight, in chronological order.
 PERIOD_STARTS = ((0, DayPeriod.EARLY_MORNING), (420, DayPeriod.AM),
                  (600, DayPeriod.MIDDAY), (960, DayPeriod.PM),
@@ -30,16 +41,70 @@ PERIOD_STARTS = ((0, DayPeriod.EARLY_MORNING), (420, DayPeriod.AM),
 DAY_S = 86_400
 
 
+class Network(NamedTuple):
+    stations: dict
+    dated: list  # ScheduledSegment
+    weekly: list  # WeeklyScheduleRow
+    dest_ids: list
+    rows: list  # (origin, dest, date, period, mean_s, min_s, max_s)
+    overrides: dict
+
+
+def reference_expansion(rows, stations, start, end):
+    """Each weekly row's on-time segment on each of its weekdays in [start,
+    end]: clock times in each station's timezone, the arrival on the next
+    date when its clock time is before the departure's."""
+    segments = []
+    for row in rows:
+        dep, arr = stations[row.dep_station_id], stations[row.arr_station_id]
+        for n in range((end - start).days + 1):
+            day = start + timedelta(days=n)
+            if not row.days[day.weekday()]:
+                continue
+            arr_day = day + timedelta(days=int(row.arr_time < row.dep_time))
+            sched_dep = int(datetime.combine(day, row.dep_time, ZoneInfo(dep.tz)).timestamp())
+            sched_arr = int(datetime.combine(arr_day, row.arr_time,
+                                             ZoneInfo(arr.tz)).timestamp())
+            if sched_arr <= sched_dep:
+                return None
+            segments.append(ScheduledSegment(
+                f"{row.mode_id}_{day.isoformat()}_{row.dep_time:%H%M}", row.mode_id,
+                dep, arr, sched_dep, sched_arr, sched_dep, sched_arr))
+    return segments
+
+
+def random_weekly_rows(rng, stations):
+    """Eight weekly rows between random stations, of 1.5 to 14 hours each,
+    with distinct departure clock times; a row whose arrival would not follow
+    its departure on some date of ``WEEKS`` is redrawn."""
+    rows, taken = [], set()
+    while len(rows) < 8:
+        dep, arr = rng.sample(list(stations.values()), 2)
+        dep_min = rng.randrange(5 * 60, 24 * 60)
+        if dep_min in taken:
+            continue
+        dep_time = time(dep_min // 60, dep_min % 60)
+        start = datetime.combine(WEEKS[0][0], dep_time, ZoneInfo(dep.tz))
+        arrival = start + timedelta(minutes=rng.randrange(90, 14 * 60))
+        chosen = rng.sample(range(7), rng.randint(1, 7))
+        row = WeeklyScheduleRow(rng.choice(("air", "rail")), dep.station_id, arr.station_id,
+                                tuple(d in chosen for d in range(7)), dep_time,
+                                arrival.astimezone(ZoneInfo(arr.tz)).time())
+        if all(reference_expansion([row], stations, *week) is not None for week in WEEKS):
+            rows.append(row)
+            taken.add(dep_min)
+    return rows
+
+
 def random_network(rng):
-    """Stations, segments, destination zones, ride stats and dwell overrides."""
-    stations = []
+    stations = {}
     for k, tz in enumerate(t for t in CHANGES for _ in range(2)):
         dwell = DwellProfile(rng.choice((15, 60, 90.5, 125)), rng.choice((10, 45, 65)))
-        stations.append(Station(f"ST{k}", rng.choice(("air", "rail")), f"SZ{k}",
-                                0.0, 0.0, tz, dwell))
-    segments = []
+        stations[f"ST{k}"] = Station(f"ST{k}", rng.choice(("air", "rail")), f"SZ{k}",
+                                     0.0, 0.0, tz, dwell)
+    dated = []
     for k in range(40):
-        dep, arr = rng.sample(stations, 2)
+        dep, arr = rng.sample(list(stations.values()), 2)
         tz = rng.choice((dep.tz, arr.tz))
         change = rng.choice(CHANGES[tz])
         midnight = int(datetime.combine(change, time(), ZoneInfo(tz)).timestamp())
@@ -49,33 +114,61 @@ def random_network(rng):
                       dep_station=dep, arr_station=arr,
                       sched_dep=sched_dep, sched_arr=sched_arr)
         if rng.random() < 0.1:
-            segments.append(ScheduledSegment(**fields, cancelled=True))
+            dated.append(ScheduledSegment(**fields, cancelled=True))
             continue
         # Early departures, delays of up to 6 h, and a changed flight time.
         actual_dep = sched_dep + rng.choice((rng.randrange(-1800, 0, 60),
                                              rng.randrange(0, 6 * 3600, 60)))
         actual_arr = actual_dep + max(60, sched_arr - sched_dep + rng.randrange(-1800, 1800, 60))
-        segments.append(ScheduledSegment(**fields, actual_dep=actual_dep,
-                                         actual_arr=actual_arr))
+        dated.append(ScheduledSegment(**fields, actual_dep=actual_dep,
+                                      actual_arr=actual_arr))
+    weekly = random_weekly_rows(rng, stations)
     dest_ids = [f"D{k}" for k in range(5)]
     # Every period bucket and daily aggregate is missing with probability
     # one half, from the origin to every station zone and from every station
     # zone to every destination zone.
-    stats = []
-    pairs = ([("O", s.zone_id) for s in stations]
-             + [(s.zone_id, d) for s in stations for d in dest_ids])
+    rows = []
+    zone_ids = [s.zone_id for s in stations.values()]
+    pairs = [("O", z) for z in zone_ids] + [(z, d) for z in zone_ids for d in dest_ids]
     for origin, dest in pairs:
         for day in RIDE_DATES:
             for period in DayPeriod:
                 if rng.random() < 0.5:
                     mean_s = rng.randrange(60, 9 * 3600)
-                    stats.append(ZoneRideStat(origin, dest, day, period, mean_s,
-                                              rng.randint(1, mean_s),
-                                              mean_s + rng.randrange(0, 3600)))
+                    rows.append((origin, dest, day, period, mean_s,
+                                 rng.randint(1, mean_s), mean_s + rng.randrange(0, 3600)))
     overrides = None
     if rng.random() < 0.5:
         overrides = {"air": DwellProfile(rng.choice((30, 60)), rng.choice((20, 30)))}
-    return segments, dest_ids, stats, overrides
+    return Network(stations, dated, weekly, dest_ids, rows, overrides)
+
+
+class Trip(NamedTuple):
+    """One trip's outcome, under the attribute names the layer oracles read."""
+
+    segment_id: str
+    dest_zone_id: str
+    mode_id: str
+    city_pair: str
+    phases: Tuple[int, ...]  # access ride, departure dwell, in vehicle, arrival dwell, egress
+    total_mean_s: int
+    total_min_s: int
+    total_max_s: int
+    arrival_date: date
+    arrival_period: DayPeriod
+    used_daily_fallback_to: bool
+    used_daily_fallback_from: bool
+
+
+def observed(trip):
+    """The kernel's ``TripRecord`` as a ``Trip``."""
+    legs = trip.legs
+    return Trip(trip.segment_id, trip.dest_zone_id, trip.mode_id,
+                f"{trip.dep_station_id}-{trip.arr_station_id}",
+                (legs.ride_to.mean_s, legs.dep_s, legs.in_s, legs.arr_s, trip.ride_from.mean_s),
+                trip.total_mean_s, trip.total_min_s, trip.total_max_s,
+                trip.arrival_date, trip.arrival_period,
+                trip.used_daily_fallback_to, trip.used_daily_fallback_from)
 
 
 def local_date_and_period(epoch_s, tz):
@@ -85,39 +178,45 @@ def local_date_and_period(epoch_s, tz):
 
 
 def reference_ride(rides, origin, dest, epoch_s, tz):
-    """The ride stat of the instant's local (date, period), else of its
-    date's daily aggregate, else None."""
+    """``(mean, min, max)`` of the instant's local (date, period) and False,
+    else of its date's daily aggregate and True, else None."""
     day, period = local_date_and_period(epoch_s, tz)
-    return (rides.get((origin, dest, day, period))
-            or rides.get((origin, dest, day, DayPeriod.DAILY_ONLY)))
+    for bucket in (period, DayPeriod.DAILY_ONLY):
+        if (origin, dest, day, bucket) in rides:
+            return rides[(origin, dest, day, bucket)], bucket is DayPeriod.DAILY_ONLY
+    return None
 
 
 def reference_trip(segment, dest_id, rides, overrides):
-    """One (segment, zone) pair from first principles: the trip's key,
-    totals and arrival bucket, or the skip's reason code."""
+    """One (segment, zone) pair from first principles: a ``Trip``, or the
+    skip's reason code."""
     dwell_dep, dwell_arr = ((overrides or {}).get(s.kind, s.dwell)
                             for s in (segment.dep_station, segment.arr_station))
     sec_s = round(dwell_dep.t_sec_departure_min * 60)
     arr_s = round(dwell_arr.t_arr_min * 60)
-    ride_to = reference_ride(rides, "O", segment.dep_station.zone_id,
-                             segment.sched_dep - sec_s, segment.dep_station.tz)
-    if ride_to is None:
+    access = reference_ride(rides, "O", segment.dep_station.zone_id,
+                            segment.sched_dep - sec_s, segment.dep_station.tz)
+    if access is None:
         return "no_access_ride"
     exit_s = segment.actual_arr + arr_s
-    ride_from = reference_ride(rides, segment.arr_station.zone_id, dest_id,
-                               exit_s, segment.arr_station.tz)
-    if ride_from is None:
+    egress = reference_ride(rides, segment.arr_station.zone_id, dest_id,
+                            exit_s, segment.arr_station.tz)
+    if egress is None:
         return "no_egress_ride"
-    core_s = (sec_s + max(0, segment.actual_dep - segment.sched_dep)
-              + segment.actual_arr - segment.actual_dep + arr_s)
-    totals = tuple(to + core_s + frm for to, frm in zip(ride_to.values(), ride_from.values()))
-    arrival = local_date_and_period(exit_s + ride_from["mean_s"], segment.arr_station.tz)
-    return (segment.segment_id, dest_id, *totals, *arrival)
+    (ride_to, daily_to), (ride_from, daily_from) = access, egress
+    dep_s = sec_s + max(0, segment.actual_dep - segment.sched_dep)
+    in_s = segment.actual_arr - segment.actual_dep
+    core_s = dep_s + in_s + arr_s
+    totals = [to + core_s + frm for to, frm in zip(ride_to, ride_from)]
+    arrival = local_date_and_period(exit_s + ride_from[0], segment.arr_station.tz)
+    return Trip(segment.segment_id, dest_id, segment.mode_id,
+                f"{segment.dep_station.station_id}-{segment.arr_station.station_id}",
+                (ride_to[0], dep_s, in_s, arr_s, ride_from[0]), *totals, *arrival,
+                daily_to, daily_from)
 
 
-def reference_evaluation(segments, dest_ids, stats, overrides):
-    rides = {stat[:4]: {"mean_s": stat.mean_s, "min_s": stat.min_s, "max_s": stat.max_s}
-             for stat in stats}
+def reference_evaluation(segments, dest_ids, rows, overrides):
+    rides = {row[:4]: row[4:] for row in rows}
     trips, skipped = [], []
     for segment in sorted(segments, key=lambda s: s.segment_id):
         if segment.cancelled:
@@ -135,16 +234,40 @@ def reference_evaluation(segments, dest_ids, stats, overrides):
 @pytest.mark.parametrize("seed", range(6))
 def test_evaluate_trips_matches_the_pairwise_reference(seed):
     rng = random.Random(seed)
-    segments, dest_ids, stats, overrides = random_network(rng)
-    expected_trips, expected_skipped = reference_evaluation(segments, dest_ids, stats, overrides)
+    net = random_network(rng)
+    weekly = [s for week in WEEKS for s in expand_weekly_schedule(net.weekly, net.stations, *week)]
+    reference_weekly = [s for week in WEEKS
+                        for s in reference_expansion(net.weekly, net.stations, *week)]
+    expected_trips, expected_skipped = reference_evaluation(
+        net.dated + reference_weekly, net.dest_ids, net.rows, net.overrides)
 
+    segments = net.dated + weekly
     report = evaluate_trips(rng.sample(segments, len(segments)), Zone("O"),
-                            [Zone(d) for d in rng.sample(dest_ids, len(dest_ids))],
-                            ride_index(stats), dwell_overrides=overrides)
-    trips = [(t.segment_id, t.dest_zone_id, t.total_mean_s, t.total_min_s, t.total_max_s,
-              t.arrival_date, t.arrival_period) for t in report.trips]
-    assert trips == expected_trips
+                            [Zone(d) for d in rng.sample(net.dest_ids, len(net.dest_ids))],
+                            ride_index(net.rows), dwell_overrides=net.overrides)
+    assert [observed(t) for t in report.trips] == expected_trips
     assert report.skipped == expected_skipped
     # Every outcome occurs, so each branch of the comparison is exercised.
     reasons = {reason for _, _, reason in expected_skipped}
-    assert reasons == {"cancelled", "no_access_ride", "no_egress_ride"} and trips
+    assert reasons == {"cancelled", "no_access_ride", "no_egress_ride"}
+    assert {t.used_daily_fallback_to for t in expected_trips} == {False, True}
+    assert {t.used_daily_fallback_from for t in expected_trips} == {False, True}
+    overnight_rows = [row for row in net.weekly if row.arr_time < row.dep_time]
+    overnight = {s.segment_id for week in WEEKS
+                 for s in reference_expansion(overnight_rows, net.stations, *week)}
+    assert any(t.segment_id in overnight for t in expected_trips)
+
+    # The group-by and leg shares of the kernel's trips equal the layer
+    # oracles on the reference trips.
+    day_stats = daily_zone_means(report.trips)
+    expected_means = oracle_daily_means(expected_trips)
+    assert {(s.zone_id, s.date, s.period, s.mode_id): (s.e_s, s.v_s, s.n_trips)
+            for s in day_stats} == expected_means
+    day_means = {key: (e, v) for key, (e, v, _) in expected_means.items()}
+    summaries = {(s.zone_id, s.period): s for s in summarize(day_stats)}
+    assert {k: s.n_by_mode for k, s in summaries.items()} == oracle_winner_counts(day_means, 0)
+    assert ({k: s.reliability_by_mode for k, s in summaries.items()}
+            == oracle_winner_counts(day_means, 1))
+    assert {k: s.e_bar_s for k, s in summaries.items()} == oracle_fastest_time(day_means)
+    assert ([(s.city_pair, astuple(s)[1:6], s.n_trips) for s in leg_shares(report.trips)]
+            == oracle_leg_shares((t.city_pair, t.phases) for t in expected_trips))

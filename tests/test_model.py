@@ -48,7 +48,9 @@ class TestClassifyPeriod:
         seen = {p: 0 for p in CLASSIFIABLE_PERIODS}
         for minute in range(1440):
             seen[classify_period(minute)] += 1
-        widths = {p: p.end_min - p.start_min for p in CLASSIFIABLE_PERIODS}
+        # Each period ends where the next starts; the last at midnight.
+        ends = [p.start_min for p in CLASSIFIABLE_PERIODS[1:]] + [1440]
+        widths = {p: end - p.start_min for p, end in zip(CLASSIFIABLE_PERIODS, ends)}
         assert seen == widths
         assert sum(seen.values()) == 1440
 
