@@ -30,7 +30,6 @@ from .ingestion import (
     resolve_dwell,
 )
 from .aggregation import (
-    ZonePeriodDayStat,
     ZonePeriodSummary,
     bin_zone_counts,
     daily_zone_means,

@@ -6,16 +6,17 @@ zone) pair, in one process: the per-segment work once per segment
 zone, egress date, egress period; ``egress_rides``), and per trip only the
 arrival, classified by one ``PeriodClassifier`` per arrival timezone
 (``zone_trips``).
-``daily_zone_means`` groups the trips into (zone, date, period, mode) cells
-of door-to-door time and variability.  ``summarize`` reduces those in one
-pass per (zone, period): the days each mode was fastest, the days each mode
-was most reliable, and the fastest average time.  ``bin_zone_counts`` bins
-the summaries into reporting bands.
+``daily_zone_means`` groups the trips into a dict of door-to-door time and
+variability keyed by (zone, date, period, mode).  ``summarize`` reduces those
+cells into a dict keyed by (zone, period): the days each mode was fastest,
+the days each mode was most reliable, and the fastest average time.  A key
+is the only place a cell's or summary's zone, date and period are stored.
+``bin_zone_counts`` bins the summaries into reporting bands.
 
-Each day cell is an integer (sum, n) pair of seconds, and two cells' means
-are compared by cross-multiplication (``t_a * n_b < t_b * n_a``), so results
-are exact, independent of summation order and safe to compare with zero
-tolerance.  The only rational built is one ``Fraction`` per summary, its
+Each day cell holds integer sums of seconds and a trip count, and two
+cells' means are compared by cross-multiplication (``t_a * n_b < t_b * n_a``),
+so results are exact, independent of summation order and safe to compare
+with zero tolerance.  The only rational built is one ``Fraction`` per summary, its
 fastest average time.
 """
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from datetime import date, tzinfo
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .ingestion import RideStatIndex, resolve_dwell
 from .model import (
@@ -47,36 +48,16 @@ def interval_bin(total_min) -> str:
     return INTERVAL_LABELS[-1]
 
 
-class ZonePeriodDayStat(NamedTuple):
-    """Per (zone, date, period, mode) sums over one day's trips, in integer
-    seconds: the cell's means are ``total_s / n_trips`` and
-    ``spread_s / n_trips``, exposed as exact ``e_s`` and ``v_s``."""
-
-    zone_id: str
-    period: DayPeriod
-    date: date
-    mode_id: str
-    total_s: int  # sum of door-to-door totals
-    spread_s: int  # sum of (max-variant total - min-variant total)
-    n_trips: int
-
-    @property
-    def e_s(self) -> Fraction:
-        """Mean door-to-door total, seconds."""
-        return Fraction(self.total_s, self.n_trips)
-
-    @property
-    def v_s(self) -> Fraction:
-        """Mean variability (max-variant minus min-variant total), seconds."""
-        return Fraction(self.spread_s, self.n_trips)
+# (zone_id, date, period, mode_id) -> [sum of door-to-door totals, sum of
+# (max-variant total - min-variant total), trip count], in integer seconds:
+# a cell's mean time is ``total / n`` and its mean variability ``spread / n``.
+DayCells = Dict[Tuple[str, date, DayPeriod, str], List[int]]
 
 
 @dataclass(frozen=True)
 class ZonePeriodSummary:
-    """Per (zone, period) roll-up over the date range."""
+    """Roll-up over the date range of the (zone, period) that keys it."""
 
-    zone_id: str
-    period: DayPeriod
     n_by_mode: Dict[str, int]
     reliability_by_mode: Dict[str, int]
     fastest_mode: str
@@ -94,11 +75,10 @@ class ZonePeriodSummary:
         return interval_bin(self.e_bar_s / 60)
 
 
-def daily_zone_means(trips: Iterable[TripRecord]) -> List[ZonePeriodDayStat]:
+def daily_zone_means(trips: Iterable[TripRecord]) -> DayCells:
     """Summed door-to-door time and variability per (zone, date, period,
     mode), bucketing each trip by the date and period of its final arrival."""
-    # (zone, date, period, mode) -> [sum total, sum variability, count]
-    cells: Dict[tuple, List[int]] = {}
+    cells: DayCells = {}
     for trip in trips:
         legs, ride = trip.legs, trip.ride_from
         key = (trip.dest_zone_id, trip.arrival_date, trip.arrival_period, legs.segment.mode_id)
@@ -108,10 +88,7 @@ def daily_zone_means(trips: Iterable[TripRecord]) -> List[ZonePeriodDayStat]:
         sums[0] += legs.door_to_exit_s + ride.mean_s
         sums[1] += legs.to_spread_s + ride.max_s - ride.min_s
         sums[2] += 1
-    return [
-        ZonePeriodDayStat(zone_id, period, when, mode_id, total, spread, n)
-        for (zone_id, when, period, mode_id), (total, spread, n) in cells.items()
-    ]
+    return cells
 
 
 def _argmax_mode(counts: Dict[str, int]) -> str:
@@ -120,8 +97,8 @@ def _argmax_mode(counts: Dict[str, int]) -> str:
     return min(m for m, c in counts.items() if c == best)
 
 
-def summarize(day_stats: Iterable[ZonePeriodDayStat]) -> List[ZonePeriodSummary]:
-    """One summary per (zone, period), sorted by zone and period label.
+def summarize(cells: DayCells) -> Dict[Tuple[str, DayPeriod], ZonePeriodSummary]:
+    """One summary per (zone, period), keyed by it, in first-seen order.
 
     On each day, every mode with the lowest mean time counts one in
     ``n_by_mode`` and every mode with the lowest variability counts one in
@@ -131,13 +108,14 @@ def summarize(day_stats: Iterable[ZonePeriodDayStat]) -> List[ZonePeriodSummary]
     the daily lowest mean time over the ``days_used`` days the cell has
     data; ``days_total`` is the number of distinct dates in the whole input.
     """
-    cells: Dict[Tuple[str, DayPeriod], Dict[date, List[ZonePeriodDayStat]]] = {}
-    for stat in day_stats:
-        days = cells.setdefault((stat.zone_id, stat.period), {})
-        days.setdefault(stat.date, []).append(stat)
-    days_total = len({day for days in cells.values() for day in days})
-    summaries = []
-    for (zone_id, period), days in cells.items():
+    # (zone, period) -> date -> [(mode, [total, spread, n])]
+    groups: Dict[Tuple[str, DayPeriod], Dict[date, list]] = {}
+    for (zone_id, day, period, mode_id), sums in cells.items():
+        days = groups.setdefault((zone_id, period), {})
+        days.setdefault(day, []).append((mode_id, sums))
+    days_total = len({day for _, day, _, _ in cells})
+    summaries = {}
+    for key, days in groups.items():
         fastest: Dict[str, int] = {}
         reliable: Dict[str, int] = {}
         # Sum of the daily minimum means, as minima_num / minima_den with
@@ -146,44 +124,38 @@ def summarize(day_stats: Iterable[ZonePeriodDayStat]) -> List[ZonePeriodSummary]
         for stats in days.values():
             # The day's minimum mean time e_t / e_n and variability v_t / v_n;
             # means t / n compare as t_a * n_b < t_b * n_a.
-            first = stats[0]
-            e_t, e_n = first.total_s, first.n_trips
-            v_t, v_n = first.spread_s, first.n_trips
-            for s in stats:
-                n = s.n_trips
-                if s.total_s * e_n < e_t * n:
-                    e_t, e_n = s.total_s, n
-                if s.spread_s * v_n < v_t * n:
-                    v_t, v_n = s.spread_s, n
-            for s in stats:
-                n, mode_id = s.n_trips, s.mode_id
-                fastest[mode_id] = fastest.get(mode_id, 0) + (s.total_s * e_n == e_t * n)
-                reliable[mode_id] = reliable.get(mode_id, 0) + (s.spread_s * v_n == v_t * n)
+            _, (e_t, v_t, e_n) = stats[0]
+            v_n = e_n
+            for _, (t, v, n) in stats:
+                if t * e_n < e_t * n:
+                    e_t, e_n = t, n
+                if v * v_n < v_t * n:
+                    v_t, v_n = v, n
+            for mode_id, (t, v, n) in stats:
+                fastest[mode_id] = fastest.get(mode_id, 0) + (t * e_n == e_t * n)
+                reliable[mode_id] = reliable.get(mode_id, 0) + (v * v_n == v_t * n)
             g = gcd(minima_den, e_n)
             minima_num = minima_num * (e_n // g) + e_t * (minima_den // g)
             minima_den = minima_den // g * e_n
-        summaries.append(
-            ZonePeriodSummary(
-                zone_id=zone_id,
-                period=period,
-                n_by_mode=dict(sorted(fastest.items())),
-                reliability_by_mode=dict(sorted(reliable.items())),
-                fastest_mode=_argmax_mode(fastest),
-                most_reliable_mode=_argmax_mode(reliable),
-                e_bar_s=Fraction(minima_num, minima_den * len(days)),
-                days_used=len(days),
-                days_total=days_total,
-            )
+        summaries[key] = ZonePeriodSummary(
+            n_by_mode=dict(sorted(fastest.items())),
+            reliability_by_mode=dict(sorted(reliable.items())),
+            fastest_mode=_argmax_mode(fastest),
+            most_reliable_mode=_argmax_mode(reliable),
+            e_bar_s=Fraction(minima_num, minima_den * len(days)),
+            days_used=len(days),
+            days_total=days_total,
         )
-    summaries.sort(key=lambda s: (s.zone_id, s.period.label))
     return summaries
 
 
-def bin_zone_counts(summaries: Iterable[ZonePeriodSummary]) -> Dict[Tuple[str, DayPeriod, str], int]:
+def bin_zone_counts(
+    summaries: Dict[Tuple[str, DayPeriod], ZonePeriodSummary],
+) -> Dict[Tuple[str, DayPeriod, str], int]:
     """Count (zone, period) summaries per (fastest mode, period, time band)."""
     counts: Dict[Tuple[str, DayPeriod, str], int] = {}
-    for summary in summaries:
-        key = (summary.fastest_mode, summary.period, summary.interval_bin)
+    for (_, period), summary in summaries.items():
+        key = (summary.fastest_mode, period, summary.interval_bin)
         counts[key] = counts.get(key, 0) + 1
     return counts
 

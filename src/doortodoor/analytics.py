@@ -260,12 +260,12 @@ def delay_sensitivity(
         )
 
     densities = [zones[z].population_density for z, _, _ in used]
-    if any(d is None for d in densities) or sum(densities or [0]) == 0:
+    if any(d is None for d in densities) or sum(densities) == 0:
         log.warning("segment %s: missing population densities; uniform weights",
                     segment.segment_id)
         weights = [Fraction(1, len(used))] * len(used)
     else:
-        total = Fraction(sum(Fraction(d) for d in densities))
+        total = sum(Fraction(d) for d in densities)
         weights = [Fraction(d) / total for d in densities]
 
     weighted_mean = sum(w * delta for w, (_, delta, _) in zip(weights, used))

@@ -15,7 +15,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from datetime import date, timedelta
 from functools import partial
 from pathlib import Path
@@ -23,7 +23,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import aggregation, analytics, ingestion
 from .errors import DoorToDoorError, FitUndefinedError, ValidationError
-from .model import CLASSIFIABLE_PERIODS, DwellProfile, local_date_period
+from .model import CLASSIFIABLE_PERIODS, DayPeriod, DwellProfile, local_date_period
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
@@ -129,7 +129,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     values = _read_config_file(config_path) if config_path else {}
     for key in CONFIG_KEYS:
         value = getattr(args, key, None)
-        if value is not None and value is not False:
+        if value is not None:
             values[key] = value
     return RunConfig(**values)
 
@@ -139,7 +139,7 @@ class LoadedInputs:
     stations: Dict[str, object]
     zones: ingestion.ZoneCollection
     rides: ingestion.RideStatIndex
-    segments: List[object] = field(default_factory=list)
+    segments: List[object]
 
 
 def load_inputs(config: RunConfig, *, need_segments: bool = True) -> LoadedInputs:
@@ -200,7 +200,9 @@ def evaluate(config: RunConfig, inputs: LoadedInputs) -> aggregation.EvaluationR
     )
 
 
-def run_pipeline(config: RunConfig, inputs: LoadedInputs) -> List[aggregation.ZonePeriodSummary]:
+def run_pipeline(
+    config: RunConfig, inputs: LoadedInputs,
+) -> Dict[Tuple[str, DayPeriod], aggregation.ZonePeriodSummary]:
     """Per (zone, period) summaries of the trips ``evaluate`` gives."""
     trips = evaluate(config, inputs).trips
     return aggregation.summarize(aggregation.daily_zone_means(trips))
@@ -248,9 +250,9 @@ def _csv_text(header: List[str], rows: List[List[object]]) -> str:
     return buf.getvalue()
 
 
-def _summary_properties(summary: aggregation.ZonePeriodSummary) -> dict:
+def _summary_properties(zone_id: str, summary: aggregation.ZonePeriodSummary) -> dict:
     props = {
-        "zone_id": summary.zone_id,
+        "zone_id": zone_id,
         "fastest_mode": summary.fastest_mode,
         "most_reliable_mode": summary.most_reliable_mode,
         "e_bar_min": round(summary.e_bar_min, 6),
@@ -266,7 +268,7 @@ def _summary_properties(summary: aggregation.ZonePeriodSummary) -> dict:
 
 
 def export_summaries(
-    summaries: List[aggregation.ZonePeriodSummary],
+    summaries: Dict[Tuple[str, DayPeriod], aggregation.ZonePeriodSummary],
     zones: ingestion.ZoneCollection,
     out_dir: Path,
     stem: str,
@@ -274,14 +276,13 @@ def export_summaries(
 ) -> List[Path]:
     """One artifact per day period, covering every zone of the input (zones
     without data carry null properties)."""
-    by_key = {(s.zone_id, s.period): s for s in summaries}
     geometries = _geometry_json(zones) if fmt in ("geojson", "both") else {}
     written = []
     for period in CLASSIFIABLE_PERIODS:
         features, rows = [], []
         for zone in zones:
-            summary = by_key.get((zone.zone_id, period))
-            props = _summary_properties(summary) if summary else {
+            summary = summaries.get((zone.zone_id, period))
+            props = _summary_properties(zone.zone_id, summary) if summary else {
                 "zone_id": zone.zone_id, "fastest_mode": None,
                 "most_reliable_mode": None, "e_bar_min": None,
                 "interval_bin": None, "days_used": 0, "days_total": 0,
@@ -381,9 +382,9 @@ def cmd_legs(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_integration(config: RunConfig, args: argparse.Namespace) -> int:
-    inputs = load_inputs(config, need_segments=False)
     if config.from_date is None or config.to_date is None:
         raise ValidationError("--from-date/--to-date required for integration fit")
+    inputs = load_inputs(config, need_segments=False)
     dates = []
     day = config.from_date
     while day <= config.to_date:
@@ -425,11 +426,9 @@ def cmd_weather_diff(config: RunConfig, args: argparse.Namespace) -> int:
                 raise ValidationError(f"{flag} {day} outside the weekly schedule's "
                                       f"date range {config.from_date}..{config.to_date}")
 
-    def summaries_for(day: date):
-        result = run_pipeline(replace(config, from_date=day, to_date=day), inputs)
-        return {(s.zone_id, s.period): s for s in result}
-
-    deltas = analytics.weather_diff(summaries_for(args.date_a), summaries_for(args.date_b))
+    summaries_a = run_pipeline(replace(config, from_date=args.date_a, to_date=args.date_a), inputs)
+    summaries_b = run_pipeline(replace(config, from_date=args.date_b, to_date=args.date_b), inputs)
+    deltas = analytics.weather_diff(summaries_a, summaries_b)
     rows = [
         [d.zone_id, d.period.label, d.e_bar_a_min, d.e_bar_b_min, d.delta_min,
          int(d.disappeared)]

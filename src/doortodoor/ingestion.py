@@ -512,6 +512,9 @@ def _zone_collection(text: str) -> ZoneCollection:
         zone_id = props.get("zone_id") if isinstance(props, dict) else None
         if not (isinstance(zone_id, str) and zone_id):
             raise ValidationError("feature without a string zone_id property")
+        if ";" in zone_id:
+            # ';' separates the zone lists of the delay export.
+            raise ValidationError(f"zone_id {zone_id!r} contains ';'")
         if zone_id in collection.zones:
             raise ValidationError(f"duplicate zone_id {zone_id}")
         internal = props.get("internal_point")

@@ -4,6 +4,7 @@ PASS/FAIL line (run with -s to see them)."""
 import random
 import time as time_mod
 from datetime import date
+from fractions import Fraction
 
 import pytest
 
@@ -30,7 +31,6 @@ from doortodoor.ingestion import DEFAULT_RAIL_DWELL, DEFAULT_STATION_DWELL
 
 from conftest import kernel_trip, make_rides, make_segment
 from test_aggregation import (
-    by_cell,
     oracle_daily_means,
     oracle_fastest_time,
     oracle_winner_counts,
@@ -86,21 +86,19 @@ def test_criterion_3_oracle_equivalence_100_seeds():
     start = time_mod.perf_counter()
     for seed in range(100):
         trips = random_trips(random.Random(seed))
-        day_stats = daily_zone_means(trips)
+        cells = daily_zone_means(trips)
         expected = oracle_daily_means(trips)
         day_means = {}
-        for stat in day_stats:
-            key = (stat.zone_id, stat.date, stat.period, stat.mode_id)
-            assert (stat.e_s, stat.v_s, stat.n_trips) == expected[key]
-            day_means[key] = (stat.e_s, stat.v_s)
-        assert len(day_stats) == len(expected)
-        summaries = summarize(day_stats)
-        cells = by_cell(summaries)
-        assert ({k: s.n_by_mode for k, s in cells.items()}
+        for key, (total, spread, n) in cells.items():
+            assert (Fraction(total, n), Fraction(spread, n), n) == expected[key]
+            day_means[key] = (Fraction(total, n), Fraction(spread, n))
+        assert len(cells) == len(expected)
+        summaries = summarize(cells)
+        assert ({k: s.n_by_mode for k, s in summaries.items()}
                 == oracle_winner_counts(day_means, 0))
-        assert ({k: s.reliability_by_mode for k, s in cells.items()}
+        assert ({k: s.reliability_by_mode for k, s in summaries.items()}
                 == oracle_winner_counts(day_means, 1))
-        assert ({k: s.e_bar_s for k, s in cells.items()}
+        assert ({k: s.e_bar_s for k, s in summaries.items()}
                 == oracle_fastest_time(day_means))
         assert sum(bin_zone_counts(summaries).values()) == len(summaries)
     elapsed = time_mod.perf_counter() - start
@@ -216,8 +214,8 @@ def test_criterion_9_golden_run_replaces_nonreproducible_figures():
     segments += load_segments_actuals(FIXTURES / "segments.csv", stations)
     trips = evaluate_trips(segments, zones["AZ1"], list(zones), rides).trips
 
-    day_means = {(s.zone_id, s.date, s.period, s.mode_id): (s.e_s, s.v_s)
-                 for s in daily_zone_means(trips)}
+    day_means = {key: (Fraction(total, n), Fraction(spread, n))
+                 for key, (total, spread, n) in daily_zone_means(trips).items()}
     oracle = oracle_fastest_time(day_means)
 
     for path in sorted((FIXTURES.parent / "golden_expected" / "fastest_time").glob("*.csv")):

@@ -77,10 +77,6 @@ def oracle_fastest_time(day_means):
     return out
 
 
-def by_cell(summaries):
-    return {(s.zone_id, s.period): s for s in summaries}
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -89,24 +85,24 @@ class TestDailyZoneMeans:
         base = dict(to_s=600, dep_s=1200, arr_s=600, from_s=600)
         trips = [make_trip(in_s=100 * 60 - 3000, **base),
                  make_trip(in_s=120 * 60 - 3000, **base)]
-        (stat,) = daily_zone_means(trips)
-        assert stat.e_s == Fraction(110 * 60)
-        assert stat.n_trips == 2
+        ((total, _, n),) = daily_zone_means(trips).values()
+        assert Fraction(total, n) == Fraction(110 * 60)
+        assert n == 2
 
     def test_singleton(self):
         trip = make_trip(to_spread=300, from_spread=600)
-        (stat,) = daily_zone_means([trip])
-        assert stat.e_s == trip.total_mean_s
-        assert stat.v_s == trip.total_max_s - trip.total_min_s == 1800
+        ((total, spread, n),) = daily_zone_means([trip]).values()
+        assert Fraction(total, n) == trip.total_mean_s
+        assert Fraction(spread, n) == trip.total_max_s - trip.total_min_s == 1800
 
     def test_zones_never_pooled(self):
         trips = [make_trip(dest_zone="PZ1"), make_trip(dest_zone="PZ2")]
-        stats = daily_zone_means(trips)
-        assert {s.zone_id for s in stats} == {"PZ1", "PZ2"}
-        assert all(s.n_trips == 1 for s in stats)
+        cells = daily_zone_means(trips)
+        assert {zone_id for zone_id, _, _, _ in cells} == {"PZ1", "PZ2"}
+        assert all(n == 1 for _, _, n in cells.values())
 
     def test_empty_input(self):
-        assert daily_zone_means([]) == []
+        assert daily_zone_means([]) == {}
 
 
 class TestFastestModeCounts:
@@ -123,24 +119,24 @@ class TestFastestModeCounts:
         return daily_zone_means(trips)
 
     def test_counts_and_winner(self):
-        (summary,) = summarize(self.three_day_stats())
+        (summary,) = summarize(self.three_day_stats()).values()
         assert summary.n_by_mode == {"A": 2, "B": 1}
         assert summary.fastest_mode == "A"
 
     def test_tie_counts_both(self):
         trips = [make_trip(mode_id="A"), make_trip(mode_id="B")]
-        (summary,) = summarize(daily_zone_means(trips))
+        (summary,) = summarize(daily_zone_means(trips)).values()
         assert summary.n_by_mode == {"A": 1, "B": 1}
         assert summary.fastest_mode == "A"  # lexicographic tie-break
 
     def test_absent_mode_never_selected(self):
-        (summary,) = summarize(self.three_day_stats())
+        (summary,) = summarize(self.three_day_stats()).values()
         assert "C" not in summary.n_by_mode
 
     def test_counting_conservation(self):
         stats = self.three_day_stats()
-        (summary,) = summarize(stats)
-        days = len({s.date for s in stats})
+        (summary,) = summarize(stats).values()
+        days = len({day for _, day, _, _ in stats})
         assert sum(summary.n_by_mode.values()) >= days
 
 
@@ -152,7 +148,7 @@ class TestFastestTime:
                                    in_s=minute * 60 - 1800 - 5400 - 2700 - 1500))
             trips.append(make_trip(mode_id="B", arrival_date=day,
                                    in_s=(minute + 30) * 60 - 1800 - 5400 - 2700 - 1500))
-        times = by_cell(summarize(daily_zone_means(trips)))
+        times = summarize(daily_zone_means(trips))
         summary = times[("PZ1", DayPeriod.MIDDAY)]
         assert summary.e_bar_s == Fraction(250 * 60)
         assert summary.days_used == 2
@@ -160,7 +156,7 @@ class TestFastestTime:
     def test_single_mode_degenerate(self):
         trips = [make_trip(arrival_date="2018-01-01"),
                  make_trip(arrival_date="2018-01-02", in_s=4800 + 600)]
-        times = by_cell(summarize(daily_zone_means(trips)))
+        times = summarize(daily_zone_means(trips))
         summary = times[("PZ1", DayPeriod.MIDDAY)]
         assert summary.e_bar_s == Fraction((270 + 280) * 60, 2)
 
@@ -168,7 +164,7 @@ class TestFastestTime:
         trips = [make_trip(dest_zone="PZ1", arrival_date="2018-01-01"),
                  make_trip(dest_zone="PZ1", arrival_date="2018-01-02"),
                  make_trip(dest_zone="PZ2", arrival_date="2018-01-01")]
-        times = by_cell(summarize(daily_zone_means(trips)))
+        times = summarize(daily_zone_means(trips))
         assert times[("PZ2", DayPeriod.MIDDAY)].days_used == 1
         assert times[("PZ2", DayPeriod.MIDDAY)].days_total == 2
 
@@ -181,7 +177,7 @@ class TestReliability:
                                    to_spread=1200, from_spread=1200))  # V=80min
             trips.append(make_trip(mode_id="B", arrival_date=day,
                                    to_spread=600, from_spread=150))  # V=25min
-        (summary,) = summarize(daily_zone_means(trips))
+        (summary,) = summarize(daily_zone_means(trips)).values()
         assert summary.most_reliable_mode == "B"
         assert summary.reliability_by_mode == {"A": 0, "B": 2}
 
@@ -193,14 +189,14 @@ class TestReliability:
                                    in_s=4200, to_spread=1500, from_spread=1200))
             trips.append(make_trip(mode_id="B", arrival_date=day,
                                    in_s=4800, to_spread=60, from_spread=60))
-        (summary,) = summarize(daily_zone_means(trips))
+        (summary,) = summarize(daily_zone_means(trips)).values()
         assert summary.fastest_mode == "A"
         assert summary.most_reliable_mode == "B"
 
     def test_tie_counts_both(self):
         trips = [make_trip(mode_id="A", to_spread=300),
                  make_trip(mode_id="B", to_spread=300)]
-        (summary,) = summarize(daily_zone_means(trips))
+        (summary,) = summarize(daily_zone_means(trips)).values()
         assert summary.reliability_by_mode == {"A": 1, "B": 1}
 
 
@@ -250,28 +246,28 @@ class TestOracleEquivalence:
     def test_randomized_fixture_matches_brute_force(self, seed):
         rng = random.Random(seed)
         trips = random_trips(rng)
-        day_stats = daily_zone_means(trips)
+        cells = daily_zone_means(trips)
         expected = oracle_daily_means(trips)
-        assert len(day_stats) == len(expected)
+        assert len(cells) == len(expected)
         day_means = {}
-        for stat in day_stats:
-            key = (stat.zone_id, stat.date, stat.period, stat.mode_id)
-            assert (stat.e_s, stat.v_s, stat.n_trips) == expected[key]
-            day_means[key] = (stat.e_s, stat.v_s)
+        for key, (total, spread, n) in cells.items():
+            assert (Fraction(total, n), Fraction(spread, n), n) == expected[key]
+            day_means[key] = (Fraction(total, n), Fraction(spread, n))
 
-        summaries = summarize(day_stats)
-        fast = {key: s.n_by_mode for key, s in by_cell(summaries).items()}
+        summaries = summarize(cells)
+        assert set(summaries) == {(z, p) for (z, _, p, _) in cells}
+        fast = {key: s.n_by_mode for key, s in summaries.items()}
         assert fast == oracle_winner_counts(day_means, 0)
 
-        reliable = {key: s.reliability_by_mode for key, s in by_cell(summaries).items()}
+        reliable = {key: s.reliability_by_mode for key, s in summaries.items()}
         assert reliable == oracle_winner_counts(day_means, 1)
 
-        times = {key: s.e_bar_s for key, s in by_cell(summaries).items()}
+        times = {key: s.e_bar_s for key, s in summaries.items()}
         assert times == oracle_fastest_time(day_means)
 
         bins = bin_zone_counts(summaries)
         assert sum(bins.values()) == len(summaries)
-        for summary in summaries:
+        for summary in summaries.values():
             assert interval_bin(float(summary.e_bar_s) / 60) == summary.interval_bin
 
 
@@ -316,12 +312,12 @@ class TestTieOracle:
                      for key, ((p_e, q_e), (p_v, q_v), _) in cells.items()}
         trips = tie_trips(cells)
         rng.shuffle(trips)
-        day_stats = daily_zone_means(trips)
-        assert {(s.zone_id, s.date.day, s.period, s.mode_id): (s.e_s, s.v_s)
-                for s in day_stats} == day_means
+        day_cells = list(daily_zone_means(trips).items())
+        assert {(z, d.day, p, m): (Fraction(total, n), Fraction(spread, n))
+                for (z, d, p, m), (total, spread, n) in day_cells} == day_means
 
-        rng.shuffle(day_stats)
-        summaries = by_cell(summarize(day_stats))
+        rng.shuffle(day_cells)
+        summaries = summarize(dict(day_cells))
         fastest = oracle_winner_counts(day_means, 0)
         reliable = oracle_winner_counts(day_means, 1)
         assert {k: s.n_by_mode for k, s in summaries.items()} == fastest
@@ -353,8 +349,8 @@ class TestMonotonicity:
                 segment_id=t.segment_id)
             for t in base
         ]
-        t_base = by_cell(summarize(daily_zone_means(base)))
-        t_slow = by_cell(summarize(daily_zone_means(slower)))
+        t_base = summarize(daily_zone_means(base))
+        t_slow = summarize(daily_zone_means(slower))
         assert all(t_slow[k].n_by_mode.get("m0", 0) <= t_base[k].n_by_mode.get("m0", 0)
                    for k in t_base)
         assert all(t_slow[k].e_bar_s >= t_base[k].e_bar_s for k in t_base)
@@ -410,13 +406,13 @@ class TestWhatIf:
         segments, origin, zones, rides = whatif_fixture()
         # Baseline: 23:05 arrival + 45min dwell + 20min ride = 00:10 next day.
         baseline = what_if(segments, origin, zones, rides, self.DEFAULTS)
-        early = [s for s in baseline if s.period is DayPeriod.EARLY_MORNING]
+        early = [s for (_, period), s in baseline.items() if period is DayPeriod.EARLY_MORNING]
         assert early and all("via_CDG" in s.n_by_mode for s in early)
         # Faster processing: egress 23:35 + 20min = 23:55 same day.
         faster = what_if(segments, origin, zones, rides, self.FASTER)
-        assert not [s for s in faster if s.period is DayPeriod.EARLY_MORNING]
-        late = [s for s in faster if s.period is DayPeriod.LATE_EVENING]
-        assert late
+        periods = {period for _, period in faster}
+        assert DayPeriod.EARLY_MORNING not in periods
+        assert DayPeriod.LATE_EVENING in periods
 
     def test_untouched_kind_unchanged(self):
         segments, origin, zones, rides = whatif_fixture()

@@ -217,8 +217,7 @@ def one_day_summaries(from_mean_s, day="2018-01-02"):
     segment = make_segment(sched_dep=f"{day}T12:00", sched_arr=f"{day}T13:20")
     report = evaluate_trips([segment], Zone("AZ1"), [Zone("PZ1"), Zone("PZ2")],
                             rides)
-    return {(s.zone_id, s.period): s
-            for s in summarize(daily_zone_means(report.trips))}
+    return summarize(daily_zone_means(report.trips))
 
 
 class TestWeatherDiff:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from doortodoor import cli
+from doortodoor import cli, ingestion
 from doortodoor.cli import COMMANDS, RunConfig, evaluate, load_inputs, main
 from doortodoor.errors import ValidationError
 
@@ -167,8 +167,9 @@ class TestValidate:
         '[{"properties":{"zone_id":"Z1","population_density":NaN}}]}',
         '{"type":"FeatureCollection","features":'
         '[{"properties":{"zone_id":"Z1","population_density":Infinity}}]}',
+        '{"type":"FeatureCollection","features":[{"properties":{"zone_id":"P;Z1"}}]}',
     ], ids=["top-level-list", "feature-not-object", "zone-id-list", "density-bool",
-            "point-bool", "density-nan", "density-infinite"])
+            "point-bool", "density-nan", "density-infinite", "zone-id-semicolon"])
     def test_zones_of_the_wrong_shape_exit_2(self, tmp_path, capsys, doc):
         zones = tmp_path / "zones.geojson"
         zones.write_text(doc)
@@ -449,9 +450,13 @@ class TestDelayCommand:
 
 
 class TestIntegrationCommand:
-    def test_exit_2_without_date_range(self, tmp_path, capsys):
+    def test_exit_2_without_date_range(self, tmp_path, capsys, monkeypatch):
         # No weekly schedule, so loading needs no dates and the command's own
-        # check is the one that fails.
+        # check is the one that fails, before any input is loaded.
+        def load_ride_stats(path):
+            pytest.fail("integration loaded its inputs before checking the date range")
+
+        monkeypatch.setattr(ingestion, "load_ride_stats", load_ride_stats)
         flags = without(BASE_FLAGS, "--from-date", "--to-date", "--weekly-schedule")
         assert main(["integration"] + flags +
                     ["--out-dir", str(tmp_path / "o")]) == 2

@@ -9,6 +9,7 @@ compared with those layers' brute-force oracles."""
 import random
 from dataclasses import astuple
 from datetime import date, datetime, time, timedelta
+from fractions import Fraction
 from typing import NamedTuple, Tuple
 from zoneinfo import ZoneInfo
 
@@ -259,12 +260,12 @@ def test_evaluate_trips_matches_the_pairwise_reference(seed):
 
     # The group-by and leg shares of the kernel's trips equal the layer
     # oracles on the reference trips.
-    day_stats = daily_zone_means(report.trips)
+    cells = daily_zone_means(report.trips)
     expected_means = oracle_daily_means(expected_trips)
-    assert {(s.zone_id, s.date, s.period, s.mode_id): (s.e_s, s.v_s, s.n_trips)
-            for s in day_stats} == expected_means
+    assert {key: (Fraction(total, n), Fraction(spread, n), n)
+            for key, (total, spread, n) in cells.items()} == expected_means
     day_means = {key: (e, v) for key, (e, v, _) in expected_means.items()}
-    summaries = {(s.zone_id, s.period): s for s in summarize(day_stats)}
+    summaries = summarize(cells)
     assert {k: s.n_by_mode for k, s in summaries.items()} == oracle_winner_counts(day_means, 0)
     assert ({k: s.reliability_by_mode for k, s in summaries.items()}
             == oracle_winner_counts(day_means, 1))
