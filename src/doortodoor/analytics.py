@@ -136,8 +136,8 @@ def airport_integration(
         daily = [
             stat.mean_s
             for day in dates
-            if (stat := rides.get((zone.zone_id, station.zone_id, day,
-                                   DayPeriod.DAILY_ONLY))) is not None
+            if (stat := rides.get(zone.zone_id, station.zone_id, day,
+                                  DayPeriod.DAILY_ONLY)) is not None
         ]
         if not daily:
             continue
@@ -243,8 +243,8 @@ def delay_sensitivity(
     used: List[Tuple[str, int, int]] = []  # (zone_id, mean_delta_s, max_delta_s)
     excluded: List[str] = []
     for zone in zones:
-        sched_stat = rides.get((station_zone, zone.zone_id, sched_date, sched_period))
-        actual_stat = rides.get((station_zone, zone.zone_id, actual_date, actual_period))
+        sched_stat = rides.get(station_zone, zone.zone_id, sched_date, sched_period)
+        actual_stat = rides.get(station_zone, zone.zone_id, actual_date, actual_period)
         if sched_stat is None or actual_stat is None:
             excluded.append(zone.zone_id)
             continue

@@ -82,8 +82,8 @@ class RunConfig:
     jobs: int = 1  # accepted for compatibility; evaluation is single-process
 
     def __post_init__(self):
-        # The rules of the --format, date and processing-time flags and their
-        # config keys, so a config built in Python is held to them too.
+        # The rules of the --format, date, processing-time and --jobs flags and
+        # their config keys, so a config built in Python is held to them too.
         if self.format not in FORMATS:
             raise ValidationError(f"format: cannot parse {self.format!r}")
         if (self.from_date is not None and self.to_date is not None
@@ -91,6 +91,9 @@ class RunConfig:
             raise ValidationError(f"empty date range {self.from_date}..{self.to_date}")
         if (self.dep_proc_min is None) != (self.arr_proc_min is None):
             raise ValidationError("--dep-proc-min and --arr-proc-min go together")
+        self.dwell_overrides()  # DwellProfile rejects a negative or non-finite time
+        if self.jobs < 1:
+            raise ValidationError(f"jobs: must be at least 1, got {self.jobs}")
 
     def dwell_overrides(self) -> Optional[Dict[str, DwellProfile]]:
         """Per-kind override of airport processing times, when requested."""

@@ -17,6 +17,10 @@ Canonical file formats:
 - ``zones.geojson``: FeatureCollection whose features carry ``zone_id`` and
   optionally ``internal_point`` ([lon, lat]) and ``population_density``.
 
+Ride stats are indexed by zone pair, then by ``(date, period)``: a
+``RideStatIndex`` whose cells of one bucket share one key object, so the
+largest input costs one stat and one dict slot per row.
+
 Each segment time is converted once, here, to epoch seconds, both from
 ``segments.csv`` and from weekly expansion.  A naive local time is zoned by
 the station table (departure times by the departure station, arrival times
@@ -89,26 +93,42 @@ def resolve_dwell(station: Station, overrides: Optional[Dict[str, DwellProfile]]
     return DEFAULT_RAIL_DWELL if station.kind == "rail" else DEFAULT_AIR_DWELL
 
 
-class RideStatIndex(dict):
-    """Ride stats keyed by ``(origin, dest, date, period)``, as
-    ``load_ride_stats`` builds them, with the daily-aggregate fallback."""
+class RideStatIndex:
+    """Ride stats as ``load_ride_stats`` builds them: ``pairs`` maps each
+    ``(origin, dest)`` zone pair to its cells, a dict from ``(date, period)``
+    to that row's ``ZoneRideStat``.  The loader gives every cell of one
+    ``(date, period)`` bucket the same key object, so a row stores only its
+    stat and a dict slot."""
 
-    __slots__ = ()
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs: Dict[Tuple[str, str], Dict[Tuple[date, DayPeriod], ZoneRideStat]]):
+        self.pairs = pairs
+
+    def __len__(self) -> int:
+        """The number of stats."""
+        return sum(map(len, self.pairs.values()))
+
+    def get(self, origin, dest, when, period) -> Optional[ZoneRideStat]:
+        """The stat of exactly this key, or None."""
+        cells = self.pairs.get((origin, dest))
+        return None if cells is None else cells.get((when, period))
 
     def lookup(self, origin, dest, when, period) -> Optional[ZoneRideStat]:
         """Period-level record when present, else the daily aggregate (whose
         ``period`` is ``DAILY_ONLY``), else None."""
-        stat = self.get((origin, dest, when, period))
-        if stat is not None:
-            return stat
-        return self.get((origin, dest, when, DayPeriod.DAILY_ONLY))
+        cells = self.pairs.get((origin, dest))
+        if cells is None:
+            return None
+        return cells.get((when, period)) or cells.get((when, DayPeriod.DAILY_ONLY))
 
     def daily_fraction(self) -> float:
-        """Share of records that are daily-only aggregates."""
-        if not self:
-            return 0.0
-        daily = sum(1 for s in self.values() if s.period is DayPeriod.DAILY_ONLY)
-        return daily / len(self)
+        """Share of records that are daily-only aggregates, counted by the
+        period of each cell's key."""
+        daily_only, total = DayPeriod.DAILY_ONLY, len(self)
+        daily = sum(1 for cells in self.pairs.values() for _, period in cells
+                    if period is daily_only)
+        return daily / total if total else 0.0
 
 
 RIDE_STATS_HEADER = "origin_zone,dest_zone,date,period,mean_s,min_s,max_s"
@@ -183,24 +203,17 @@ def _parse_float(value, what: str) -> float:
         raise ValidationError(f"{what}: not a number: {value!r}") from None
 
 
-def _parse_date(value: str) -> date:
-    try:
-        return date.fromisoformat(value)
-    except ValueError:
-        raise ValidationError(f"bad date {value!r}") from None
-
-
 class _Memo(dict):
-    """``memo[text]`` is ``parse(text)``, computed on the first sight of each
-    distinct ``text``; an exception from ``parse`` stores nothing."""
+    """``memo[key]`` is ``parse(key)``, computed on the first sight of each
+    distinct ``key``; an exception from ``parse`` stores nothing."""
 
     __slots__ = ("parse",)
 
-    def __init__(self, parse: Callable[[str], object]):
+    def __init__(self, parse: Callable[[object], object]):
         self.parse = parse
 
-    def __missing__(self, text: str):
-        value = self[text] = self.parse(text)
+    def __missing__(self, key):
+        value = self[key] = self.parse(key)
         return value
 
 
@@ -211,39 +224,50 @@ def _parse_period(value: str) -> DayPeriod:
     return PERIOD_BY_CODE[code]
 
 
+def _parse_bucket(texts: Tuple[str, str]) -> Tuple[date, DayPeriod]:
+    """The ``(date, period)`` key of a row's date and period texts, the
+    period checked first."""
+    date_s, period_s = texts
+    period = _parse_period(period_s)
+    try:
+        return date.fromisoformat(date_s), period
+    except ValueError:
+        raise ValidationError(f"bad date {date_s!r}") from None
+
+
 def load_ride_stats(path) -> RideStatIndex:
     """Parse and index the zone-pair ride statistics file.
 
     A row is checked in this order: period, date, ``mean_s``, ``min_s``,
     ``max_s``, then ``0 < min <= mean <= max``, then the key's uniqueness.
-    Each distinct period, date and integer text is parsed once per load, and
-    equal zone ids and values share one object."""
-    index = RideStatIndex()
-    periods, dates = _Memo(_parse_period), _Memo(_parse_date)
-    ints, zone_ids = _Memo(int), _Memo(str)
+    Each distinct ``(date, period)`` text pair and integer text is parsed once
+    per load; the cells of one bucket share its key object, and equal values
+    share one object."""
+    buckets, ints = _Memo(_parse_bucket), _Memo(int)
+    pairs = _Memo(lambda pair: {})
     new = tuple.__new__  # builds a ZoneRideStat in C, not via its Python __new__
 
     def parse_row(row, line):
         origin, dest, date_s, period_s, mean_s, min_s, max_s = row
-        period = periods[period_s]
-        day = dates[date_s]
+        key = buckets[date_s, period_s]
         try:
             mean, low, high = ints[mean_s], ints[min_s], ints[max_s]
         except ValueError:
             mean = _parse_int(mean_s, "mean_s")
             low = _parse_int(min_s, "min_s")
             high = _parse_int(max_s, "max_s")
-        origin, dest = zone_ids[origin], zone_ids[dest]
+        day, period = key
         if not 0 < low <= mean <= high:
             raise ValidationError(f"ride stat {origin}->{dest} {day}: "
                                   f"need 0 < min <= mean <= max, got {low}/{mean}/{high}")
-        key = (origin, dest, day, period)
-        if key in index:
+        cells = pairs[origin, dest]
+        if key in cells:
             raise ValidationError(
                 f"duplicate ride stat key {origin},{dest},{day},{period.code}")
-        index[key] = new(ZoneRideStat, (period, mean, low, high))
+        cells[key] = new(ZoneRideStat, (period, mean, low, high))
 
     _load_rows(path, RIDE_STATS_HEADER, parse_row)
+    index = RideStatIndex(dict(pairs))
     log.info("loaded %d ride stats from %s", len(index), path)
     return index
 

@@ -83,8 +83,8 @@ _PERIOD_STARTS_MIN = tuple(p.start_min for p in CLASSIFIABLE_PERIODS)
 
 
 class ZoneRideStat(NamedTuple):
-    """Zone-pair ride times in seconds; its ``RideStatIndex`` key holds the
-    zones and date.  ``period`` is the row's own, so a daily fallback reads
+    """Zone-pair ride times in seconds; its place in a ``RideStatIndex``
+    holds the zones and date.  ``period`` is the row's own, so a daily fallback reads
     ``DAILY_ONLY`` whatever period was asked.
 
     A plain tuple of its fields, so construction checks nothing:

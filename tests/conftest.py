@@ -57,9 +57,21 @@ def make_segment(segment_id="F1", mode_id="via_CDG",
 
 def ride_index(rows):
     """A RideStatIndex of ``(origin, dest, date, period, mean_s, min_s,
-    max_s)`` rows, each keyed by its first four fields and storing the rest,
-    as ``load_ride_stats`` builds it (it alone checks them)."""
-    return RideStatIndex((row[:4], ZoneRideStat(*row[3:])) for row in rows)
+    max_s)`` rows, each stored under its zone pair and ``(date, period)`` as
+    ``load_ride_stats`` stores it (it alone checks them); a later row
+    replaces an earlier one with the same key."""
+    pairs = {}
+    for origin, dest, day, period, *values in rows:
+        pairs.setdefault((origin, dest), {})[day, period] = ZoneRideStat(period, *values)
+    return RideStatIndex(pairs)
+
+
+def ride_stats_by_key(index):
+    """The stats of a RideStatIndex keyed by ``(origin, dest, date, period)``,
+    pair by pair in the order the index holds them."""
+    return {(origin, dest, day, period): stat
+            for (origin, dest), cells in index.pairs.items()
+            for (day, period), stat in cells.items()}
 
 
 def make_rides(entries):

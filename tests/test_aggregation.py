@@ -442,7 +442,7 @@ class TestEvaluateTrips:
 
     def test_access_ride_looked_up_once_per_segment(self):
         segments, origin, zones, rides = whatif_fixture()
-        rides = CountingRides(rides)
+        rides = CountingRides(rides.pairs)
         segments = segments + [make_segment(segment_id="X", cancelled=True)]
         report = evaluate_trips(segments, origin, zones, rides)
         n_segments, n_zones = len(segments) - 1, len(zones)
@@ -451,7 +451,7 @@ class TestEvaluateTrips:
 
     def test_egress_rides_looked_up_once_per_egress_group(self):
         segments, origin, zones, rides = whatif_fixture()
-        rides = CountingRides(rides)
+        rides = CountingRides(rides.pairs)
         # Exits CDG at 14:35, in the midday group of noon_2018-01-01 (14:05).
         segments.append(make_segment(segment_id="noon2_2018-01-01",
                                      sched_dep="2018-01-01T12:30",

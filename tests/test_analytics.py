@@ -186,11 +186,12 @@ class TestAirportIntegration:
         assert dot == pytest.approx(0, abs=1e-6)
 
     def test_fit_invariant_to_input_ordering(self):
-        items = list(linear_ride_index(self.station, self.zones, self.day, 1.3, 7).items())
-        shuffled = RideStatIndex(random.Random(5).sample(items, len(items)))
+        # One stat per zone pair, so shuffling the pairs shuffles the rows.
+        items = list(linear_ride_index(self.station, self.zones, self.day, 1.3, 7).pairs.items())
+        shuffled = RideStatIndex(dict(random.Random(5).sample(items, len(items))))
         collection = zone_collection(*self.zones)
         fit1 = airport_integration(
-            self.station, RideStatIndex(items), collection, [self.day])
+            self.station, RideStatIndex(dict(items)), collection, [self.day])
         fit2 = airport_integration(self.station, shuffled, collection, [self.day])
         assert fit1 == fit2
 
@@ -299,8 +300,10 @@ class TestDelaySensitivity:
         # A ~24 h delay exits in the same period a day later, when rides are
         # slower: the deltas come from the two (date, period) buckets.
         segment, rides, zones = delay_fixture(actual_arr="2018-02-16T18:06")
-        rides.update(make_rides([("PZ9", "PZ1", "2018-02-16", DayPeriod.PM, 1500, 900, 2600),
-                                 ("PZ9", "PZ2", "2018-02-16", DayPeriod.PM, 1800, 900, 2200)]))
+        later = make_rides([("PZ9", "PZ1", "2018-02-16", DayPeriod.PM, 1500, 900, 2600),
+                            ("PZ9", "PZ2", "2018-02-16", DayPeriod.PM, 1800, 900, 2200)])
+        for pair, cells in later.pairs.items():
+            rides.pairs[pair].update(cells)
         result = delay_sensitivity(segment, rides, zones)
         assert result.scheduled_egress_period is result.actual_egress_period
         # deltas 5 and 10 min weighted 1:3 -> 8.75 min
@@ -348,4 +351,4 @@ class TestDelaySensitivity:
     def test_no_usable_zone_undefined(self):
         segment, _, zones = delay_fixture()
         with pytest.raises(SensitivityUndefinedError):
-            delay_sensitivity(segment, RideStatIndex(), zones)
+            delay_sensitivity(segment, RideStatIndex({}), zones)

@@ -255,6 +255,38 @@ class TestConfigHandling:
                            match="^--dep-proc-min and --arr-proc-min go together$"):
             RunConfig(**lone)
 
+    # Values that parse but that RunConfig rejects when it is built.
+    OUT_OF_RANGE = [
+        ({"dep_proc_min": value, "arr_proc_min": "20"},
+         f"dwell t_sec_departure_min={float(value)!r} must be finite and >= 0")
+        for value in ("-5", "nan", "inf")
+    ] + [({"jobs": value}, f"jobs: must be at least 1, got {value}") for value in ("0", "-3")]
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["validate", "fastest", "whatif"])
+    @pytest.mark.parametrize("values, message", OUT_OF_RANGE,
+                             ids=["proc-min-5", "proc-min-nan", "proc-min-inf",
+                                  "jobs-0", "jobs-minus-3"])
+    def test_out_of_range_value_exits_2_before_loading(
+            self, tmp_path, monkeypatch, capsys, values, message, command, source):
+        monkeypatch.setattr(cli, "load_inputs", lambda *args, **kwargs: pytest.fail(
+            "inputs loaded before the config was checked"))
+        argv = [command] + BASE_FLAGS
+        if command == "whatif" and "dep_proc_min" not in values:
+            argv += ["--dep-proc-min", "60", "--arr-proc-min", "30"]
+        if source == "flag":
+            for key, value in values.items():
+                argv += [f"--{key.replace('_', '-')}", value]
+        else:
+            conf = tmp_path / "run.conf"
+            conf.write_text("".join(f"{key}={value}\n" for key, value in values.items()))
+            argv = ["--config", str(conf)] + argv
+        out = tmp_path / "o"
+        assert main(argv + ["--out-dir", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValidationError", "message": message}
+        assert not out.exists()
+
     def test_config_lines_are_physical_lines(self, tmp_path, capsys):
         # U+0085 breaks a line for str.splitlines, not for the line count.
         conf = tmp_path / "c.conf"
@@ -268,6 +300,8 @@ class TestConfigHandling:
         ["validate", "--from-date", "2018-13-01"],
         ["weather-diff", "--date-b", "2018-01-02"],
         ["integration", "--to-date", "2017-12-31"],
+        ["validate", "--jobs", "0"],
+        ["validate", "--jobs", "-3"],
     ])
     def test_malformed_flags_exit_2_with_json(self, capsys, argv):
         # The flags of argv come last, so they win over BASE_FLAGS.

@@ -29,7 +29,7 @@ from doortodoor.ingestion import (
 )
 from doortodoor.model import PERIOD_BY_CODE, local_date_period
 
-from conftest import make_station
+from conftest import make_station, ride_stats_by_key
 
 GOLDEN = Path(__file__).parent / "fixtures" / "golden"
 
@@ -194,7 +194,7 @@ def test_ride_stats_load_like_a_field_by_field_oracle(tmp_path_factory, rows):
     path = write_utf8(tmp_path_factory.getbasetemp(), "differential.csv",
                       "".join([f"{RIDE_HEADER}\n"] + [",".join(row) + "\n" for row in rows]))
     try:
-        outcome = dict(load_ride_stats(path))
+        outcome = ride_stats_by_key(load_ride_stats(path))
     except ValidationError as exc:
         outcome = str(exc)
     expected = oracle_ride_stats(rows)
@@ -217,28 +217,100 @@ class TestRideStatIndexFallback:
                   st.integers(1, 5), period_codes, st.integers(60, 3600)),
         max_size=20))
     def test_fallback_semantics(self, rows):
-        index = RideStatIndex()
+        pairs = {}
         for origin, dest, day_n, period, mean_s in rows:
-            key = (origin, dest, date(2018, 1, day_n), period)
-            index.setdefault(key, ZoneRideStat(period, mean_s, mean_s, mean_s))
-        for (origin, dest, day, period), stat in index.items():
+            pairs.setdefault((origin, dest), {}).setdefault(
+                (date(2018, 1, day_n), period), ZoneRideStat(period, mean_s, mean_s, mean_s))
+        index = RideStatIndex(pairs)
+        stats = ride_stats_by_key(index)
+        for (origin, dest, day, period), stat in stats.items():
             if period is DayPeriod.DAILY_ONLY:
                 continue
             hit = index.lookup(origin, dest, day, period)
             assert hit == stat
         # Keys with only a daily record fall back; absent pairs return None.
-        for (origin, dest, day, period) in index:
+        for (origin, dest, day, period) in stats:
             for probe in DayPeriod:
                 if probe is DayPeriod.DAILY_ONLY:
                     continue
-                if (origin, dest, day, probe) in index:
+                if (origin, dest, day, probe) in stats:
                     continue
                 hit = index.lookup(origin, dest, day, probe)
-                daily = index.get((origin, dest, day, DayPeriod.DAILY_ONLY))
+                daily = index.get(origin, dest, day, DayPeriod.DAILY_ONLY)
                 if daily is not None:
                     assert hit == daily
                 else:
                     assert hit is None
+
+
+INDEX_ZONES = ("Z1", "Z2", "Z3")
+INDEX_DAYS = (date(2018, 1, 2), date(2018, 1, 3), date(2018, 1, 4))
+
+# Ride rows by key (origin, dest, date, period), so no key repeats, over few
+# zones, dates and periods, so pairs, dates and periods repeat across rows;
+# period 0 (daily) is drawn as often as any other.
+ride_rows_by_key = st.dictionaries(
+    st.tuples(st.sampled_from(INDEX_ZONES), st.sampled_from(INDEX_ZONES),
+              st.sampled_from(INDEX_DAYS), period_codes),
+    st.lists(st.integers(1, 5000), min_size=3, max_size=3).map(sorted),
+    max_size=40,
+)
+
+
+class TestRideStatIndexContract:
+    """The index ``load_ride_stats`` builds, against a brute-force pass over
+    the rows it was given."""
+
+    @staticmethod
+    def load(tmp_path_factory, rows):
+        path = write(tmp_path_factory.getbasetemp(), "index.csv", "".join(
+            [f"{RIDE_HEADER}\n"] + [f"{o},{d},{day},{period.code},{mean},{low},{high}\n"
+                                    for (o, d, day, period), (low, mean, high) in rows]))
+        return load_ride_stats(path)
+
+    @staticmethod
+    def brute_lookup(rows, origin, dest, day, period):
+        """The period's stat, else the day's daily stat, else None."""
+        for wanted in (period, DayPeriod.DAILY_ONLY):
+            for (o, d, when, row_period), (low, mean, high) in rows:
+                if (o, d, when, row_period) == (origin, dest, day, wanted):
+                    return ZoneRideStat(row_period, mean, low, high)
+        return None
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows_by_key=ride_rows_by_key, seed=st.randoms(use_true_random=False))
+    def test_index_matches_brute_force_in_any_row_order(self, tmp_path_factory,
+                                                        rows_by_key, seed):
+        rows = list(rows_by_key.items())
+        index = self.load(tmp_path_factory, rows)
+        assert len(index) == len(rows)
+        for (origin, dest, day, period), (low, mean, high) in rows:
+            assert index.get(origin, dest, day, period) == (period, mean, low, high)
+        probes = [(o, d, day, period) for o in INDEX_ZONES for d in INDEX_ZONES
+                  for day in INDEX_DAYS + (date(2018, 1, 5),) for period in DayPeriod]
+        for probe in probes:
+            if probe not in rows_by_key:
+                assert index.get(*probe) is None
+            if probe[3] is not DayPeriod.DAILY_ONLY:
+                assert index.lookup(*probe) == self.brute_lookup(rows, *probe)
+        daily = sum(1 for key in rows_by_key if key[3] is DayPeriod.DAILY_ONLY)
+        assert index.daily_fraction() == (daily / len(rows) if rows else 0.0)
+
+        seed.shuffle(rows)
+        permuted = self.load(tmp_path_factory, rows)
+        assert len(permuted) == len(index)
+        assert ride_stats_by_key(permuted) == ride_stats_by_key(index)
+        assert [permuted.lookup(*probe) for probe in probes] == [
+            index.lookup(*probe) for probe in probes]
+        assert permuted.daily_fraction() == index.daily_fraction()
+
+    def test_cells_of_one_bucket_share_one_key_object(self):
+        """Every cell of a (date, period) bucket, whatever its zone pair, is
+        keyed by the same tuple, so a row stores no key of its own."""
+        index = load_ride_stats(GOLDEN / "ride_stats.csv")
+        keys = [key for cells in index.pairs.values() for key in cells]
+        assert len(index.pairs) > 1 and len(keys) == len(index) == 170
+        assert len({id(key) for key in keys}) == len(set(keys))
 
 
 WEEKLY_HEADER = "mode_id,dep_station,arr_station,days,dep_time,arr_time"
@@ -424,7 +496,7 @@ class TestPhysicalLines:
     def test_unicode_line_break_in_a_field_loads(self, tmp_path, zone_id):
         path = write_utf8(tmp_path, "rides.csv",
                           f"{RIDE_HEADER}\n{zone_id},Z9,2018-01-02,2,1800,1200,3600\n")
-        ((origin, *_),) = load_ride_stats(path)
+        ((origin, _),) = load_ride_stats(path).pairs
         assert origin == zone_id
 
     def test_row_after_a_quoted_line_break_cites_its_own_line(self, tmp_path):
@@ -462,7 +534,7 @@ class TestPhysicalLines:
         assert str(info.value) == f"{path}:3: {message}"
 
     @pytest.mark.parametrize("name, load", [
-        ("ride_stats.csv", lambda path: list(load_ride_stats(path).items())),
+        ("ride_stats.csv", lambda path: list(ride_stats_by_key(load_ride_stats(path)).items())),
         ("stations.csv", load_stations),
         ("segments.csv",
          lambda path: load_segments_actuals(path, load_stations(GOLDEN / "stations.csv"))),
