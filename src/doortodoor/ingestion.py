@@ -96,9 +96,9 @@ def resolve_dwell(station: Station, overrides: Optional[Dict[str, DwellProfile]]
 class RideStatIndex:
     """Ride stats as ``load_ride_stats`` builds them: ``pairs`` maps each
     ``(origin, dest)`` zone pair to its cells, a dict from ``(date, period)``
-    to that row's ``ZoneRideStat``.  The loader gives every cell of one
-    ``(date, period)`` bucket the same key object, so a row stores only its
-    stat and a dict slot."""
+    to that row's ``ZoneRideStat``.  The loader gives the cells of one
+    ``(date, period)`` bucket one key object (one per spelling of that date
+    and period in the file), so a row stores only its stat and a dict slot."""
 
     __slots__ = ("pairs",)
 
@@ -224,15 +224,17 @@ def _parse_period(value: str) -> DayPeriod:
     return PERIOD_BY_CODE[code]
 
 
-def _parse_bucket(texts: Tuple[str, str]) -> Tuple[date, DayPeriod]:
-    """The ``(date, period)`` key of a row's date and period texts, the
-    period checked first."""
-    date_s, period_s = texts
+def _bucket_keys(period_s: str) -> _Memo:
+    """A memo from a date text to the ``(date, period)`` key of that date and
+    the period ``period_s`` names; the period is checked first."""
     period = _parse_period(period_s)
-    try:
-        return date.fromisoformat(date_s), period
-    except ValueError:
-        raise ValidationError(f"bad date {date_s!r}") from None
+
+    def key(date_s):
+        try:
+            return date.fromisoformat(date_s), period
+        except ValueError:
+            raise ValidationError(f"bad date {date_s!r}") from None
+    return _Memo(key)
 
 
 def load_ride_stats(path) -> RideStatIndex:
@@ -240,16 +242,18 @@ def load_ride_stats(path) -> RideStatIndex:
 
     A row is checked in this order: period, date, ``mean_s``, ``min_s``,
     ``max_s``, then ``0 < min <= mean <= max``, then the key's uniqueness.
-    Each distinct ``(date, period)`` text pair and integer text is parsed once
-    per load; the cells of one bucket share its key object, and equal values
-    share one object."""
-    buckets, ints = _Memo(_parse_bucket), _Memo(int)
-    pairs = _Memo(lambda pair: {})
+    Each distinct (period text, date text) pair is parsed once per load into
+    the ``(date, period)`` key that all its cells share, and each distinct
+    integer text once, so equal values share one object.  The memos are
+    nested by text (period, then date; origin, then dest): a lookup by a str
+    is cheaper than one by a tuple of strs."""
+    buckets, ints = _Memo(_bucket_keys), _Memo(int)
+    cells_by_origin = _Memo(lambda origin: _Memo(lambda dest: {}))
     new = tuple.__new__  # builds a ZoneRideStat in C, not via its Python __new__
 
     def parse_row(row, line):
         origin, dest, date_s, period_s, mean_s, min_s, max_s = row
-        key = buckets[date_s, period_s]
+        key = buckets[period_s][date_s]
         try:
             mean, low, high = ints[mean_s], ints[min_s], ints[max_s]
         except ValueError:
@@ -260,14 +264,15 @@ def load_ride_stats(path) -> RideStatIndex:
         if not 0 < low <= mean <= high:
             raise ValidationError(f"ride stat {origin}->{dest} {day}: "
                                   f"need 0 < min <= mean <= max, got {low}/{mean}/{high}")
-        cells = pairs[origin, dest]
+        cells = cells_by_origin[origin][dest]
         if key in cells:
             raise ValidationError(
                 f"duplicate ride stat key {origin},{dest},{day},{period.code}")
         cells[key] = new(ZoneRideStat, (period, mean, low, high))
 
     _load_rows(path, RIDE_STATS_HEADER, parse_row)
-    index = RideStatIndex(dict(pairs))
+    index = RideStatIndex({(origin, dest): cells for origin, by_dest in cells_by_origin.items()
+                           for dest, cells in by_dest.items()})
     log.info("loaded %d ride stats from %s", len(index), path)
     return index
 
