@@ -4,6 +4,7 @@ before/after diffs, and passenger-delay sensitivity."""
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -39,6 +40,17 @@ class LegShare:
     n_trips: int
 
 
+def _merge_sums(a: List[int], b: List[int]) -> List[int]:
+    """Two partial sums ``[n, den, s_to, s_dep, s_in, s_arr, s_from]`` as one,
+    over the lcm of their denominators."""
+    d1, d2 = a[1], b[1]
+    g = math.gcd(d1, d2)
+    k1, k2 = d2 // g, d1 // g
+    return [a[0] + b[0], k2 * d2,
+            a[2] * k1 + b[2] * k2, a[3] * k1 + b[3] * k2, a[4] * k1 + b[4] * k2,
+            a[5] * k1 + b[5] * k2, a[6] * k1 + b[6] * k2]
+
+
 def leg_shares(trips: Iterable[TripRecord]) -> List[LegShare]:
     """Average per-phase time shares per city pair, sorted ascending by the
     in-vehicle share.
@@ -47,35 +59,29 @@ def leg_shares(trips: Iterable[TripRecord]) -> List[LegShare]:
     sum to 100 exactly) before averaging.  Every total is at least 2 s, since
     ``load_ride_stats`` requires ``0 < min_s <= mean_s`` of both rides.
 
-    The mean is exact and built without a rational per trip: trips with the
-    same total share a denominator, so phase seconds (read off the trip's
-    legs and egress ride) are summed as integers per (city pair, total), and
-    the mean of phase i over the n trips of a pair is the single rational
-    ``100 * sum_t(S_i(t) * (L // t)) / (L * n)`` with ``L = lcm(totals)``.
+    The mean is exact and built in one pass without a rational per trip.  A
+    partial sum ``[n, den, s_to, s_dep, s_in, s_arr, s_from]`` stands for n
+    trips whose phase-i fractions sum to ``s_i / den``; a trip enters as
+    ``[1, total, phase seconds...]`` (read off its legs and egress ride).
+    Each city pair keeps a stack of partial sums that merge like a binary
+    counter, while the top two cover as many trips, over the lcm of their
+    denominators; so big integers arise only in the last few merges.  The
+    folded stack gives phase i's mean as the rational ``100 * s_i / (den * n)``.
     """
-    # pair -> total -> [sum to, sum dep, sum in, sum arr, sum from, count]
-    groups: Dict[str, Dict[int, List[int]]] = {}
+    stacks: Dict[str, List[List[int]]] = {}
     for trip in trips:
         legs, from_s = trip.legs, trip.ride_from.mean_s
-        total = legs.door_to_exit_s + from_s
         pair = f"{trip.dep_station_id}-{trip.arr_station_id}"
-        sums = groups.setdefault(pair, {}).setdefault(total, [0] * 6)
-        sums[0] += legs.ride_to.mean_s
-        sums[1] += legs.dep_s
-        sums[2] += legs.in_s
-        sums[3] += legs.arr_s
-        sums[4] += from_s
-        sums[5] += 1
+        stack = stacks.setdefault(pair, [])
+        top = [1, legs.door_to_exit_s + from_s,
+               legs.ride_to.mean_s, legs.dep_s, legs.in_s, legs.arr_s, from_s]
+        while stack and stack[-1][0] == top[0]:
+            top = _merge_sums(stack.pop(), top)
+        stack.append(top)
     shares = []
-    for pair, by_total in groups.items():
-        n = sum(sums[5] for sums in by_total.values())
-        lcm = math.lcm(*by_total)
-        numerators = [0] * 5
-        for total, sums in by_total.items():
-            scale = lcm // total
-            for i in range(5):
-                numerators[i] += sums[i] * scale
-        means = [Fraction(100 * num, lcm * n) for num in numerators]
+    for pair, stack in stacks.items():
+        n, den, *sums = functools.reduce(_merge_sums, reversed(stack))
+        means = [Fraction(100 * s, den * n) for s in sums]
         shares.append(
             LegShare(
                 city_pair=pair,

@@ -13,6 +13,7 @@ import csv
 import gc
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -49,16 +50,32 @@ def _parse_format(value: str) -> str:
     return value
 
 
+def _parse_minutes(value: str) -> float:
+    """A processing time: a finite float of at least 0."""
+    minutes = float(value)
+    if not (math.isfinite(minutes) and minutes >= 0):
+        raise ValidationError(f"must be finite and >= 0, got {minutes!r}")
+    return minutes
+
+
+def _parse_jobs(value: str) -> int:
+    jobs = int(value)
+    if jobs < 1:
+        raise ValidationError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 # Parsers of the config-file values; a parser raises ValueError on a value it
-# rejects.  The other values stay strings.
+# cannot parse and ValidationError on one out of range.  The other values stay
+# strings.
 CONFIG_PARSERS = {
     "from_date": date.fromisoformat,
     "to_date": date.fromisoformat,
     "on_time_mode": _parse_bool,
-    "dep_proc_min": float,
-    "arr_proc_min": float,
+    "dep_proc_min": _parse_minutes,
+    "arr_proc_min": _parse_minutes,
     "format": _parse_format,
-    "jobs": int,
+    "jobs": _parse_jobs,
 }
 
 
@@ -123,6 +140,8 @@ def _read_config_file(path: str) -> Dict[str, object]:
         except ValueError:
             raise ValidationError(f"{key}: cannot parse {value!r}",
                                   path=path, line=lineno) from None
+        except ValidationError as exc:
+            raise ValidationError(f"{key}: {exc}", path=path, line=lineno) from None
     return values
 
 

@@ -229,8 +229,7 @@ class SegmentLegs:
 
     segment: ScheduledSegment
     ride_to: ZoneRideStat
-    dep_s: int
-    wait_s: int
+    dep_s: int  # departure processing time plus any departure delay
     in_s: int
     arr_s: int
     egress_s: int  # epoch seconds of the station exit
@@ -259,20 +258,12 @@ class TripRecord:
     arrival_date: date
     arrival_period: DayPeriod
 
-    segment_id = property(lambda self: self.legs.segment.segment_id)
-    mode_id = property(lambda self: self.legs.segment.mode_id)
     dep_station_id = property(lambda self: self.legs.segment.dep_station.station_id)
     arr_station_id = property(lambda self: self.legs.segment.arr_station.station_id)
-    ride_to = property(lambda self: self.legs.ride_to)
     used_daily_fallback_to = property(
         lambda self: self.legs.ride_to.period is DayPeriod.DAILY_ONLY)
     used_daily_fallback_from = property(
         lambda self: self.ride_from.period is DayPeriod.DAILY_ONLY)
-    total_mean_s = property(lambda self: self.legs.door_to_exit_s + self.ride_from.mean_s)
-    total_min_s = property(
-        lambda self: self.legs.ride_to.min_s + self.legs.core_s + self.ride_from.min_s)
-    total_max_s = property(
-        lambda self: self.legs.ride_to.max_s + self.legs.core_s + self.ride_from.max_s)
 
 
 def segment_legs(
@@ -313,7 +304,6 @@ def segment_legs(
         segment=segment,
         ride_to=ride_to,
         dep_s=sec_s + wait_s,
-        wait_s=wait_s,
         in_s=segment.actual_arr - segment.actual_dep,
         arr_s=arr_s,
         egress_s=egress_s,

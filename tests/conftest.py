@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from datetime import date
 from functools import lru_cache
+from typing import NamedTuple
 
 import pytest
 
@@ -96,6 +97,31 @@ def kernel_trip(segment, origin, dest, dwell_dep, dwell_arr, rides):
     return trips[0] if trips else None
 
 
+class TripFacts(NamedTuple):
+    segment_id: str
+    mode_id: str
+    ride_to: ZoneRideStat
+    wait_s: int  # the departure delay counted in legs.dep_s
+    total_mean_s: int
+    total_min_s: int
+    total_max_s: int
+
+
+def trip_facts(trip):
+    """What the tests read of a TripRecord besides its fields, derived from
+    ``trip.legs`` and ``trip.ride_from``: the segment and mode ids, the access
+    ride, the departure delay (early pushback counts 0) and the door-to-door
+    total under the mean, min and max ride of both rides."""
+    legs, ride_from = trip.legs, trip.ride_from
+    segment, ride_to = legs.segment, legs.ride_to
+    return TripFacts(
+        segment.segment_id, segment.mode_id, ride_to,
+        max(0, segment.actual_dep - segment.sched_dep),
+        legs.door_to_exit_s + ride_from.mean_s,
+        ride_to.min_s + legs.core_s + ride_from.min_s,
+        ride_to.max_s + legs.core_s + ride_from.max_s)
+
+
 @lru_cache(maxsize=None)
 def _trip_segment(segment_id, mode_id, dep_station_id, arr_station_id):
     return make_segment(
@@ -107,7 +133,7 @@ def _trip_segment(segment_id, mode_id, dep_station_id, arr_station_id):
 
 def make_trip(dest_zone="PZ1", mode_id="via_CDG", arrival_date="2018-01-02",
               arrival_period=DayPeriod.MIDDAY, to_s=1800, dep_s=5400, in_s=4800,
-              arr_s=2700, from_s=1500, wait_s=0, to_spread=0, from_spread=0,
+              arr_s=2700, from_s=1500, to_spread=0, from_spread=0,
               segment_id="F1", dep_station_id="AMS", arr_station_id="CDG"):
     """A TripRecord over its own SegmentLegs, with symmetric min/max ride
     spreads around the means.
@@ -128,7 +154,7 @@ def make_trip(dest_zone="PZ1", mode_id="via_CDG", arrival_date="2018-01-02",
     legs = SegmentLegs(
         segment=segment,
         ride_to=ride(to_s, to_spread),
-        dep_s=dep_s, wait_s=wait_s, in_s=in_s, arr_s=arr_s,
+        dep_s=dep_s, in_s=in_s, arr_s=arr_s,
         egress_s=segment.sched_arr + arr_s, egress_date=when,
         egress_period=arrival_period, arr_tz=segment.arr_station.tzinfo,
     )

@@ -20,7 +20,7 @@ from doortodoor import (
 from doortodoor.aggregation import interval_bin
 from doortodoor.model import local_date_period
 
-from conftest import make_rides, make_segment, make_station, make_trip
+from conftest import make_rides, make_segment, make_station, make_trip, trip_facts
 
 
 # ---------------------------------------------------------------------------
@@ -28,16 +28,19 @@ from conftest import make_rides, make_segment, make_station, make_trip
 # of the grouping machinery under test.
 
 
-def oracle_daily_means(trips):
+def oracle_daily_means(trips, facts=trip_facts):
+    """``facts`` reads a trip's mode id and totals; the kernel oracle's own
+    trip records carry them as attributes."""
     out = {}
-    keys = {(t.dest_zone_id, t.arrival_date, t.arrival_period, t.mode_id)
-            for t in trips}
+    trips = [(t, facts(t)) for t in trips]
+    keys = {(t.dest_zone_id, t.arrival_date, t.arrival_period, f.mode_id)
+            for t, f in trips}
     for key in keys:
-        members = [t for t in trips
+        members = [f for t, f in trips
                    if (t.dest_zone_id, t.arrival_date, t.arrival_period,
-                       t.mode_id) == key]
-        e = Fraction(sum(t.total_mean_s for t in members), len(members))
-        v = Fraction(sum(t.total_max_s - t.total_min_s for t in members),
+                       f.mode_id) == key]
+        e = Fraction(sum(f.total_mean_s for f in members), len(members))
+        v = Fraction(sum(f.total_max_s - f.total_min_s for f in members),
                      len(members))
         out[key] = (e, v, len(members))
     return out
@@ -92,8 +95,9 @@ class TestDailyZoneMeans:
     def test_singleton(self):
         trip = make_trip(to_spread=300, from_spread=600)
         ((total, spread, n),) = daily_zone_means([trip]).values()
-        assert Fraction(total, n) == trip.total_mean_s
-        assert Fraction(spread, n) == trip.total_max_s - trip.total_min_s == 1800
+        facts = trip_facts(trip)
+        assert Fraction(total, n) == facts.total_mean_s
+        assert Fraction(spread, n) == facts.total_max_s - facts.total_min_s == 1800
 
     def test_zones_never_pooled(self):
         trips = [make_trip(dest_zone="PZ1"), make_trip(dest_zone="PZ2")]
@@ -339,14 +343,14 @@ class TestMonotonicity:
         rng = random.Random(7)
         base = random_trips(rng, n_zones=3, n_modes=2, n_days=6)
         slower = [
-            t if t.mode_id != "m0" else make_trip(
-                dest_zone=t.dest_zone_id, mode_id=t.mode_id,
+            t if trip_facts(t).mode_id != "m0" else make_trip(
+                dest_zone=t.dest_zone_id, mode_id=trip_facts(t).mode_id,
                 arrival_date=t.arrival_date.isoformat(),
                 arrival_period=t.arrival_period,
                 in_s=t.legs.in_s + 600,
-                to_spread=t.ride_to.mean_s - t.ride_to.min_s,
+                to_spread=trip_facts(t).ride_to.mean_s - trip_facts(t).ride_to.min_s,
                 from_spread=t.ride_from.mean_s - t.ride_from.min_s,
-                segment_id=t.segment_id)
+                segment_id=trip_facts(t).segment_id)
             for t in base
         ]
         t_base = summarize(daily_zone_means(base))
@@ -487,7 +491,7 @@ class TestEvaluateTrips:
         for trip in report.trips:
             arrival_s = trip.legs.egress_s + trip.ride_from.mean_s
             assert (trip.arrival_date, trip.arrival_period) == local_date_period(arrival_s, tz)
-            night = trip.segment_id[:10]
+            night = trip_facts(trip).segment_id[:10]
             offsets.setdefault(night, set()).add(datetime.fromtimestamp(arrival_s, tz).utcoffset())
         assert all(len(offsets[night]) == 2 for night in nights)
 

@@ -1,6 +1,7 @@
 """Leg decomposition, integration regression, weather diff, delay sensitivity."""
 
 import random
+import tracemalloc
 from dataclasses import astuple
 from datetime import date
 from fractions import Fraction
@@ -116,6 +117,34 @@ class TestLegShares:
         assert [(s.city_pair, astuple(s)[1:6], s.n_trips) for s in shares] == expected
         assert sum(s.n_trips for s in shares) == len(draws)
         assert leg_shares(data.draw(st.permutations(trips))) == shares
+
+    def test_deep_stacks_match_oracle(self):
+        # 2^12 + 1 trips: each pair's partial sums stack many levels deep and
+        # fold at the end over unequal trip counts.
+        rng = random.Random(4097)
+        draws = [(rng.choice(["AMS-CDG", "BOS-CDG", "AMS-GDN"]),
+                  (rng.randint(1, 10 ** 6), rng.randint(0, 10 ** 6), rng.randint(0, 10 ** 6),
+                   rng.randint(0, 10 ** 6), rng.randint(1, 10 ** 6)))
+                 for _ in range(2 ** 12 + 1)]
+        trips = (make_trip(**dict(zip(("to_s", "dep_s", "in_s", "arr_s", "from_s"), phases)),
+                           segment_id=pair, dep_station_id=pair[:3], arr_station_id=pair[4:])
+                 for pair, phases in draws)
+        shares = leg_shares(trips)
+        assert ([(s.city_pair, astuple(s)[1:6], s.n_trips) for s in shares]
+                == oracle_leg_shares(draws))
+
+    def test_memory_stays_small_over_distinct_totals(self):
+        # 20,000 trips of one pair, each with its own total: the partial sums
+        # hold O(log n) entries, not one per total.
+        trips = [make_trip(in_s=1800 + k) for k in range(20_000)]
+        tracemalloc.start()
+        try:
+            (share,) = leg_shares(trips)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert share.n_trips == 20_000
+        assert peak < 1_000_000
 
 
 def linear_ride_index(station, zones, day, slope_min_per_km, intercept_min,

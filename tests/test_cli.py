@@ -13,6 +13,8 @@ from doortodoor import cli, ingestion
 from doortodoor.cli import COMMANDS, RunConfig, evaluate, load_inputs, main
 from doortodoor.errors import ValidationError
 
+from conftest import trip_facts
+
 FIXTURES = Path(__file__).parent / "fixtures" / "golden"
 
 BASE_FLAGS = [
@@ -255,25 +257,30 @@ class TestConfigHandling:
                            match="^--dep-proc-min and --arr-proc-min go together$"):
             RunConfig(**lone)
 
-    # Values that parse but that RunConfig rejects when it is built.
+    # Values that parse but are out of range: the message RunConfig gives when
+    # it is built from the flags, and the one the config file's line gives.
     OUT_OF_RANGE = [
         ({"dep_proc_min": value, "arr_proc_min": "20"},
-         f"dwell t_sec_departure_min={float(value)!r} must be finite and >= 0")
+         f"dwell t_sec_departure_min={float(value)!r} must be finite and >= 0",
+         f"dep_proc_min: must be finite and >= 0, got {float(value)!r}")
         for value in ("-5", "nan", "inf")
-    ] + [({"jobs": value}, f"jobs: must be at least 1, got {value}") for value in ("0", "-3")]
+    ] + [({"jobs": value}, f"jobs: must be at least 1, got {value}",
+          f"jobs: must be at least 1, got {value}") for value in ("0", "-3")]
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("command", ["validate", "fastest", "whatif"])
-    @pytest.mark.parametrize("values, message", OUT_OF_RANGE,
+    @pytest.mark.parametrize("values, message, config_message", OUT_OF_RANGE,
                              ids=["proc-min-5", "proc-min-nan", "proc-min-inf",
                                   "jobs-0", "jobs-minus-3"])
     def test_out_of_range_value_exits_2_before_loading(
-            self, tmp_path, monkeypatch, capsys, values, message, command, source):
+            self, tmp_path, monkeypatch, capsys, values, message, config_message,
+            command, source):
         monkeypatch.setattr(cli, "load_inputs", lambda *args, **kwargs: pytest.fail(
             "inputs loaded before the config was checked"))
         argv = [command] + BASE_FLAGS
         if command == "whatif" and "dep_proc_min" not in values:
             argv += ["--dep-proc-min", "60", "--arr-proc-min", "30"]
+        expected = {"error": "ValidationError", "message": message}
         if source == "flag":
             for key, value in values.items():
                 argv += [f"--{key.replace('_', '-')}", value]
@@ -281,10 +288,11 @@ class TestConfigHandling:
             conf = tmp_path / "run.conf"
             conf.write_text("".join(f"{key}={value}\n" for key, value in values.items()))
             argv = ["--config", str(conf)] + argv
+            # The out-of-range key is on the file's first line.
+            expected.update(message=f"{conf}:1: {config_message}", path=str(conf), line=1)
         out = tmp_path / "o"
         assert main(argv + ["--out-dir", str(out)]) == 2
-        assert json.loads(capsys.readouterr().err) == {
-            "error": "ValidationError", "message": message}
+        assert json.loads(capsys.readouterr().err) == expected
         assert not out.exists()
 
     def test_config_lines_are_physical_lines(self, tmp_path, capsys):
@@ -333,7 +341,7 @@ class TestDateFilter:
             zones=str(FIXTURES / "zones.geojson"),
             to_date=date(2018, 1, 7), origin_zone="AZ1")
         report = evaluate(config, load_inputs(config))
-        evaluated = ({t.segment_id for t in report.trips}
+        evaluated = ({trip_facts(t).segment_id for t in report.trips}
                      | {segment_id for segment_id, _, _ in report.skipped})
         assert evaluated == {"LATE"}
 

@@ -20,7 +20,7 @@ from doortodoor import (
     daily_zone_means, evaluate_trips, expand_weekly_schedule, leg_shares, summarize,
 )
 
-from conftest import ride_index
+from conftest import ride_index, trip_facts
 from test_aggregation import oracle_daily_means, oracle_fastest_time, oracle_winner_counts
 from test_analytics import oracle_leg_shares
 
@@ -163,11 +163,11 @@ class Trip(NamedTuple):
 
 def observed(trip):
     """The kernel's ``TripRecord`` as a ``Trip``."""
-    legs = trip.legs
-    return Trip(trip.segment_id, trip.dest_zone_id, trip.mode_id,
+    legs, facts = trip.legs, trip_facts(trip)
+    return Trip(facts.segment_id, trip.dest_zone_id, facts.mode_id,
                 f"{trip.dep_station_id}-{trip.arr_station_id}",
                 (legs.ride_to.mean_s, legs.dep_s, legs.in_s, legs.arr_s, trip.ride_from.mean_s),
-                trip.total_mean_s, trip.total_min_s, trip.total_max_s,
+                facts.total_mean_s, facts.total_min_s, facts.total_max_s,
                 trip.arrival_date, trip.arrival_period,
                 trip.used_daily_fallback_to, trip.used_daily_fallback_from)
 
@@ -261,7 +261,7 @@ def test_evaluate_trips_matches_the_pairwise_reference(seed):
     # The group-by and leg shares of the kernel's trips equal the layer
     # oracles on the reference trips.
     cells = daily_zone_means(report.trips)
-    expected_means = oracle_daily_means(expected_trips)
+    expected_means = oracle_daily_means(expected_trips, facts=lambda trip: trip)
     assert {key: (Fraction(total, n), Fraction(spread, n), n)
             for key, (total, spread, n) in cells.items()} == expected_means
     day_means = {key: (e, v) for key, (e, v, _) in expected_means.items()}
