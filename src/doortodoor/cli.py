@@ -99,13 +99,16 @@ class RunConfig:
     jobs: int = 1  # accepted for compatibility; evaluation is single-process
 
     def __post_init__(self):
-        # The rules of the --format, date, processing-time and --jobs flags and
-        # their config keys, so a config built in Python is held to them too.
+        # The rules of the --format, date, weekly-schedule, processing-time and
+        # --jobs flags and their config keys, so a config built in Python is
+        # held to them too.
         if self.format not in FORMATS:
             raise ValidationError(f"format: cannot parse {self.format!r}")
         if (self.from_date is not None and self.to_date is not None
                 and self.from_date > self.to_date):
             raise ValidationError(f"empty date range {self.from_date}..{self.to_date}")
+        if self.weekly_schedule and (self.from_date is None or self.to_date is None):
+            raise ValidationError("--from-date/--to-date required with a weekly schedule")
         if (self.dep_proc_min is None) != (self.arr_proc_min is None):
             raise ValidationError("--dep-proc-min and --arr-proc-min go together")
         self.dwell_overrides()  # DwellProfile rejects a negative or non-finite time
@@ -125,35 +128,42 @@ CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
 
 def _read_config_file(path: str) -> Dict[str, object]:
     values = {}
-    for lineno, line in enumerate(ingestion.physical_lines(ingestion.read_text(path)), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValidationError("expected key=value", path=path, line=lineno)
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in CONFIG_KEYS:
-            raise ValidationError(f"unknown config key {key!r}", path=path, line=lineno)
-        try:
-            values[key] = CONFIG_PARSERS.get(key, str)(value)
-        except ValueError:
-            raise ValidationError(f"{key}: cannot parse {value!r}",
-                                  path=path, line=lineno) from None
-        except ValidationError as exc:
-            raise ValidationError(f"{key}: {exc}", path=path, line=lineno) from None
+    with ingestion.physical_lines(path) as lines:
+        for lineno, line in enumerate(lines, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ValidationError("expected key=value", path=path, line=lineno)
+            key, _, value = line.partition("=")
+            key, value = key.strip(), value.strip()
+            if key not in CONFIG_KEYS:
+                raise ValidationError(f"unknown config key {key!r}", path=path, line=lineno)
+            try:
+                values[key] = CONFIG_PARSERS.get(key, str)(value)
+            except ValueError:
+                raise ValidationError(f"{key}: cannot parse {value!r}",
+                                      path=path, line=lineno) from None
+            except ValidationError as exc:
+                raise ValidationError(f"{key}: {exc}", path=path, line=lineno) from None
     return values
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    """Merge config file (if any) and command-line flags; flags win."""
+    """Merge config file (if any) and command-line flags; flags win.  Values
+    that do not go together cite the config file, unless the flags alone
+    already do not."""
     config_path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
     values = _read_config_file(config_path) if config_path else {}
-    for key in CONFIG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            values[key] = value
-    return RunConfig(**values)
+    flags = {key: getattr(args, key) for key in CONFIG_KEYS
+             if getattr(args, key, None) is not None}
+    try:
+        return RunConfig(**{**values, **flags})
+    except ValidationError as exc:
+        if not values:
+            raise
+        RunConfig(**flags)  # the flags' own fault is cited as theirs
+        raise ValidationError(str(exc), path=config_path) from None
 
 
 @dataclass
@@ -180,8 +190,6 @@ def load_inputs(config: RunConfig, *, need_segments: bool = True) -> LoadedInput
             )
         )
     if config.weekly_schedule:
-        if config.from_date is None or config.to_date is None:
-            raise ValidationError("--from-date/--to-date required with a weekly schedule")
         rows = ingestion.load_weekly_schedule(config.weekly_schedule)
         segments.extend(
             ingestion.expand_weekly_schedule(rows, stations, config.from_date, config.to_date,
@@ -226,8 +234,9 @@ def run_pipeline(
     config: RunConfig, inputs: LoadedInputs,
 ) -> Dict[Tuple[str, DayPeriod], aggregation.ZonePeriodSummary]:
     """Per (zone, period) summaries of the trips ``evaluate`` gives."""
-    trips = evaluate(config, inputs).trips
-    return aggregation.summarize(aggregation.daily_zone_means(trips))
+    # The trips go straight into the group-by, so they are freed before
+    # ``summarize`` runs.
+    return aggregation.summarize(aggregation.daily_zone_means(evaluate(config, inputs).trips))
 
 
 # ---------------------------------------------------------------------------

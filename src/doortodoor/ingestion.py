@@ -17,9 +17,10 @@ Canonical file formats:
 - ``zones.geojson``: FeatureCollection whose features carry ``zone_id`` and
   optionally ``internal_point`` ([lon, lat]) and ``population_density``.
 
-Ride stats are indexed by zone pair, then by ``(date, period)``: a
-``RideStatIndex`` whose cells of one bucket share one key object, so the
-largest input costs one stat and one dict slot per row.
+Ride stats are indexed by zone pair, then by date: a ``RideStatIndex`` whose
+slot row for one pair and date holds the three integers of each of its
+periods, so the largest input costs three list slots per row, and a stat
+object only when one is looked up.
 
 Each segment time is converted once, here, to epoch seconds, both from
 ``segments.csv`` and from weekly expansion.  A naive local time is zoned by
@@ -31,15 +32,18 @@ no longer run forward (arrival not after departure) is rejected with
 ``path:line:``; an expanded weekly row, with its segment id and the
 ``path:line:`` of its weekly row.
 
-Line numbers are physical lines: line N is the text after the (N-1)-th
-``\n``, in every CSV input and in the config file.  A ``\r\n`` line end is
-accepted; no other character (``\r`` alone, ``\x0c``, ``\x85``, ...) ends a
-line.  A field may not span lines: a quoted field holding a line break is
-rejected, citing the line its row starts on.  (An exported CSV quotes any
-cell that needs it, so a zone id from ``zones.geojson`` may span lines
-there.)  Segment ids are unique across ``segments.csv`` and the weekly
-expansion; a repeated id is rejected with the ``path:line:`` of the row
-that repeats it.
+Every input is read one physical line at a time (``physical_lines``); a CSV
+loader holds neither a file's whole text nor its list of lines.  Line
+numbers are physical lines: line N is the text after the (N-1)-th ``\n``, in
+every CSV input and in the config file.  A ``\r\n`` line end is accepted; no
+other character (``\r`` alone, ``\x0c``, ``\x85``, ...) ends a line.  Each
+line is decoded as it is read, so a byte that is not UTF-8 is cited by its
+own line, and only once every earlier line has passed.  A field may not span
+lines: a quoted field holding a line break is rejected, citing the line its
+row starts on.  (An exported CSV quotes any cell that needs it, so a zone
+id from ``zones.geojson`` may span lines there.)  Segment ids are unique
+across ``segments.csv`` and the weekly expansion; a repeated id is rejected
+with the ``path:line:`` of the row that repeats it.
 """
 
 from __future__ import annotations
@@ -47,10 +51,12 @@ from __future__ import annotations
 import csv
 import json
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta
-from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from itertools import chain, repeat
+from operator import countOf, itemgetter
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import ValidationError
 from .model import (
@@ -93,100 +99,137 @@ def resolve_dwell(station: Station, overrides: Optional[Dict[str, DwellProfile]]
     return DEFAULT_RAIL_DWELL if station.kind == "rail" else DEFAULT_AIR_DWELL
 
 
+SLOTS = 3 * len(PERIOD_BY_CODE)  # the length of a RideStatIndex slot row
+
+
 class RideStatIndex:
     """Ride stats as ``load_ride_stats`` builds them: ``pairs`` maps each
-    ``(origin, dest)`` zone pair to its cells, a dict from ``(date, period)``
-    to that row's ``ZoneRideStat``.  The loader gives the cells of one
-    ``(date, period)`` bucket one key object (one per spelling of that date
-    and period in the file), so a row stores only its stat and a dict slot."""
+    ``(origin, dest)`` zone pair to a dict from date to that date's slot row,
+    a list of ``SLOTS`` ints.  Slots ``3c``, ``3c + 1`` and ``3c + 2`` hold
+    the ``mean_s``, ``min_s`` and ``max_s`` of the row with period code
+    ``c``, and 0 means that row is absent (a loaded row has ``min_s > 0``).
+    So a row costs three list slots; ``get`` and ``lookup`` build the
+    ``ZoneRideStat`` they return."""
 
     __slots__ = ("pairs",)
 
-    def __init__(self, pairs: Dict[Tuple[str, str], Dict[Tuple[date, DayPeriod], ZoneRideStat]]):
+    def __init__(self, pairs: Dict[Tuple[str, str], Dict[date, List[int]]]):
         self.pairs = pairs
 
+    def _slot_rows(self) -> Iterator[List[int]]:
+        return chain.from_iterable(map(dict.values, self.pairs.values()))
+
     def __len__(self) -> int:
-        """The number of stats."""
-        return sum(map(len, self.pairs.values()))
+        """The number of stats: the nonzero slots over three."""
+        rows = sum(map(len, self.pairs.values()))
+        return (SLOTS * rows - sum(map(list.count, self._slot_rows(), repeat(0)))) // 3
 
     def get(self, origin, dest, when, period) -> Optional[ZoneRideStat]:
         """The stat of exactly this key, or None."""
         cells = self.pairs.get((origin, dest))
-        return None if cells is None else cells.get((when, period))
+        row = None if cells is None else cells.get(when)
+        if row is None:
+            return None
+        slot = 3 * period.code
+        return _new(ZoneRideStat, (period, *row[slot:slot + 3])) if row[slot] else None
 
     def lookup(self, origin, dest, when, period) -> Optional[ZoneRideStat]:
         """Period-level record when present, else the daily aggregate (whose
         ``period`` is ``DAILY_ONLY``), else None."""
         cells = self.pairs.get((origin, dest))
-        if cells is None:
+        row = None if cells is None else cells.get(when)
+        if row is None:
             return None
-        return cells.get((when, period)) or cells.get((when, DayPeriod.DAILY_ONLY))
+        slot = 3 * period.code
+        if row[slot]:
+            return _new(ZoneRideStat, (period, *row[slot:slot + 3]))
+        return _new(ZoneRideStat, (_DAILY, *row[:3])) if row[0] else None
 
     def daily_fraction(self) -> float:
-        """Share of records that are daily-only aggregates, counted by the
-        period of each cell's key."""
-        daily_only, total = DayPeriod.DAILY_ONLY, len(self)
-        daily = sum(1 for cells in self.pairs.values() for _, period in cells
-                    if period is daily_only)
+        """Share of records that are daily-only aggregates (period code 0)."""
+        total = len(self)
+        rows = sum(map(len, self.pairs.values()))
+        daily = rows - countOf(map(itemgetter(0), self._slot_rows()), 0)
         return daily / total if total else 0.0
 
+
+_DAILY = DayPeriod.DAILY_ONLY
+_new = tuple.__new__  # builds a ZoneRideStat in C, not via its Python __new__
 
 RIDE_STATS_HEADER = "origin_zone,dest_zone,date,period,mean_s,min_s,max_s"
 
 
-def read_text(path) -> str:
-    """The text of a UTF-8 input file; a file that cannot be read, or a byte
-    that is not UTF-8 (cited by its line), is a ValidationError."""
+@contextmanager
+def physical_lines(path) -> Iterator[Iterator[str]]:
+    r"""Open an input file and give an iterator over its physical lines, each
+    decoded on its own and kept with its line end: line N is the text after
+    the (N-1)-th ``\n``, so a file that ends with ``\n`` ends with a line
+    ``""``.  A file that cannot be read, or a line that is not UTF-8 (cited
+    by its own line, when the iterator reaches it), is a ValidationError."""
+    path = str(path)
     try:
-        data = Path(path).read_bytes()
-        return data.decode("utf-8")
+        file = open(path, "rb")
     except FileNotFoundError:
-        raise ValidationError("file not found", path=str(path)) from None
+        raise ValidationError("file not found", path=path) from None
     except OSError as exc:
-        raise ValidationError(f"cannot read: {exc.strerror}", path=str(path)) from None
+        raise ValidationError(f"cannot read: {exc.strerror}", path=path) from None
+    with file:
+        yield _decoded_lines(file, path)
+
+
+def _decoded_lines(file, path: str) -> Iterator[str]:
+    number, data = 0, b"\n"
+    try:
+        for number, data in enumerate(file, 1):
+            yield data.decode()
     except UnicodeDecodeError as exc:
-        raise ValidationError(f"not UTF-8: byte 0x{data[exc.start]:02x}", path=str(path),
-                              line=data.count(b"\n", 0, exc.start) + 1) from None
+        raise ValidationError(f"not UTF-8: byte 0x{data[exc.start]:02x}",
+                              path=path, line=number) from None
+    except OSError as exc:
+        raise ValidationError(f"cannot read: {exc.strerror}", path=path) from None
+    if data.endswith(b"\n"):
+        yield ""
 
 
-def physical_lines(text: str) -> List[str]:
-    r"""``text`` split on ``\n`` only, so that item N-1 is line N as every error
-    cites it; a ``\r\n`` line end reads as ``\n``."""
-    return text.replace("\r\n", "\n").split("\n")
-
-
-def _load_rows(path, header: str, parse_row: Callable[[List[str], int], None]) -> None:
+def _load_rows(path, header: str, parse_row: Callable[[List[str], int], None]) -> int:
     """Check the exact ``header`` of a CSV input, then call ``parse_row(row,
-    line)`` on each non-blank row, which must be as wide as the header.
+    line)`` on each non-blank row, which must be as wide as the header, and
+    return the number of rows parsed.  Lines are read one at a time.
     ``line`` is the physical line the row starts on; a ValidationError raised
     by ``parse_row`` (without a path) or a malformed row is re-raised citing
     ``path:line:``."""
     path = str(path)
-    # Popped from the end, so each line is freed once csv has copied its fields.
-    lines = physical_lines(read_text(path))
-    lines.append(None)
-    lines.reverse()
-    if lines.pop() != header:
-        raise ValidationError(f"header must be exactly {header!r}", path=path, line=1)
-    width = header.count(",") + 1
-    reader = csv.reader(iter(lines.pop, None))
-    line = 2
-    try:
-        for row in reader:
-            end = reader.line_num + 1  # the physical line the row ends on
-            if end != line:
-                raise ValidationError("malformed CSV: line break inside a quoted field")
-            if row:
-                if len(row) != width:
-                    raise ValidationError(f"expected {width} fields, got {len(row)}")
-                parse_row(row, line)
-            line = end + 1
-    except csv.Error as exc:
-        # Lines are split here, so csv's hint about universal-newline mode is cut.
-        reason = str(exc).partition(" - ")[0]
-        raise ValidationError(f"malformed CSV: {reason}", path=path, line=line) from None
-    except ValidationError as exc:
-        raise ValidationError(str(exc), path=path, line=line) from None
+    with physical_lines(path) as lines:
+        if next(lines) not in (header, f"{header}\n", f"{header}\r\n"):
+            raise ValidationError(f"header must be exactly {header!r}", path=path, line=1)
+        width = header.count(",") + 1
+        # csv reads a line's own "\n" or "\r\n" as the end of its record.
+        reader = csv.reader(lines)
+        line, rows = 2, 0
+        try:
+            for row in reader:
+                end = reader.line_num + 1  # the physical line the row ends on
+                if end != line:
+                    raise ValidationError("malformed CSV: line break inside a quoted field")
+                if row:
+                    if len(row) != width:
+                        raise ValidationError(f"expected {width} fields, got {len(row)}")
+                    parse_row(row, line)
+                    rows += 1
+                line = end + 1
+        except csv.Error as exc:
+            # Records never span lines here, so csv's hint about newline mode is cut.
+            reason = str(exc).partition(" - ")[0]
+            raise ValidationError(f"malformed CSV: {reason}", path=path, line=line) from None
+        except ValidationError as exc:
+            if exc.path is None:  # raised by parse_row or above
+                raise ValidationError(str(exc), path=path, line=line) from None
+            if exc.line is not None and exc.line > line:
+                # Not UTF-8, but read to go on with a quoted field of an earlier line.
+                raise ValidationError("malformed CSV: line break inside a quoted field",
+                                      path=path, line=line) from None
+            raise
+    return rows
 
 
 def _parse_int(value: str, what: str) -> int:
@@ -217,24 +260,19 @@ class _Memo(dict):
         return value
 
 
-def _parse_period(value: str) -> DayPeriod:
+def _period_slot(value: str) -> int:
+    """The first slot of the period whose code ``value`` spells."""
     code = _parse_int(value, "period")
     if code not in PERIOD_BY_CODE:
         raise ValidationError(f"period code {code} not in 0..5")
-    return PERIOD_BY_CODE[code]
+    return 3 * code
 
 
-def _bucket_keys(period_s: str) -> _Memo:
-    """A memo from a date text to the ``(date, period)`` key of that date and
-    the period ``period_s`` names; the period is checked first."""
-    period = _parse_period(period_s)
-
-    def key(date_s):
-        try:
-            return date.fromisoformat(date_s), period
-        except ValueError:
-            raise ValidationError(f"bad date {date_s!r}") from None
-    return _Memo(key)
+def _parse_date(value: str) -> date:
+    try:
+        return date.fromisoformat(value)
+    except ValueError:
+        raise ValidationError(f"bad date {value!r}") from None
 
 
 def load_ride_stats(path) -> RideStatIndex:
@@ -242,39 +280,40 @@ def load_ride_stats(path) -> RideStatIndex:
 
     A row is checked in this order: period, date, ``mean_s``, ``min_s``,
     ``max_s``, then ``0 < min <= mean <= max``, then the key's uniqueness.
-    Each distinct (period text, date text) pair is parsed once per load into
-    the ``(date, period)`` key that all its cells share, and each distinct
-    integer text once, so equal values share one object.  The memos are
-    nested by text (period, then date; origin, then dest): a lookup by a str
-    is cheaper than one by a tuple of strs."""
-    buckets, ints = _Memo(_bucket_keys), _Memo(int)
-    cells_by_origin = _Memo(lambda origin: _Memo(lambda dest: {}))
-    new = tuple.__new__  # builds a ZoneRideStat in C, not via its Python __new__
+    Each distinct period, date and integer text is parsed once per load, so
+    equal values share one object.  The memos are nested by text (origin,
+    then dest): a lookup by a str is cheaper than one by a tuple of strs."""
+    slots, days, ints = _Memo(_period_slot), _Memo(_parse_date), _Memo(int)
+    rows_by_origin = _Memo(lambda origin: _Memo(lambda dest: {}))
 
     def parse_row(row, line):
         origin, dest, date_s, period_s, mean_s, min_s, max_s = row
-        key = buckets[period_s][date_s]
+        slot, day = slots[period_s], days[date_s]
         try:
             mean, low, high = ints[mean_s], ints[min_s], ints[max_s]
         except ValueError:
             mean = _parse_int(mean_s, "mean_s")
             low = _parse_int(min_s, "min_s")
             high = _parse_int(max_s, "max_s")
-        day, period = key
         if not 0 < low <= mean <= high:
             raise ValidationError(f"ride stat {origin}->{dest} {day}: "
                                   f"need 0 < min <= mean <= max, got {low}/{mean}/{high}")
-        cells = cells_by_origin[origin][dest]
-        if key in cells:
-            raise ValidationError(
-                f"duplicate ride stat key {origin},{dest},{day},{period.code}")
-        cells[key] = new(ZoneRideStat, (period, mean, low, high))
+        by_date = rows_by_origin[origin][dest]
+        if day in by_date:  # cheaper than a .get() call
+            slot_row = by_date[day]
+            if slot_row[slot]:
+                raise ValidationError(
+                    f"duplicate ride stat key {origin},{dest},{day},{slot // 3}")
+        else:
+            slot_row = by_date[day] = [0] * SLOTS
+        slot_row[slot] = mean
+        slot_row[slot + 1] = low
+        slot_row[slot + 2] = high
 
-    _load_rows(path, RIDE_STATS_HEADER, parse_row)
-    index = RideStatIndex({(origin, dest): cells for origin, by_dest in cells_by_origin.items()
-                           for dest, cells in by_dest.items()})
-    log.info("loaded %d ride stats from %s", len(index), path)
-    return index
+    count = _load_rows(path, RIDE_STATS_HEADER, parse_row)
+    log.info("loaded %d ride stats from %s", count, path)
+    return RideStatIndex({(origin, dest): by_date for origin, by_dest in rows_by_origin.items()
+                          for dest, by_date in by_dest.items()})
 
 
 @dataclass(frozen=True)
@@ -520,7 +559,8 @@ class ZoneCollection:
 
 def load_zones(path) -> ZoneCollection:
     """Parse the zones FeatureCollection."""
-    text = read_text(path)
+    with physical_lines(path) as lines:
+        text = "".join(lines)
     try:
         return _zone_collection(text)
     except ValidationError as exc:

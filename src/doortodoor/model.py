@@ -83,9 +83,10 @@ _PERIOD_STARTS_MIN = tuple(p.start_min for p in CLASSIFIABLE_PERIODS)
 
 
 class ZoneRideStat(NamedTuple):
-    """Zone-pair ride times in seconds; its place in a ``RideStatIndex``
-    holds the zones and date.  ``period`` is the row's own, so a daily fallback reads
-    ``DAILY_ONLY`` whatever period was asked.
+    """Zone-pair ride times in seconds, as ``RideStatIndex.get`` and
+    ``lookup`` build them from the slot row of a zone pair and date, which
+    holds the zones and date.  ``period`` is the row's own, so a daily
+    fallback reads ``DAILY_ONLY`` whatever period was asked.
 
     A plain tuple of its fields, so construction checks nothing:
     ``load_ride_stats`` rejects a row unless ``0 < min <= mean <= max``."""

@@ -17,9 +17,9 @@ from doortodoor import (
     Zone,
     ZoneRideStat,
 )
-from doortodoor.ingestion import _parse_local_ts
+from doortodoor.ingestion import SLOTS, _parse_local_ts
 from doortodoor.model import (
-    PeriodClassifier, SegmentLegs, egress_rides, segment_legs, zone_trips,
+    PERIOD_BY_CODE, PeriodClassifier, SegmentLegs, egress_rides, segment_legs, zone_trips,
 )
 
 AMS_TZ = "Europe/Amsterdam"
@@ -58,21 +58,25 @@ def make_segment(segment_id="F1", mode_id="via_CDG",
 
 def ride_index(rows):
     """A RideStatIndex of ``(origin, dest, date, period, mean_s, min_s,
-    max_s)`` rows, each stored under its zone pair and ``(date, period)`` as
-    ``load_ride_stats`` stores it (it alone checks them); a later row
+    max_s)`` rows, each written into the slot row of its zone pair and date
+    as ``load_ride_stats`` writes it (it alone checks them); a later row
     replaces an earlier one with the same key."""
     pairs = {}
     for origin, dest, day, period, *values in rows:
-        pairs.setdefault((origin, dest), {})[day, period] = ZoneRideStat(period, *values)
+        slot_row = pairs.setdefault((origin, dest), {}).setdefault(day, [0] * SLOTS)
+        slot_row[3 * period.code:3 * period.code + 3] = values
     return RideStatIndex(pairs)
 
 
 def ride_stats_by_key(index):
     """The stats of a RideStatIndex keyed by ``(origin, dest, date, period)``,
-    pair by pair in the order the index holds them."""
-    return {(origin, dest, day, period): stat
-            for (origin, dest), cells in index.pairs.items()
-            for (day, period), stat in cells.items()}
+    pair by pair and date by date in the order the index holds them, and
+    within a date by period code."""
+    return {(origin, dest, day, period): ZoneRideStat(period, *slot_row[3 * code:3 * code + 3])
+            for (origin, dest), by_date in index.pairs.items()
+            for day, slot_row in by_date.items()
+            for code, period in sorted(PERIOD_BY_CODE.items())
+            if slot_row[3 * code]}
 
 
 def make_rides(entries):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from doortodoor import cli, ingestion
+from doortodoor import TripRecord, aggregation, cli, ingestion
 from doortodoor.cli import COMMANDS, RunConfig, evaluate, load_inputs, main
 from doortodoor.errors import ValidationError
 
@@ -303,6 +303,48 @@ class TestConfigHandling:
         err = json.loads(capsys.readouterr().err)
         assert err["message"] == f"{conf}:2: from_date: cannot parse 'notadate'"
 
+    @pytest.mark.parametrize("data, line, message", [
+        (b"nonsense=1\n\xff=2\n", 1, "unknown config key 'nonsense'"),
+        (b"# note\n\xff=2\nnonsense=1\n", 2, "not UTF-8: byte 0xff"),
+    ], ids=["bad-key-first", "bad-byte-first"])
+    def test_config_first_bad_line_wins(self, tmp_path, capsys, data, line, message):
+        """Each config line is decoded when it is read, so a byte that is not
+        UTF-8 is cited after any fault of an earlier line."""
+        conf = tmp_path / "c.conf"
+        conf.write_bytes(data)
+        assert main(["--config", str(conf), "validate"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["message"] == f"{conf}:{line}: {message}"
+
+    @pytest.mark.parametrize("entries, flags, message", [
+        (["dep_proc_min=45"], [], "--dep-proc-min and --arr-proc-min go together"),
+        (["from_date=2018-01-09", "to_date=2018-01-02"], [],
+         "empty date range 2018-01-09..2018-01-02"),
+        (["from_date=2018-01-09"], ["--to-date", "2018-01-02"],
+         "empty date range 2018-01-09..2018-01-02"),
+        ([f"weekly_schedule={FIXTURES / 'weekly_schedule.csv'}", "to_date=2018-01-02"], [],
+         "--from-date/--to-date required with a weekly schedule"),
+    ], ids=["lone-proc-min", "date-range", "date-range-with-flag", "weekly-without-dates"])
+    def test_config_values_that_do_not_go_together_cite_the_file(
+            self, tmp_path, monkeypatch, capsys, entries, flags, message):
+        monkeypatch.setattr(cli, "load_inputs", lambda *args, **kwargs: pytest.fail(
+            "inputs loaded before the config was checked"))
+        conf = tmp_path / "run.conf"
+        conf.write_text("".join(f"{entry}\n" for entry in entries))
+        argv = ["--config", str(conf), "validate"] + without(
+            BASE_FLAGS, "--weekly-schedule", "--from-date", "--to-date") + flags
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValidationError", "message": f"{conf}: {message}", "path": str(conf)}
+
+    def test_flags_that_do_not_go_together_are_not_the_config_files(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("format=csv\n")
+        assert main(["--config", str(conf), "validate", "--dep-proc-min", "45"] + BASE_FLAGS) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValidationError",
+            "message": "--dep-proc-min and --arr-proc-min go together"}
+
     @pytest.mark.parametrize("argv", [
         ["validate", "--jobs", "two"],
         ["validate", "--from-date", "2018-13-01"],
@@ -321,6 +363,26 @@ class TestConfigHandling:
             main(["validate", "--help"])
         assert exc.value.code == 0
         assert "usage: d2d validate" in capsys.readouterr().out
+
+
+def test_no_trip_is_alive_while_summarize_runs(tmp_path, monkeypatch):
+    """``run_pipeline`` hands the trips straight to the group-by, so they are
+    freed before ``summarize`` runs."""
+    earlier = [o for o in gc.get_objects() if type(o) is TripRecord]  # kept, so ids stay theirs
+    earlier_ids = {id(o) for o in earlier}
+    live = {}
+
+    def counting(name, inner):
+        def counted(*args):
+            live.setdefault(name, []).append(sum(
+                1 for o in gc.get_objects() if type(o) is TripRecord and id(o) not in earlier_ids))
+            return inner(*args)
+        monkeypatch.setattr(aggregation, name, counted)
+
+    counting("daily_zone_means", aggregation.daily_zone_means)
+    counting("summarize", aggregation.summarize)
+    assert main(["fastest"] + BASE_FLAGS + ["--out-dir", str(tmp_path)]) == 0
+    assert live["daily_zone_means"][0] > 0 and live["summarize"] == [0]
 
 
 class TestDateFilter:

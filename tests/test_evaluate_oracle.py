@@ -141,7 +141,36 @@ def random_network(rng):
     overrides = None
     if rng.random() < 0.5:
         overrides = {"air": DwellProfile(rng.choice((30, 60)), rng.choice((20, 30)))}
+    dated += on_period_start_segments(rng, stations, dest_ids, rows, overrides)
     return Network(stations, dated, weekly, dest_ids, rows, overrides)
+
+
+def on_period_start_segments(rng, stations, dest_ids, rows, overrides):
+    """Six on-time segments, each with a trip that arrives exactly on a
+    period start (07:00 to 19:00 local) of a ride date: rows
+    for the access and the egress ride of the trip are appended to ``rows``,
+    where a later row replaces an earlier one with the same key."""
+    segments = []
+    for k in range(6):
+        dep, arr = rng.sample(list(stations.values()), 2)
+        dwell_dep, dwell_arr = ((overrides or {}).get(s.kind, s.dwell) for s in (dep, arr))
+        start_min, _ = rng.choice(PERIOD_STARTS[1:])
+        arrival_s = int(datetime.combine(rng.choice(RIDE_DATES),
+                                         time(start_min // 60, start_min % 60),
+                                         ZoneInfo(arr.tz)).timestamp())
+        egress_mean_s = rng.randrange(60, 3 * 3600)
+        exit_s = arrival_s - egress_mean_s
+        actual_arr = exit_s - round(dwell_arr.t_arr_min * 60)
+        actual_dep = actual_arr - rng.randrange(1800, 8 * 3600, 60)
+        access_s = actual_dep - round(dwell_dep.t_sec_departure_min * 60)
+        for origin, dest, epoch_s, tz, mean_s in (
+                ("O", dep.zone_id, access_s, dep.tz, rng.randrange(60, 3 * 3600)),
+                (arr.zone_id, rng.choice(dest_ids), exit_s, arr.tz, egress_mean_s)):
+            rows.append((origin, dest, *local_date_and_period(epoch_s, tz),
+                         mean_s, mean_s, mean_s + 60))
+        segments.append(ScheduledSegment(f"T{k}", rng.choice(("air", "rail")), dep, arr,
+                                         actual_dep, actual_arr, actual_dep, actual_arr))
+    return segments
 
 
 class Trip(NamedTuple):
@@ -257,6 +286,18 @@ def test_evaluate_trips_matches_the_pairwise_reference(seed):
     overnight = {s.segment_id for week in WEEKS
                  for s in reference_expansion(overnight_rows, net.stations, *week)}
     assert any(t.segment_id in overnight for t in expected_trips)
+    # Some arrivals fall exactly on a period start after midnight, where a
+    # classifier that bisected to the left would give the period before.
+    by_id = {s.segment_id: s for s in net.dated}
+    starts = {(start_min, 0) for start_min, _ in PERIOD_STARTS[1:]}
+    on_start = 0
+    for trip in expected_trips:
+        if trip.segment_id in by_id:
+            segment = by_id[trip.segment_id]
+            local = datetime.fromtimestamp(segment.actual_arr + sum(trip.phases[3:]),
+                                           ZoneInfo(segment.arr_station.tz))
+            on_start += (local.hour * 60 + local.minute, local.second) in starts
+    assert on_start
 
     # The group-by and leg shares of the kernel's trips equal the layer
     # oracles on the reference trips.

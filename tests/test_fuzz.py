@@ -2,7 +2,9 @@
 to the config reader either load or raise ValidationError citing the file
 (and the line, for line-based files), never another exception."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -16,7 +18,7 @@ from doortodoor import (
     load_weekly_schedule,
     load_zones,
 )
-from doortodoor.cli import CONFIG_KEYS, _read_config_file
+from doortodoor.cli import CONFIG_KEYS, _read_config_file, main
 from doortodoor.ingestion import (
     RIDE_STATS_HEADER,
     SEGMENTS_HEADER,
@@ -135,3 +137,42 @@ zone_documents = st.one_of(
                  zone_documents.map(lambda doc: json.dumps(doc).encode())))
 def test_any_zones_document_loads_or_cites_path(scratch, data):
     assert_loads_or_cites(load_zones, scratch / "zones.geojson", data, line_based=False)
+
+
+# The input files come from flags, which win over the config file, so a run
+# fails only on the config file itself; the file may add the weekly schedule.
+INPUT_FLAGS = {key: str(FIXTURES / name) for key, name in (
+    ("ride_stats", "ride_stats.csv"), ("segments", "segments.csv"),
+    ("stations", "stations.csv"), ("zones", "zones.geojson"))}
+config_lines = st.one_of(
+    st.sampled_from([f"weekly_schedule={FIXTURES / 'weekly_schedule.csv'}", "weekly_schedule="]),
+    st.builds("{}={}".format,
+              st.sampled_from([key for key in CONFIG_KEYS
+                               if key not in INPUT_FLAGS and key != "weekly_schedule"]),
+              st.sampled_from(["", "2018-01-02", "2018-01-09", "1", "0", "-5", "nan", "yes",
+                               "x", "1e400", "csv", "2018-01-02T00:00"])),
+    st.sampled_from(["# comment", "", "novalue", "=", " jobs = 2 "]),
+    st.text(max_size=6),
+)
+
+
+@FUZZ
+@given(lines=st.lists(config_lines, max_size=8), end=st.sampled_from(["\n", "\r\n"]))
+def test_any_config_file_runs_validate_or_cites_it(scratch, lines, end):
+    """``d2d validate`` under a fuzzed config file runs, or exits 2 with one
+    JSON object that cites the file."""
+    conf = scratch / "fuzz.conf"
+    conf.write_bytes(end.join(lines).encode("utf-8", "surrogatepass"))
+    argv = ["--config", str(conf), "validate"]
+    for key, value in INPUT_FLAGS.items():
+        argv += [f"--{key.replace('_', '-')}", value]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    if code == 0:
+        assert json.loads(out.getvalue())["zones"] == 7 and not err.getvalue()
+    else:
+        assert code == 2
+        error = json.loads(err.getvalue())
+        assert error["path"] == str(conf)
+        assert error["message"].startswith(f"{conf}:")

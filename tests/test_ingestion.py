@@ -1,5 +1,8 @@
 """Parsers, indexes, weekly-schedule expansion and dwell defaults."""
 
+import importlib.util
+import sys
+import tracemalloc
 from datetime import date, datetime, time, timezone
 from pathlib import Path
 from zoneinfo import ZoneInfo
@@ -10,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from doortodoor import (
     DayPeriod,
     DwellProfile,
-    RideStatIndex,
     ValidationError,
     ZoneRideStat,
     expand_weekly_schedule,
@@ -24,12 +26,13 @@ from doortodoor import (
 from doortodoor.ingestion import (
     DEFAULT_RAIL_DWELL,
     DEFAULT_STATION_DWELL,
+    SLOTS,
     WeeklyScheduleRow,
     _parse_local_ts,
 )
 from doortodoor.model import PERIOD_BY_CODE, local_date_period
 
-from conftest import make_station, ride_stats_by_key
+from conftest import make_station, ride_index, ride_stats_by_key
 
 GOLDEN = Path(__file__).parent / "fixtures" / "golden"
 
@@ -217,11 +220,8 @@ class TestRideStatIndexFallback:
                   st.integers(1, 5), period_codes, st.integers(60, 3600)),
         max_size=20))
     def test_fallback_semantics(self, rows):
-        pairs = {}
-        for origin, dest, day_n, period, mean_s in rows:
-            pairs.setdefault((origin, dest), {}).setdefault(
-                (date(2018, 1, day_n), period), ZoneRideStat(period, mean_s, mean_s, mean_s))
-        index = RideStatIndex(pairs)
+        index = ride_index((origin, dest, date(2018, 1, day_n), period, mean_s, mean_s, mean_s)
+                           for origin, dest, day_n, period, mean_s in rows)
         stats = ride_stats_by_key(index)
         for (origin, dest, day, period), stat in stats.items():
             if period is DayPeriod.DAILY_ONLY:
@@ -304,13 +304,42 @@ class TestRideStatIndexContract:
             index.lookup(*probe) for probe in probes]
         assert permuted.daily_fraction() == index.daily_fraction()
 
-    def test_cells_of_one_bucket_share_one_key_object(self):
-        """Every cell of a (date, period) bucket, whatever its zone pair, is
-        keyed by the same tuple, so a row stores no key of its own."""
+    def test_each_pair_and_date_holds_one_slot_row(self):
+        """A zone pair's rows of one date share one slot row, three slots per
+        period code, and every row of one date text shares one date key."""
         index = load_ride_stats(GOLDEN / "ride_stats.csv")
-        keys = [key for cells in index.pairs.values() for key in cells]
-        assert len(index.pairs) > 1 and len(keys) == len(index) == 170
-        assert len({id(key) for key in keys}) == len(set(keys))
+        slot_rows = [(day, slot_row) for by_date in index.pairs.values()
+                     for day, slot_row in by_date.items()]
+        assert len(index.pairs) > 1 and len(index) == 170 and len(slot_rows) == 88
+        assert {len(slot_row) for _, slot_row in slot_rows} == {SLOTS} == {18}
+        assert sum(1 for _, slot_row in slot_rows for slot in range(0, SLOTS, 3)
+                   if slot_row[slot]) == 170
+        assert len({id(day) for day, _ in slot_rows}) == len({day for day, _ in slot_rows})
+
+
+def test_ride_stat_load_peak_memory_per_row(tmp_path, monkeypatch):
+    """The tracemalloc peak of one load, per row of the ``legs-delays``
+    benchmark's seed-1 ride file (45,322 rows): 138.9 B/row when every row
+    kept a stat object and the reader held the whole text and its lines,
+    about 68 B/row with slot rows and lines read one at a time."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_gen", Path(__file__).resolve().parents[1] / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, gen)  # its dataclasses look it up
+    spec.loader.exec_module(gen)
+    gen.generate("legs-delays", 1, tmp_path)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        index = load_ride_stats(tmp_path / "ride_stats.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert len(index) == 45_322
+    assert (peak - before) / len(index) < 100
 
 
 WEEKLY_HEADER = "mode_id,dep_station,arr_station,days,dep_time,arr_time"
@@ -532,6 +561,65 @@ class TestPhysicalLines:
         with pytest.raises(ValidationError) as info:
             load_ride_stats(path)
         assert str(info.value) == f"{path}:3: {message}"
+
+    ROW = "Z1,Z9,2018-01-02,2,1800,1200,3600"
+
+    @pytest.mark.parametrize("lines, line, message", [
+        ([ROW, b"Z2\xff,Z9,2018-01-02,2,1800,1200,3600", "Z3,Z9,2018-01-02,2,xx,1200,3600"],
+         3, "not UTF-8: byte 0xff"),
+        ([ROW, "Z3,Z9,2018-01-02,2,xx,1200,3600", b"Z2\xff,Z9,2018-01-02,2,1800,1200,3600"],
+         3, "mean_s: not an integer: 'xx'"),
+        ([ROW, '"Z2,Z9', b"\xc3,2018-01-02,2,1800,1200,3600"],
+         3, "malformed CSV: line break inside a quoted field"),
+        ([ROW, b"\xed\xa0\x80,Z9,2018-01-02,2,1800,1200,3600"], 3, "not UTF-8: byte 0xed"),
+    ], ids=["bad-byte-first", "bad-field-first", "bad-byte-in-open-quote", "surrogate"])
+    def test_first_bad_line_wins(self, tmp_path, lines, line, message):
+        """Each line is decoded when it is read, so a byte that is not UTF-8
+        is cited by its own line, after any fault of an earlier line."""
+        path = tmp_path / "rides.csv"
+        path.write_bytes(b"\n".join(
+            part if isinstance(part, bytes) else part.encode()
+            for part in [RIDE_HEADER, *lines]) + b"\n")
+        with pytest.raises(ValidationError) as info:
+            load_ride_stats(path)
+        assert (info.value.path, info.value.line) == (str(path), line)
+        assert str(info.value) == f"{path}:{line}: {message}"
+
+    def test_bad_byte_in_the_header_cites_line_1(self, tmp_path):
+        path = tmp_path / "rides.csv"
+        path.write_bytes(RIDE_HEADER.encode() + b"\xff\n" + self.ROW.encode() + b"\n")
+        with pytest.raises(ValidationError, match=r":1: not UTF-8: byte 0xff$"):
+            load_ride_stats(path)
+
+    @pytest.mark.parametrize("end, last", [("\n", "\n"), ("\r\n", "\r\n"), ("\n", ""),
+                                           ("\r\n", "")],
+                             ids=["lf", "crlf", "lf-none-last", "crlf-none-last"])
+    def test_line_ends_and_a_missing_last_one(self, tmp_path, end, last):
+        """LF and CRLF files, also when the last line has no line end, load
+        the same stats and cite the same lines."""
+        rows = [self.ROW, "Z2,Z9,2018-01-02,0,1500,1200,3600"]
+        path = write_utf8(tmp_path, "rides.csv", end.join([RIDE_HEADER, *rows]) + last)
+        assert list(ride_stats_by_key(load_ride_stats(path))) == [
+            ("Z1", "Z9", date(2018, 1, 2), DayPeriod.AM),
+            ("Z2", "Z9", date(2018, 1, 2), DayPeriod.DAILY_ONLY)]
+        path = write_utf8(tmp_path, "bad.csv", end.join([RIDE_HEADER, *rows, "Z3,Z9"]) + last)
+        with pytest.raises(ValidationError, match=r"bad\.csv:4: expected 7 fields, got 2$"):
+            load_ride_stats(path)
+
+    @pytest.mark.parametrize("text, line, message", [
+        (f"{RIDE_HEADER}\r{ROW}\r", 1, "header must be exactly"),
+        (f"{RIDE_HEADER}\n{ROW}\r{ROW}\n", 2,
+         "malformed CSV: new-line character seen in unquoted field"),
+    ], ids=["as-line-ends", "inside-a-row"])
+    def test_lone_carriage_return_ends_no_line(self, tmp_path, text, line, message):
+        path = write_utf8(tmp_path, "rides.csv", text)
+        with pytest.raises(ValidationError) as info:
+            load_ride_stats(path)
+        assert info.value.line == line and message in str(info.value)
+
+    def test_lone_carriage_return_before_the_end_of_file_loads(self, tmp_path):
+        path = write_utf8(tmp_path, "rides.csv", f"{RIDE_HEADER}\n{self.ROW}\r")
+        assert len(load_ride_stats(path)) == 1
 
     @pytest.mark.parametrize("name, load", [
         ("ride_stats.csv", lambda path: list(ride_stats_by_key(load_ride_stats(path)).items())),
