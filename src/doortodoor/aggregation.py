@@ -1,11 +1,11 @@
 """Trip evaluation and its group-by reductions.
 
-``evaluate_trips`` runs the trip model over every (segment, destination
-zone) pair, in one process: the per-segment work once per segment
-(``segment_legs``), the egress-ride lookups once per egress group (egress
-zone, egress date, egress period; ``egress_rides``), and per trip only the
-arrival, classified by one ``PeriodClassifier`` per arrival timezone
-(``zone_trips``).
+``evaluate_trips`` is the trip kernel: one loop over every (segment,
+destination zone) pair that does the per-segment work once per segment (the
+access ride, dwells, in-vehicle time and station exit), the egress-ride
+lookups once per egress group (egress zone, exit date, exit period), and per
+trip only the arrival, classified by one ``PeriodClassifier`` per arrival
+timezone.
 ``daily_zone_means`` groups the trips into a dict of door-to-door time and
 variability keyed by (zone, date, period, mode).  ``summarize`` reduces those
 cells into a dict keyed by (zone, period): the days each mode was fastest,
@@ -26,12 +26,12 @@ from dataclasses import dataclass
 from datetime import date, tzinfo
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .ingestion import RideStatIndex, resolve_dwell
 from .model import (
-    DayPeriod, DwellProfile, PeriodClassifier, ScheduledSegment, TripRecord, Zone,
-    egress_rides, segment_legs, zone_trips,
+    DayPeriod, DwellProfile, PeriodClassifier, ScheduledSegment, SegmentLegs, TripRecord,
+    Zone, local_date_period,
 )
 
 # Door-to-door time interval bins (minutes, half-open), per the four
@@ -182,42 +182,56 @@ def evaluate_trips(
     """Evaluate every (segment, destination zone) trip, in segment id then
     zone id order.
 
-    The destination-independent part of each segment's trips is evaluated
-    once per segment (``segment_legs``).  The egress rides are looked up once
-    per egress group (``egress_rides``), and every segment of the group
-    completes its trips from them (``zone_trips``), with one arrival-period
-    classifier per timezone for the call.  Cancelled segments are skipped.
-    Zone/segment combinations lacking ride statistics are recorded in
-    ``skipped`` rather than failing the batch; a missing access ride skips
-    every zone of the segment.
+    Per segment: a cancelled one is skipped; the dwells come from
+    ``resolve_dwell``; the access ride is taken at the local date and period
+    of the station-arrival deadline (scheduled departure minus processing
+    time), and a missing one skips every zone of the segment; early pushback
+    counts no wait, so the departure dwell is never below the processing
+    time; the station exit is the actual arrival plus the arrival dwell.
+    Per egress group (egress zone, exit date, exit period): the egress rides
+    to every zone, looked up once.  Per trip: the final arrival (exit plus
+    egress ride), classified by one ``PeriodClassifier`` per arrival
+    timezone with the exit date as its hint.  ``rides.lookup`` falls back to
+    daily stats; a leg with no statistic at either level is recorded in
+    ``skipped`` rather than failing the batch.
     """
-    dest_zones = sorted(dest_zones, key=lambda z: z.zone_id)
+    dest_ids = sorted(zone.zone_id for zone in dest_zones)
+    origin_id, lookup = origin_zone.zone_id, rides.lookup
     trips, skipped = [], []
-    groups: Dict[tuple, tuple] = {}  # (egress zone, date, period) -> egress_rides
-    classifiers: Dict[tzinfo, PeriodClassifier] = {}  # arrival tz -> classifier
+    groups: Dict[tuple, tuple] = {}  # (egress zone, date, period) -> ((zone_id, ride), ...)
+    classifiers: Dict[tzinfo, Callable] = {}  # arrival tz -> PeriodClassifier.classify
     for segment in sorted(segments, key=lambda s: s.segment_id):
+        segment_id = segment.segment_id
         if segment.cancelled:
-            skipped.append((segment.segment_id, "*", "cancelled"))
+            skipped.append((segment_id, "*", "cancelled"))
             continue
-        legs = segment_legs(
-            segment,
-            origin_zone,
-            resolve_dwell(segment.dep_station, dwell_overrides),
-            resolve_dwell(segment.arr_station, dwell_overrides),
-            rides,
-        )
-        if legs is None:
-            skipped.extend((segment.segment_id, zone.zone_id, "no_access_ride")
-                           for zone in dest_zones)
+        dep_station, arr_station = segment.dep_station, segment.arr_station
+        sec_s = resolve_dwell(dep_station, dwell_overrides).t_sec_departure_s
+        arr_s = resolve_dwell(arr_station, dwell_overrides).t_arr_s
+        ride_to = lookup(origin_id, dep_station.zone_id,
+                         *local_date_period(segment.sched_dep - sec_s, dep_station.tzinfo))
+        if ride_to is None:
+            skipped.extend((segment_id, zone_id, "no_access_ride") for zone_id in dest_ids)
             continue
-        group = (segment.arr_station.zone_id, legs.egress_date, legs.egress_period)
+        legs = SegmentLegs(segment, ride_to,
+                           dep_s=sec_s + max(0, segment.actual_dep - segment.sched_dep),
+                           in_s=segment.actual_arr - segment.actual_dep, arr_s=arr_s)
+        arr_tz, egress_zone_id = arr_station.tzinfo, arr_station.zone_id
+        exit_s = segment.actual_arr + arr_s
+        exit_date, exit_period = local_date_period(exit_s, arr_tz)
+        group = (egress_zone_id, exit_date, exit_period)
         zone_rides = groups.get(group)
         if zone_rides is None:
-            zone_rides = groups[group] = egress_rides(legs, dest_zones, rides)
-        arrival = classifiers.get(legs.arr_tz)
-        if arrival is None:
-            arrival = classifiers[legs.arr_tz] = PeriodClassifier(legs.arr_tz)
-        segment_trips, segment_skipped = zone_trips(legs, zone_rides, arrival)
-        trips += segment_trips
-        skipped += segment_skipped
+            zone_rides = groups[group] = tuple(
+                (zone_id, lookup(egress_zone_id, zone_id, exit_date, exit_period))
+                for zone_id in dest_ids)
+        classify = classifiers.get(arr_tz)
+        if classify is None:
+            classify = classifiers[arr_tz] = PeriodClassifier(arr_tz).classify
+        for zone_id, ride in zone_rides:
+            if ride is None:
+                skipped.append((segment_id, zone_id, "no_egress_ride"))
+            else:
+                trips.append(TripRecord(legs, zone_id, ride,
+                                        *classify(exit_s + ride.mean_s, exit_date)))
     return EvaluationReport(trips=trips, skipped=skipped)

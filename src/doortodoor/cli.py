@@ -359,12 +359,14 @@ def export_bins(summaries, out_dir: Path) -> Path:
 def cmd_validate(config: RunConfig, args: argparse.Namespace) -> int:
     inputs = load_inputs(config, need_segments=False)
     no_point = [z.zone_id for z in inputs.zones if z.internal_point is None]
+    stats = len(inputs.rides)
+    daily_fraction = inputs.rides.daily_count() / stats if stats else 0.0
     report = {
         "stations": len(inputs.stations),
         "zones": len(inputs.zones),
         "zones_without_internal_point": no_point,
-        "ride_stats": len(inputs.rides),
-        "ride_stats_daily_fraction": round(inputs.rides.daily_fraction(), 6),
+        "ride_stats": stats,
+        "ride_stats_daily_fraction": round(daily_fraction, 6),
         "segments": len(inputs.segments),
         "cancelled_segments": sum(1 for s in inputs.segments if s.cancelled),
     }

@@ -145,12 +145,11 @@ class RideStatIndex:
             return _new(ZoneRideStat, (period, *row[slot:slot + 3]))
         return _new(ZoneRideStat, (_DAILY, *row[:3])) if row[0] else None
 
-    def daily_fraction(self) -> float:
-        """Share of records that are daily-only aggregates (period code 0)."""
-        total = len(self)
+    def daily_count(self) -> int:
+        """The number of daily-only aggregates (period code 0): a scan of slot
+        0 alone, so the share ``daily_count() / len(index)`` costs two scans."""
         rows = sum(map(len, self.pairs.values()))
-        daily = rows - countOf(map(itemgetter(0), self._slot_rows()), 0)
-        return daily / total if total else 0.0
+        return rows - countOf(map(itemgetter(0), self._slot_rows()), 0)
 
 
 _DAILY = DayPeriod.DAILY_ONLY
@@ -211,6 +210,10 @@ def _load_rows(path, header: str, parse_row: Callable[[List[str], int], None]) -
                 end = reader.line_num + 1  # the physical line the row ends on
                 if end != line:
                     raise ValidationError("malformed CSV: line break inside a quoted field")
+                if lines.gi_frame is None:
+                    # The lines ran out before csv finished the row, which only
+                    # a quote left open on a last line without a line end does.
+                    raise ValidationError("malformed CSV: quote left open at the end of the file")
                 if row:
                     if len(row) != width:
                         raise ValidationError(f"expected {width} fields, got {len(row)}")

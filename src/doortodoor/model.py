@@ -20,16 +20,14 @@ holds both actual times unless it is cancelled: on-time mode fills a missing
 one with the scheduled time at load (``load_segments_actuals``), so the trip
 kernel takes no on-time setting.
 
-The trip kernel has two stages.  ``segment_legs`` does the work that depends
-on the segment alone (access ride, dwells, in-vehicle time and station exit),
-once per segment.  ``zone_trips`` then completes the segment's trip to every
-destination zone from the rides of its egress group (``egress_rides``, shared
-by every segment with the same egress zone, date and period) and buckets each
-final arrival with a ``PeriodClassifier``.  Every phase is
-non-negative by construction (ride stats, dwells and segment times are
-checked upstream), so a ``TripRecord`` is a light slotted record of the
-segment's shared ``SegmentLegs``, the zone, the egress ``ZoneRideStat`` and
-the arrival; ids, the access ride and the totals are read off those.
+The trip kernel is one loop, ``aggregation.evaluate_trips``.  Per segment it
+builds a ``SegmentLegs`` (access ride, dwells, in-vehicle time), per egress
+group it looks up the egress rides, and per trip it buckets the final arrival
+with a ``PeriodClassifier``.  Every phase is non-negative by construction
+(ride stats, dwells and segment times are checked upstream), so a
+``TripRecord`` is a light slotted record of the segment's shared
+``SegmentLegs``, the zone, the egress ``ZoneRideStat`` and the arrival; ids,
+the access ride and the totals are read off those.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta, tzinfo
 from enum import Enum
-from typing import Iterable, List, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 from zoneinfo import ZoneInfo
 
 from .errors import ValidationError
@@ -225,18 +223,14 @@ def local_date_period(epoch_s: int, tz: tzinfo) -> Tuple[date, DayPeriod]:
 @dataclass(frozen=True)
 class SegmentLegs:
     """The part of a trip that depends on its segment alone: the access ride,
-    both dwells, the in-vehicle time and the egress instant, plus the sums
-    that every trip of the segment shares."""
+    both dwells and the in-vehicle time, plus the sums that every trip of the
+    segment shares."""
 
     segment: ScheduledSegment
     ride_to: ZoneRideStat
     dep_s: int  # departure processing time plus any departure delay
     in_s: int
     arr_s: int
-    egress_s: int  # epoch seconds of the station exit
-    egress_date: date
-    egress_period: DayPeriod
-    arr_tz: tzinfo
     core_s: int = field(init=False)  # dep_s + in_s + arr_s
     door_to_exit_s: int = field(init=False)  # ride_to.mean_s + core_s
     to_spread_s: int = field(init=False)  # ride_to.max_s - ride_to.min_s
@@ -265,53 +259,6 @@ class TripRecord:
         lambda self: self.legs.ride_to.period is DayPeriod.DAILY_ONLY)
     used_daily_fallback_from = property(
         lambda self: self.ride_from.period is DayPeriod.DAILY_ONLY)
-
-
-def segment_legs(
-    segment: ScheduledSegment,
-    origin_zone: Zone,
-    dwell_dep: DwellProfile,
-    dwell_arr: DwellProfile,
-    rides,
-) -> Optional[SegmentLegs]:
-    """Evaluate the destination-independent part of a segment's trips; the
-    segment is not cancelled.
-
-    The access ride is taken at the period containing the station-arrival
-    deadline (scheduled departure minus processing time); the egress instant
-    is the airport/station exit (actual arrival plus arrival dwell).
-    ``rides`` is a ``RideStatIndex``, whose ``lookup`` falls back to daily stats.
-
-    Returns None when the access ride has no statistic at period or daily
-    level.
-    """
-    # Early pushback cannot reduce dwell below the processing time.
-    wait_s = max(0, segment.actual_dep - segment.sched_dep)
-    sec_s = dwell_dep.t_sec_departure_s
-    arr_s = dwell_arr.t_arr_s
-
-    access_zone_id = segment.dep_station.zone_id
-    to_date, to_period = local_date_period(
-        segment.sched_dep - sec_s, segment.dep_station.tzinfo
-    )
-    ride_to = rides.lookup(origin_zone.zone_id, access_zone_id, to_date, to_period)
-    if ride_to is None:
-        return None
-
-    arr_tz = segment.arr_station.tzinfo
-    egress_s = segment.actual_arr + arr_s
-    egress_date, egress_period = local_date_period(egress_s, arr_tz)
-    return SegmentLegs(
-        segment=segment,
-        ride_to=ride_to,
-        dep_s=sec_s + wait_s,
-        in_s=segment.actual_arr - segment.actual_dep,
-        arr_s=arr_s,
-        egress_s=egress_s,
-        egress_date=egress_date,
-        egress_period=egress_period,
-        arr_tz=arr_tz,
-    )
 
 
 _ONE_DAY = timedelta(days=1)
@@ -364,44 +311,6 @@ class PeriodClassifier:
             if epoch_s < starts[5]:
                 return starts[6], CLASSIFIABLE_PERIODS[bisect_right(starts, epoch_s, 1, 5) - 1]
             day += _ONE_DAY
-
-
-def egress_rides(
-    legs: SegmentLegs, dest_zones: Iterable[Zone], rides
-) -> Tuple[Tuple[str, Optional[ZoneRideStat]], ...]:
-    """Each destination zone's egress ride, from the segment's egress zone at
-    the date and period of its station exit, as ``(zone_id, stat or None)``
-    in the order of ``dest_zones``.  Every segment of one egress group (egress
-    zone, egress date, egress period) gets the same answer."""
-    egress_zone_id = legs.segment.arr_station.zone_id
-    when, period = legs.egress_date, legs.egress_period
-    return tuple((zone.zone_id, rides.lookup(egress_zone_id, zone.zone_id, when, period))
-                 for zone in dest_zones)
-
-
-def zone_trips(
-    legs: SegmentLegs,
-    zone_rides: Iterable[Tuple[str, Optional[ZoneRideStat]]],
-    arrival: PeriodClassifier,
-) -> Tuple[List[TripRecord], List[Tuple[str, str, str]]]:
-    """Complete a segment's trip to each destination zone: the egress ride
-    (``zone_rides``, from ``egress_rides``) and the final arrival, bucketed by
-    ``arrival``, the classifier of the arrival station's timezone.
-
-    Returns the trips and the ``(segment_id, zone_id, "no_egress_ride")``
-    skips of the zones whose egress ride has no statistic at period or daily
-    level.
-    """
-    trips, skipped = [], []
-    egress_s, egress_date = legs.egress_s, legs.egress_date
-    classify = arrival.classify
-    for zone_id, ride in zone_rides:
-        if ride is None:
-            skipped.append((legs.segment.segment_id, zone_id, "no_egress_ride"))
-            continue
-        arrival_date, arrival_period = classify(egress_s + ride.mean_s, egress_date)
-        trips.append(TripRecord(legs, zone_id, ride, arrival_date, arrival_period))
-    return trips, skipped
 
 
 def geodesic_distance(a: Tuple[float, float], b: Tuple[float, float]) -> float:

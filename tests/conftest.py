@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from datetime import date
 from functools import lru_cache
 from typing import NamedTuple
@@ -16,11 +17,10 @@ from doortodoor import (
     TripRecord,
     Zone,
     ZoneRideStat,
+    evaluate_trips,
 )
 from doortodoor.ingestion import SLOTS, _parse_local_ts
-from doortodoor.model import (
-    PERIOD_BY_CODE, PeriodClassifier, SegmentLegs, egress_rides, segment_legs, zone_trips,
-)
+from doortodoor.model import PERIOD_BY_CODE, SegmentLegs
 
 AMS_TZ = "Europe/Amsterdam"
 PAR_TZ = "Europe/Paris"
@@ -91,13 +91,12 @@ def make_rides(entries):
 
 
 def kernel_trip(segment, origin, dest, dwell_dep, dwell_arr, rides):
-    """One trip through the kernel's stages, as ``evaluate_trips`` runs them,
-    or None when the access or the egress ride is missing."""
-    legs = segment_legs(segment, origin, dwell_dep, dwell_arr, rides)
-    if legs is None:
-        return None
-    trips, _ = zone_trips(legs, egress_rides(legs, [dest], rides),
-                          PeriodClassifier(legs.arr_tz))
+    """The one trip ``evaluate_trips`` makes of ``segment`` to ``dest``, its
+    departure station dwelling ``dwell_dep`` and its arrival station
+    ``dwell_arr``, or None when the access or the egress ride is missing."""
+    segment = replace(segment, dep_station=replace(segment.dep_station, dwell=dwell_dep),
+                      arr_station=replace(segment.arr_station, dwell=dwell_arr))
+    trips = evaluate_trips([segment], origin, [dest], rides).trips
     return trips[0] if trips else None
 
 
@@ -155,13 +154,8 @@ def make_trip(dest_zone="PZ1", mode_id="via_CDG", arrival_date="2018-01-02",
         return ZoneRideStat(arrival_period, 0, 0, 0)
 
     segment = _trip_segment(segment_id, mode_id, dep_station_id, arr_station_id)
-    legs = SegmentLegs(
-        segment=segment,
-        ride_to=ride(to_s, to_spread),
-        dep_s=dep_s, in_s=in_s, arr_s=arr_s,
-        egress_s=segment.sched_arr + arr_s, egress_date=when,
-        egress_period=arrival_period, arr_tz=segment.arr_station.tzinfo,
-    )
+    legs = SegmentLegs(segment=segment, ride_to=ride(to_s, to_spread),
+                       dep_s=dep_s, in_s=in_s, arr_s=arr_s)
     return TripRecord(legs=legs, dest_zone_id=dest_zone,
                       ride_from=ride(from_s, from_spread),
                       arrival_date=when, arrival_period=arrival_period)

@@ -461,8 +461,10 @@ class TestEvaluateTrips:
                                      sched_dep="2018-01-01T12:30",
                                      sched_arr="2018-01-01T13:50"))
         report = evaluate_trips(segments, origin, zones, rides)
-        groups = {(t.legs.segment.arr_station.zone_id, t.legs.egress_date,
-                   t.legs.egress_period) for t in report.trips}
+        groups = {(t.legs.segment.arr_station.zone_id,
+                   *local_date_period(t.legs.segment.actual_arr + t.legs.arr_s,
+                                      t.legs.segment.arr_station.tzinfo))
+                  for t in report.trips}
         assert len(report.trips) == len(segments) * len(zones)
         assert len(groups) == len(segments) - 1
         assert rides.lookups == len(segments) + len(groups) * len(zones)
@@ -489,7 +491,7 @@ class TestEvaluateTrips:
         tz = nice.tzinfo
         offsets = {}
         for trip in report.trips:
-            arrival_s = trip.legs.egress_s + trip.ride_from.mean_s
+            arrival_s = trip.legs.segment.actual_arr + trip.legs.arr_s + trip.ride_from.mean_s
             assert (trip.arrival_date, trip.arrival_period) == local_date_period(arrival_s, tz)
             night = trip_facts(trip).segment_id[:10]
             offsets.setdefault(night, set()).add(datetime.fromtimestamp(arrival_s, tz).utcoffset())

@@ -208,6 +208,17 @@ class TestConfigHandling:
         assert main(["--config", str(FIXTURES / "run.conf"), "validate"]) == 0
         assert json.loads(capsys.readouterr().out)["zones"] == 7
 
+    def test_validate_counts_the_ride_stats_once(self, monkeypatch, capsys):
+        # Each len() scans every slot row; daily_count() adds one cheaper scan.
+        calls = []
+        count = ingestion.RideStatIndex.__len__
+        monkeypatch.setattr(ingestion.RideStatIndex, "__len__",
+                            lambda index: calls.append(1) or count(index))
+        assert main(["--config", str(FIXTURES / "run.conf"), "validate"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["ride_stats"], report["ride_stats_daily_fraction"]) == (170, 0.2)
+        assert len(calls) == 1
+
     def test_config_file_via_env(self, monkeypatch, capsys):
         monkeypatch.setenv("D2D_CONFIG", str(FIXTURES / "run.conf"))
         assert main(["validate"]) == 0

@@ -294,7 +294,7 @@ class TestRideStatIndexContract:
             if probe[3] is not DayPeriod.DAILY_ONLY:
                 assert index.lookup(*probe) == self.brute_lookup(rows, *probe)
         daily = sum(1 for key in rows_by_key if key[3] is DayPeriod.DAILY_ONLY)
-        assert index.daily_fraction() == (daily / len(rows) if rows else 0.0)
+        assert index.daily_count() == daily
 
         seed.shuffle(rows)
         permuted = self.load(tmp_path_factory, rows)
@@ -302,7 +302,7 @@ class TestRideStatIndexContract:
         assert ride_stats_by_key(permuted) == ride_stats_by_key(index)
         assert [permuted.lookup(*probe) for probe in probes] == [
             index.lookup(*probe) for probe in probes]
-        assert permuted.daily_fraction() == index.daily_fraction()
+        assert permuted.daily_count() == index.daily_count()
 
     def test_each_pair_and_date_holds_one_slot_row(self):
         """A zone pair's rows of one date share one slot row, three slots per
@@ -548,6 +548,25 @@ class TestPhysicalLines:
         with pytest.raises(ValidationError) as info:
             load_ride_stats(path)
         assert str(info.value) == f"{path}:3: malformed CSV: line break inside a quoted field"
+
+    @pytest.mark.parametrize("last_line", [
+        '"Z1,Z9,2018-01-02,2,1800,1200,3600',
+        'Z1,Z9,2018-01-02,2,1800,1200,"3600',  # csv reads the last field as 3600
+    ], ids=["row", "last-field"])
+    def test_quote_left_open_without_a_last_line_end_cites_its_row(self, tmp_path, last_line):
+        path = write(tmp_path, "rides.csv",
+                     f"{RIDE_HEADER}\nZ1,Z8,2018-01-02,2,1800,1200,3600\n{last_line}")
+        with pytest.raises(ValidationError) as info:
+            load_ride_stats(path)
+        assert str(info.value) == (
+            f"{path}:3: malformed CSV: quote left open at the end of the file")
+
+    def test_quoted_text_then_more_text_still_loads(self, tmp_path):
+        path = write(tmp_path, "rides.csv",
+                     f'{RIDE_HEADER}\n"Z"1,Z9,2018-01-02,2,1800,1200,"3600"')
+        index = load_ride_stats(path)
+        assert index.get("Z1", "Z9", date(2018, 1, 2), DayPeriod.AM) == (DayPeriod.AM, 1800,
+                                                                          1200, 3600)
 
     @pytest.mark.parametrize("row, message", [
         ("Z\r1,Z9,2018-01-02,2,1800,1200,3600",

@@ -1,4 +1,5 @@
-"""The runtime imports nothing outside the standard library."""
+"""The runtime imports nothing outside the standard library, and each module
+uses every name it imports."""
 
 import ast
 import sys
@@ -23,6 +24,34 @@ def imported_modules(tree):
 def test_imports_are_standard_library(source):
     modules = set(imported_modules(ast.parse(source.read_text(encoding="utf-8"))))
     assert modules - sys.stdlib_module_names - {"doortodoor"} == set()
+
+
+def unused_imports(tree):
+    """Names that a parsed module's top-level imports bind and its body never
+    names, ``from __future__`` imports aside."""
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    return bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]  # __init__ imports to re-export
+
+
+@pytest.mark.parametrize("source", MODULES, ids=[p.name for p in MODULES])
+def test_every_import_is_used(source):
+    assert unused_imports(ast.parse(source.read_text(encoding="utf-8"))) == set()
+
+
+def test_unused_imports_are_found():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import os.path, json as j\n"
+                     "from typing import List, Optional\n"
+                     "def f(x: Optional[int]): return os.path.join(x)\n")
+    assert unused_imports(tree) == {"j", "List"}
 
 
 def test_every_source_is_checked():
