@@ -5,7 +5,10 @@ destination zone) pair that does the per-segment work once per segment (the
 access ride, dwells, in-vehicle time and station exit), the egress-ride
 lookups once per egress group (egress zone, exit date, exit period), and per
 trip only the arrival, classified by one ``PeriodClassifier`` per arrival
-timezone.
+timezone.  Its report holds the trips per segment, not per trip (``Trips``):
+the segment's legs, its egress group's zone ids and rides, which every
+segment exiting in that group shares, and one shared (date, period) arrival
+per trip.  Each ``TripRecord`` is built as the trips are iterated.
 ``daily_zone_means`` groups the trips into a dict of door-to-door time and
 variability keyed by (zone, date, period, mode).  ``summarize`` reduces those
 cells into a dict keyed by (zone, period): the days each mode was fastest,
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 from datetime import date, tzinfo
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .ingestion import RideStatIndex, resolve_dwell
 from .model import (
@@ -79,9 +82,8 @@ def daily_zone_means(trips: Iterable[TripRecord]) -> DayCells:
     """Summed door-to-door time and variability per (zone, date, period,
     mode), bucketing each trip by the date and period of its final arrival."""
     cells: DayCells = {}
-    for trip in trips:
-        legs, ride = trip.legs, trip.ride_from
-        key = (trip.dest_zone_id, trip.arrival_date, trip.arrival_period, legs.segment.mode_id)
+    for legs, zone_id, ride, day, period in trips:
+        key = (zone_id, day, period, legs.segment.mode_id)
         sums = cells.get(key)
         if sums is None:
             sums = cells[key] = [0, 0, 0]
@@ -110,10 +112,17 @@ def summarize(cells: DayCells) -> Dict[Tuple[str, DayPeriod], ZonePeriodSummary]
     """
     # (zone, period) -> date -> [(mode, [total, spread, n])]
     groups: Dict[Tuple[str, DayPeriod], Dict[date, list]] = {}
+    dates = set()
     for (zone_id, day, period, mode_id), sums in cells.items():
-        days = groups.setdefault((zone_id, period), {})
-        days.setdefault(day, []).append((mode_id, sums))
-    days_total = len({day for _, day, _, _ in cells})
+        days = groups.get((zone_id, period))
+        if days is None:
+            days = groups[zone_id, period] = {}
+        stats = days.get(day)
+        if stats is None:
+            stats = days[day] = []
+            dates.add(day)
+        stats.append((mode_id, sums))
+    days_total = len(dates)
     summaries = {}
     for key, days in groups.items():
         fastest: Dict[str, int] = {}
@@ -160,6 +169,34 @@ def bin_zone_counts(
     return counts
 
 
+class Trips:
+    """The trips of one evaluation, in segment id then zone id order: a sized
+    collection that builds each ``TripRecord`` as it is iterated, and can be
+    iterated again.
+
+    It holds one entry per segment: the segment's ``SegmentLegs``, the zone
+    ids and egress rides of its egress group's trips (two tuples that every
+    segment exiting in that group shares) and one arrival per trip, a
+    (date, period) pair that ``PeriodClassifier`` shares among the arrivals
+    in a period of a regular day.  So a trip costs about one pointer of its
+    own."""
+
+    __slots__ = ("_segments", "_n")
+
+    def __init__(self, segments: List[Tuple[SegmentLegs, tuple, tuple, tuple]]):
+        self._segments = segments  # (legs, zone ids, rides, arrivals) per segment
+        self._n = sum(len(arrivals) for *_, arrivals in segments)
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __iter__(self) -> Iterator[TripRecord]:
+        new = tuple.__new__  # builds a TripRecord in C, not via its Python __new__
+        for legs, zone_ids, rides, arrivals in self._segments:
+            for zone_id, ride, (day, period) in zip(zone_ids, rides, arrivals):
+                yield new(TripRecord, (legs, zone_id, ride, day, period))
+
+
 @dataclass
 class EvaluationReport:
     """Trips produced by a batch evaluation plus per-segment/zone skips, each
@@ -167,7 +204,7 @@ class EvaluationReport:
     ``"no_access_ride"`` (one per zone of the segment) or ``"no_egress_ride"``
     (no ride statistic at period or daily level for that leg)."""
 
-    trips: List[TripRecord]
+    trips: Trips
     skipped: List[Tuple[str, str, str]]  # (segment_id, dest_zone_id, reason)
 
 
@@ -197,8 +234,10 @@ def evaluate_trips(
     """
     dest_ids = sorted(zone.zone_id for zone in dest_zones)
     origin_id, lookup = origin_zone.zone_id, rides.lookup
-    trips, skipped = [], []
-    groups: Dict[tuple, tuple] = {}  # (egress zone, date, period) -> ((zone_id, ride), ...)
+    held, skipped = [], []
+    # (egress zone, date, period) -> (zone ids with a ride, their rides, zone
+    # ids without one)
+    groups: Dict[tuple, Tuple[tuple, tuple, tuple]] = {}
     classifiers: Dict[tzinfo, Callable] = {}  # arrival tz -> PeriodClassifier.classify
     for segment in sorted(segments, key=lambda s: s.segment_id):
         segment_id = segment.segment_id
@@ -220,18 +259,20 @@ def evaluate_trips(
         exit_s = segment.actual_arr + arr_s
         exit_date, exit_period = local_date_period(exit_s, arr_tz)
         group = (egress_zone_id, exit_date, exit_period)
-        zone_rides = groups.get(group)
-        if zone_rides is None:
-            zone_rides = groups[group] = tuple(
-                (zone_id, lookup(egress_zone_id, zone_id, exit_date, exit_period))
-                for zone_id in dest_ids)
-        classify = classifiers.get(arr_tz)
-        if classify is None:
-            classify = classifiers[arr_tz] = PeriodClassifier(arr_tz).classify
-        for zone_id, ride in zone_rides:
-            if ride is None:
-                skipped.append((segment_id, zone_id, "no_egress_ride"))
-            else:
-                trips.append(TripRecord(legs, zone_id, ride,
-                                        *classify(exit_s + ride.mean_s, exit_date)))
-    return EvaluationReport(trips=trips, skipped=skipped)
+        egress = groups.get(group)
+        if egress is None:
+            found = [(zone_id, lookup(egress_zone_id, zone_id, exit_date, exit_period))
+                     for zone_id in dest_ids]
+            egress = groups[group] = (
+                tuple(zone_id for zone_id, ride in found if ride is not None),
+                tuple(ride for _, ride in found if ride is not None),
+                tuple(zone_id for zone_id, ride in found if ride is None))
+        zone_ids, zone_rides, missing = egress
+        skipped.extend((segment_id, zone_id, "no_egress_ride") for zone_id in missing)
+        if zone_rides:
+            classify = classifiers.get(arr_tz)
+            if classify is None:
+                classify = classifiers[arr_tz] = PeriodClassifier(arr_tz).classify
+            held.append((legs, zone_ids, zone_rides, tuple(
+                [classify(exit_s + ride.mean_s, exit_date) for ride in zone_rides])))
+    return EvaluationReport(trips=Trips(held), skipped=skipped)

@@ -69,10 +69,18 @@ def leg_shares(trips: Iterable[TripRecord]) -> List[LegShare]:
     folded stack gives phase i's mean as the rational ``100 * s_i / (den * n)``.
     """
     stacks: Dict[str, List[List[int]]] = {}
-    for trip in trips:
-        legs, from_s = trip.legs, trip.ride_from.mean_s
-        pair = f"{trip.dep_station_id}-{trip.arr_station_id}"
-        stack = stacks.setdefault(pair, [])
+    # The stack of each (departure, arrival) station id pair, so a city-pair
+    # key is built once; the legs a run of trips shares are checked first.
+    by_ids: Dict[Tuple[str, str], List[List[int]]] = {}
+    last_legs = stack = None
+    for legs, _, ride_from, _, _ in trips:
+        if legs is not last_legs:
+            last_legs, segment = legs, legs.segment
+            ids = (segment.dep_station.station_id, segment.arr_station.station_id)
+            stack = by_ids.get(ids)
+            if stack is None:
+                stack = by_ids[ids] = stacks.setdefault("%s-%s" % ids, [])
+        from_s = ride_from.mean_s
         top = [1, legs.door_to_exit_s + from_s,
                legs.ride_to.mean_s, legs.dep_s, legs.in_s, legs.arr_s, from_s]
         while stack and stack[-1][0] == top[0]:

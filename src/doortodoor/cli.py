@@ -234,7 +234,8 @@ def run_pipeline(
     config: RunConfig, inputs: LoadedInputs,
 ) -> Dict[Tuple[str, DayPeriod], aggregation.ZonePeriodSummary]:
     """Per (zone, period) summaries of the trips ``evaluate`` gives."""
-    # The trips go straight into the group-by, so they are freed before
+    # The trips go straight into the group-by, which builds each TripRecord
+    # as it reads it, so the evaluation's per-segment store is freed before
     # ``summarize`` runs.
     return aggregation.summarize(aggregation.daily_zone_means(evaluate(config, inputs).trips))
 
@@ -252,8 +253,11 @@ def _json(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
-def _geometry_json(zones: ingestion.ZoneCollection) -> Dict[str, str]:
-    """Each zone's geometry, JSON-encoded once for every file that exports it."""
+def _geometry_json(zones: ingestion.ZoneCollection, fmt: str) -> Dict[str, str]:
+    """Each zone's geometry, JSON-encoded once per command for every file that
+    exports it; none when ``fmt`` writes no GeoJSON."""
+    if fmt not in ("geojson", "both"):
+        return {}
     return {zone.zone_id: _json(zones.geometries.get(zone.zone_id)) for zone in zones}
 
 
@@ -301,13 +305,14 @@ def _summary_properties(zone_id: str, summary: aggregation.ZonePeriodSummary) ->
 def export_summaries(
     summaries: Dict[Tuple[str, DayPeriod], aggregation.ZonePeriodSummary],
     zones: ingestion.ZoneCollection,
+    geometries: Dict[str, str],
     out_dir: Path,
     stem: str,
     fmt: str,
 ) -> List[Path]:
     """One artifact per day period, covering every zone of the input (zones
-    without data carry null properties)."""
-    geometries = _geometry_json(zones) if fmt in ("geojson", "both") else {}
+    without data carry null properties); ``geometries`` is what
+    ``_geometry_json`` gives for ``zones`` and ``fmt``."""
     written = []
     for period in CLASSIFIABLE_PERIODS:
         features, rows = [], []
@@ -380,7 +385,8 @@ def cmd_summaries(config: RunConfig, args: argparse.Namespace, *,
     inputs = load_inputs(config)
     summaries = run_pipeline(config, inputs)
     out = Path(config.out_dir)
-    export_summaries(summaries, inputs.zones, out, stem, config.format)
+    export_summaries(summaries, inputs.zones, _geometry_json(inputs.zones, config.format),
+                     out, stem, config.format)
     if bins:
         export_bins(summaries, out)
     return EXIT_OK
@@ -393,10 +399,11 @@ def cmd_whatif(config: RunConfig, args: argparse.Namespace) -> int:
     baseline = run_pipeline(replace(config, dep_proc_min=None, arr_proc_min=None), inputs)
     override = run_pipeline(config, inputs)
     out = Path(config.out_dir)
-    export_summaries(baseline, inputs.zones, out / "baseline", "fastest", config.format)
-    export_bins(baseline, out / "baseline")
-    export_summaries(override, inputs.zones, out / "override", "fastest", config.format)
-    export_bins(override, out / "override")
+    geometries = _geometry_json(inputs.zones, config.format)
+    for name, summaries in (("baseline", baseline), ("override", override)):
+        export_summaries(summaries, inputs.zones, geometries, out / name, "fastest",
+                         config.format)
+        export_bins(summaries, out / name)
     return EXIT_OK
 
 
@@ -479,7 +486,7 @@ def cmd_weather_diff(config: RunConfig, args: argparse.Namespace) -> int:
             by_zone[d.zone_id][f"delta_min_{d.period.label}"] = (
                 None if d.delta_min is None else round(d.delta_min, 6))
             by_zone[d.zone_id]["disappeared"] |= d.disappeared
-        geometries = _geometry_json(inputs.zones)
+        geometries = _geometry_json(inputs.zones, config.format)
         features = [
             (geometries[zone.zone_id],
              by_zone.get(zone.zone_id, {"zone_id": zone.zone_id, "disappeared": False}))

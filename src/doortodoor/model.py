@@ -23,10 +23,12 @@ kernel takes no on-time setting.
 The trip kernel is one loop, ``aggregation.evaluate_trips``.  Per segment it
 builds a ``SegmentLegs`` (access ride, dwells, in-vehicle time), per egress
 group it looks up the egress rides, and per trip it buckets the final arrival
-with a ``PeriodClassifier``.  Every phase is non-negative by construction
-(ride stats, dwells and segment times are checked upstream), so a
-``TripRecord`` is a light slotted record of the segment's shared
-``SegmentLegs``, the zone, the egress ``ZoneRideStat`` and the arrival; ids,
+with a ``PeriodClassifier``, which hands back one of the five shared
+(date, period) pairs it keeps for each regular day.  Every phase is
+non-negative by construction (ride stats, dwells and segment times are
+checked upstream), so a ``TripRecord`` is a plain tuple of the segment's
+shared ``SegmentLegs``, the zone, the egress ``ZoneRideStat`` and the
+arrival, built only when an ``EvaluationReport``'s trips are iterated; ids,
 the access ride and the totals are read off those.
 """
 
@@ -242,10 +244,12 @@ class SegmentLegs:
         object.__setattr__(self, "to_spread_s", self.ride_to.max_s - self.ride_to.min_s)
 
 
-@dataclass(slots=True)
-class TripRecord:
+class TripRecord(NamedTuple):
     """One evaluated door-to-door trip: its segment's legs plus the facts that
-    depend on the destination zone; everything else is read off those."""
+    depend on the destination zone; everything else is read off those.
+
+    A plain tuple of its fields, which the trips of an ``EvaluationReport``
+    build with ``tuple.__new__`` as they are iterated."""
 
     legs: SegmentLegs
     dest_zone_id: str
@@ -276,9 +280,10 @@ class PeriodClassifier:
     seconds, under the same ``fold=0`` rule as ingestion.  A day is regular
     when it is 86,400 s long and each start lies at its nominal minute after
     midnight; an instant on a regular day is classified by ``bisect`` on its
-    starts, and every instant of that day shares one ``date``.  On any other
-    day (an offset change, a skipped date, a date that goes backward at
-    midnight) the answer is ``local_date_period`` itself.  The rule assumes
+    starts, and is answered with one of the five (date, period) pairs kept
+    for that day, so the arrivals of many trips share one pair.  On any
+    other day (an offset change, a skipped date, a date that goes backward
+    at midnight) the answer is ``local_date_period`` itself.  The rule assumes
     that an offset change shows in its day's length or in one of its starts.
     """
 
@@ -286,7 +291,8 @@ class PeriodClassifier:
 
     def __init__(self, tz: tzinfo):
         self.tz = tz
-        # date -> (six period starts..., date), or () for an irregular day
+        # date -> (six period starts..., five (date, period) pairs), or () for
+        # an irregular day
         self._days: dict = {}
 
     def _day(self, day: date) -> tuple:
@@ -295,7 +301,7 @@ class PeriodClassifier:
         starts.append(int(datetime.combine(day + _ONE_DAY, time(), self.tz).timestamp()))
         if any(s - starts[0] != offset_s for s, offset_s in zip(starts, _START_OFFSETS_S)):
             return ()
-        return (*starts, day)
+        return (*starts, tuple((day, period) for period in CLASSIFIABLE_PERIODS))
 
     def classify(self, epoch_s: int, hint: date) -> Tuple[date, DayPeriod]:
         """Local date and day period of ``epoch_s``; ``hint`` is a local date
@@ -309,7 +315,7 @@ class PeriodClassifier:
             if not starts or epoch_s < starts[0]:
                 return local_date_period(epoch_s, self.tz)
             if epoch_s < starts[5]:
-                return starts[6], CLASSIFIABLE_PERIODS[bisect_right(starts, epoch_s, 1, 5) - 1]
+                return starts[6][bisect_right(starts, epoch_s, 1, 5) - 1]
             day += _ONE_DAY
 
 

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from dataclasses import replace
 from datetime import date
 from functools import lru_cache
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
@@ -24,6 +27,26 @@ from doortodoor.model import PERIOD_BY_CODE, SegmentLegs
 
 AMS_TZ = "Europe/Amsterdam"
 PAR_TZ = "Europe/Paris"
+
+
+def tree(path: Path):
+    return sorted(str(p.relative_to(path)) for p in path.rglob("*") if p.is_file())
+
+
+def assert_trees_identical(a: Path, b: Path):
+    assert tree(a) == tree(b)
+    for rel in tree(a):
+        assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+
+
+def load_bench_gen(monkeypatch):
+    """``bench/gen.py``, the benchmark's seeded input generator, as a module."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_gen", Path(__file__).resolve().parents[1] / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, gen)  # its dataclasses look it up
+    spec.loader.exec_module(gen)
+    return gen
 
 
 def make_station(station_id="CDG", kind="air", zone_id="PZ9", tz=PAR_TZ,
@@ -96,7 +119,7 @@ def kernel_trip(segment, origin, dest, dwell_dep, dwell_arr, rides):
     ``dwell_arr``, or None when the access or the egress ride is missing."""
     segment = replace(segment, dep_station=replace(segment.dep_station, dwell=dwell_dep),
                       arr_station=replace(segment.arr_station, dwell=dwell_arr))
-    trips = evaluate_trips([segment], origin, [dest], rides).trips
+    trips = list(evaluate_trips([segment], origin, [dest], rides).trips)
     return trips[0] if trips else None
 
 

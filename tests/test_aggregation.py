@@ -11,6 +11,7 @@ from doortodoor import (
     DayPeriod,
     DwellProfile,
     RideStatIndex,
+    TripRecord,
     Zone,
     bin_zone_counts,
     daily_zone_means,
@@ -437,10 +438,23 @@ class TestEvaluateTrips:
             (segments[0].segment_id, "PZ_NO_DATA", "no_egress_ride")]
         assert all(t.dest_zone_id != "PZ_NO_DATA" for t in report.trips)
 
+    def test_trips_are_sized_and_iterate_again_in_order(self):
+        """``report.trips`` keeps no list: ``len`` counts what an iteration
+        gives, and every iteration gives equal trips, in segment id then
+        zone id order."""
+        segments, origin, zones, rides = whatif_fixture()
+        segments = [make_segment(segment_id="X", cancelled=True)] + segments[::-1]
+        report = evaluate_trips(segments, origin, zones + [Zone("PZ_NO_DATA")], rides)
+        first, second = list(report.trips), list(report.trips)
+        assert first == second and len(report.trips) == len(first) == 2 * (len(segments) - 1)
+        assert all(type(trip) is TripRecord for trip in first)
+        order = [(trip_facts(trip).segment_id, trip.dest_zone_id) for trip in first]
+        assert order == sorted(order)
+
     def test_missing_access_ride_skips_every_zone(self):
         segments, origin, zones, rides = whatif_fixture()
         report = evaluate_trips(segments[:1], Zone("AZ_NO_DATA"), zones, rides)
-        assert report.trips == []
+        assert list(report.trips) == []
         assert report.skipped == [("late_2018-01-01", "PZ1", "no_access_ride"),
                                   ("late_2018-01-01", "PZ2", "no_access_ride")]
 

@@ -13,6 +13,8 @@ import pytest
 
 from doortodoor import aggregation, cli
 
+from conftest import assert_trees_identical, tree
+
 ROOT = Path(__file__).resolve().parent.parent
 TRACE = ROOT / "bench" / "trace.py"
 
@@ -126,16 +128,23 @@ def one_day_evaluation(trips):
         ("analytics.weather_diff", {"deltas": 12, "disappeared": 3}),
     ]),
 ], ids=["whatif", "legs", "weather-diff"])
-def test_traced_golden_run_counts_every_span(tmp_path, argv, spans):
+def test_traced_golden_run_counts_every_span(tmp_path, monkeypatch, argv, spans):
     """``bench/trace.py`` run as the benchmark runs it: a counter that no
-    longer fits what its function returns fails or miscounts here."""
+    longer fits what its function returns fails or miscounts here, and one
+    that uses up what the program reads next changes the output tree, which
+    must equal an untraced run's byte for byte."""
     spans_path = tmp_path / "spans.json"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     subprocess.run([sys.executable, str(TRACE), str(spans_path),
                     "--config", "tests/fixtures/golden/run.conf", *argv,
-                    "--out-dir", str(tmp_path / "out")],
+                    "--out-dir", str(tmp_path / "traced")],
                    cwd=ROOT, env=env, check=True)
     traced = json.loads(spans_path.read_text())["spans"]
     assert [(span["name"], span["parent"], span.get("counts")) for span in traced] == [
         (name, None, counts) for name, counts in spans]
+    monkeypatch.chdir(ROOT)  # run.conf paths are relative to the repository
+    assert cli.main(["--config", "tests/fixtures/golden/run.conf", *argv,
+                     "--out-dir", str(tmp_path / "untraced")]) == 0
+    assert tree(tmp_path / "traced")
+    assert_trees_identical(tmp_path / "traced", tmp_path / "untraced")

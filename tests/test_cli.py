@@ -3,6 +3,7 @@
 import csv
 import gc
 import json
+import tracemalloc
 from dataclasses import replace
 from datetime import date
 from pathlib import Path
@@ -13,7 +14,7 @@ from doortodoor import TripRecord, aggregation, cli, ingestion
 from doortodoor.cli import COMMANDS, RunConfig, evaluate, load_inputs, main
 from doortodoor.errors import ValidationError
 
-from conftest import trip_facts
+from conftest import assert_trees_identical, load_bench_gen, trip_facts
 
 FIXTURES = Path(__file__).parent / "fixtures" / "golden"
 
@@ -32,16 +33,6 @@ def without(flags, *names):
     """``flags``, a list of flag-value pairs, less each named flag and its value."""
     pairs = zip(flags[::2], flags[1::2])
     return [item for flag, value in pairs if flag not in names for item in (flag, value)]
-
-
-def tree(path: Path):
-    return sorted(str(p.relative_to(path)) for p in path.rglob("*") if p.is_file())
-
-
-def assert_trees_identical(a: Path, b: Path):
-    assert tree(a) == tree(b)
-    for rel in tree(a):
-        assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
 
 
 class TestValidate:
@@ -376,24 +367,56 @@ class TestConfigHandling:
         assert "usage: d2d validate" in capsys.readouterr().out
 
 
-def test_no_trip_is_alive_while_summarize_runs(tmp_path, monkeypatch):
-    """``run_pipeline`` hands the trips straight to the group-by, so they are
-    freed before ``summarize`` runs."""
+def test_no_trip_is_alive_when_the_group_by_starts(tmp_path, monkeypatch):
+    """An evaluation holds its trips per segment and builds each
+    ``TripRecord`` as it is iterated, so none is alive when
+    ``daily_zone_means`` or ``summarize`` starts; one that the group-by's
+    input builds is seen by the same count."""
     earlier = [o for o in gc.get_objects() if type(o) is TripRecord]  # kept, so ids stay theirs
     earlier_ids = {id(o) for o in earlier}
     live = {}
 
+    def alive():
+        return sum(1 for o in gc.get_objects()
+                   if type(o) is TripRecord and id(o) not in earlier_ids)
+
     def counting(name, inner):
         def counted(*args):
-            live.setdefault(name, []).append(sum(
-                1 for o in gc.get_objects() if type(o) is TripRecord and id(o) not in earlier_ids))
+            live.setdefault(name, []).append(alive())
+            if name == "daily_zone_means":
+                trip = next(iter(args[0]))
+                live["built"] = alive()
+                del trip
             return inner(*args)
         monkeypatch.setattr(aggregation, name, counted)
 
     counting("daily_zone_means", aggregation.daily_zone_means)
     counting("summarize", aggregation.summarize)
     assert main(["fastest"] + BASE_FLAGS + ["--out-dir", str(tmp_path)]) == 0
-    assert live["daily_zone_means"][0] > 0 and live["summarize"] == [0]
+    assert live == {"daily_zone_means": [0], "built": 1, "summarize": [0]}
+
+
+def test_an_evaluation_holds_few_bytes_per_trip(tmp_path, monkeypatch):
+    """The tracemalloc bytes that one evaluation's report holds, per trip, on
+    the ``legs-delays`` benchmark's seed-1 inputs (40,500 trips): 133.6 B/trip
+    when each trip kept its record and an (egress zone, ride) pair, about
+    70 B/trip with the trips held per segment."""
+    gen = load_bench_gen(monkeypatch)
+    gen.generate("legs-delays", 1, tmp_path)
+    config = cli.build_config(cli.build_parser().parse_args(
+        ["legs", *gen.input_flags("legs-delays", tmp_path), "--out-dir", str(tmp_path)]))
+    inputs = load_inputs(config)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        report = evaluate(config, inputs)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert len(report.trips) == 40_500
+    assert (held - before) / len(report.trips) < 80
 
 
 class TestDateFilter:
@@ -477,6 +500,23 @@ class TestWhatIfCommand:
     def test_missing_override_flags_rejected(self, tmp_path):
         assert main(["whatif"] + BASE_FLAGS +
                     ["--out-dir", str(tmp_path / "o")]) == 2
+
+    def test_geometries_are_encoded_once(self, tmp_path, monkeypatch):
+        """Both pipelines' GeoJSON files take their geometries from one
+        encoding."""
+        calls = []
+        encode = cli._geometry_json
+
+        def counted(*args):
+            calls.append(args[1])
+            return encode(*args)
+
+        monkeypatch.setattr(cli, "_geometry_json", counted)
+        assert main(["whatif"] + BASE_FLAGS +
+                    ["--dep-proc-min", "60", "--arr-proc-min", "30",
+                     "--out-dir", str(tmp_path), "--format", "both"]) == 0
+        assert calls == ["both"]
+        assert len(list(tmp_path.rglob("*.geojson"))) == 10
 
     def test_fastest_time_applies_the_processing_times(self, tmp_path):
         """``fastest-time`` under both flags writes ``whatif``'s override files."""

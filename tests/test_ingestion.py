@@ -1,7 +1,5 @@
 """Parsers, indexes, weekly-schedule expansion and dwell defaults."""
 
-import importlib.util
-import sys
 import tracemalloc
 from datetime import date, datetime, time, timezone
 from pathlib import Path
@@ -32,7 +30,7 @@ from doortodoor.ingestion import (
 )
 from doortodoor.model import PERIOD_BY_CODE, local_date_period
 
-from conftest import make_station, ride_index, ride_stats_by_key
+from conftest import load_bench_gen, make_station, ride_index, ride_stats_by_key
 
 GOLDEN = Path(__file__).parent / "fixtures" / "golden"
 
@@ -322,12 +320,7 @@ def test_ride_stat_load_peak_memory_per_row(tmp_path, monkeypatch):
     benchmark's seed-1 ride file (45,322 rows): 138.9 B/row when every row
     kept a stat object and the reader held the whole text and its lines,
     about 68 B/row with slot rows and lines read one at a time."""
-    spec = importlib.util.spec_from_file_location(
-        "bench_gen", Path(__file__).resolve().parents[1] / "bench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, gen)  # its dataclasses look it up
-    spec.loader.exec_module(gen)
-    gen.generate("legs-delays", 1, tmp_path)
+    load_bench_gen(monkeypatch).generate("legs-delays", 1, tmp_path)
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     tracemalloc.reset_peak()

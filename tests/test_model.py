@@ -323,6 +323,14 @@ class TestPeriodClassifier:
                  for hour in range(6, 20)}
         assert len(dates) == 1
 
+    def test_a_regular_day_keeps_one_pair_per_period(self):
+        tz = ZoneInfo("Europe/Paris")
+        classifier = PeriodClassifier(tz)
+        hint, _ = local_date_period(utc_s(2018, 6, 1), tz)
+        arrivals = [classifier.classify(utc_s(2018, 6, 1) + minute * 60, hint)
+                    for minute in range(0, 22 * 60, 20)]
+        assert len({id(arrival) for arrival in arrivals}) == len(set(arrivals)) == 5
+
 
 latitudes = st.floats(min_value=-90, max_value=90, allow_nan=False)
 longitudes = st.floats(min_value=-180, max_value=180, allow_nan=False)
