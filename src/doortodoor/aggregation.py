@@ -214,13 +214,14 @@ def evaluate_trips(
     dest_zones: Iterable[Zone],
     rides: RideStatIndex,
     *,
-    dwell_overrides: Optional[Dict[str, DwellProfile]] = None,
+    air_dwell: Optional[DwellProfile] = None,
 ) -> EvaluationReport:
     """Evaluate every (segment, destination zone) trip, in segment id then
     zone id order.
 
     Per segment: a cancelled one is skipped; the dwells come from
-    ``resolve_dwell``; the access ride is taken at the local date and period
+    ``resolve_dwell``, with ``air_dwell`` for every air station when given;
+    the access ride is taken at the local date and period
     of the station-arrival deadline (scheduled departure minus processing
     time), and a missing one skips every zone of the segment; early pushback
     counts no wait, so the departure dwell is never below the processing
@@ -245,8 +246,8 @@ def evaluate_trips(
             skipped.append((segment_id, "*", "cancelled"))
             continue
         dep_station, arr_station = segment.dep_station, segment.arr_station
-        sec_s = resolve_dwell(dep_station, dwell_overrides).t_sec_departure_s
-        arr_s = resolve_dwell(arr_station, dwell_overrides).t_arr_s
+        sec_s = resolve_dwell(dep_station, air_dwell).t_sec_departure_s
+        arr_s = resolve_dwell(arr_station, air_dwell).t_arr_s
         ride_to = lookup(origin_id, dep_station.zone_id,
                          *local_date_period(segment.sched_dep - sec_s, dep_station.tzinfo))
         if ride_to is None:

@@ -236,7 +236,7 @@ def delay_sensitivity(
     rides: RideStatIndex,
     zones: ZoneCollection,
     *,
-    dwell_overrides: Optional[Dict[str, DwellProfile]] = None,
+    air_dwell: Optional[DwellProfile] = None,
 ) -> DelaySensitivity:
     """Compare egress ride times between the scheduled and actual airport-exit
     (date, period) buckets of one segment.
@@ -248,7 +248,7 @@ def delay_sensitivity(
     """
     if segment.cancelled:
         raise ValidationError(f"segment {segment.segment_id} is cancelled")
-    t_arr_s = resolve_dwell(segment.arr_station, dwell_overrides).t_arr_s
+    t_arr_s = resolve_dwell(segment.arr_station, air_dwell).t_arr_s
     arr_tz = segment.arr_station.tzinfo
     sched_date, sched_period = local_date_period(segment.sched_arr + t_arr_s, arr_tz)
     actual_date, actual_period = local_date_period(segment.actual_arr + t_arr_s, arr_tz)

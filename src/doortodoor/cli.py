@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields, replace
 from datetime import date, timedelta
 from functools import partial
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple, get_args, get_type_hints
 
 from . import aggregation, analytics, ingestion
 from .errors import DoorToDoorError, FitUndefinedError, ValidationError
@@ -44,44 +44,31 @@ def _parse_bool(value: str) -> bool:
         raise ValueError(value) from None
 
 
-def _parse_format(value: str) -> str:
-    if value not in FORMATS:
-        raise ValueError(value)
-    return value
+# The parser of a setting's text, as a flag or a config value, by the type of
+# its RunConfig field (``T`` for ``Optional[T]``); it raises ValueError on a
+# text it cannot parse.
+PARSERS = {str: str, date: date.fromisoformat, float: float, int: int, bool: _parse_bool}
 
 
-def _parse_minutes(value: str) -> float:
-    """A processing time: a finite float of at least 0."""
-    minutes = float(value)
-    if not (math.isfinite(minutes) and minutes >= 0):
-        raise ValidationError(f"must be finite and >= 0, got {minutes!r}")
-    return minutes
-
-
-def _parse_jobs(value: str) -> int:
-    jobs = int(value)
-    if jobs < 1:
-        raise ValidationError(f"must be at least 1, got {jobs}")
-    return jobs
-
-
-# Parsers of the config-file values; a parser raises ValueError on a value it
-# cannot parse and ValidationError on one out of range.  The other values stay
-# strings.
-CONFIG_PARSERS = {
-    "from_date": date.fromisoformat,
-    "to_date": date.fromisoformat,
-    "on_time_mode": _parse_bool,
-    "dep_proc_min": _parse_minutes,
-    "arr_proc_min": _parse_minutes,
-    "format": _parse_format,
-    "jobs": _parse_jobs,
-}
+def _range_fault(name: str, value) -> Optional[str]:
+    """The message that names setting ``name`` when ``value`` is out of its
+    range: the one rule of each bounded setting, for its flag, its config key
+    and a RunConfig built in Python alike."""
+    if name == "format" and value not in FORMATS:
+        return f"format: cannot parse {value!r}"
+    if name in ("dep_proc_min", "arr_proc_min") and value is not None and not (
+            math.isfinite(value) and value >= 0):
+        return f"{name}: must be finite and >= 0, got {value!r}"
+    if name == "jobs" and value < 1:
+        return f"jobs: must be at least 1, got {value}"
+    return None
 
 
 @dataclass
 class RunConfig:
-    """Resolved inputs and knobs for one engine run."""
+    """Resolved inputs and knobs for one engine run.  Each field is a
+    setting: every subcommand has its flag (``--`` and the name with ``-``
+    for ``_``) and a config file its key, both parsed by ``PARSERS``."""
 
     ride_stats: Optional[str] = None
     segments: Optional[str] = None
@@ -99,11 +86,12 @@ class RunConfig:
     jobs: int = 1  # accepted for compatibility; evaluation is single-process
 
     def __post_init__(self):
-        # The rules of the --format, date, weekly-schedule, processing-time and
-        # --jobs flags and their config keys, so a config built in Python is
-        # held to them too.
-        if self.format not in FORMATS:
-            raise ValidationError(f"format: cannot parse {self.format!r}")
+        # Each setting's range, then the settings that must go together, so
+        # a config built in Python is held to the rules its flags are.
+        for f in fields(self):
+            fault = _range_fault(f.name, getattr(self, f.name))
+            if fault:
+                raise ValidationError(fault)
         if (self.from_date is not None and self.to_date is not None
                 and self.from_date > self.to_date):
             raise ValidationError(f"empty date range {self.from_date}..{self.to_date}")
@@ -111,19 +99,17 @@ class RunConfig:
             raise ValidationError("--from-date/--to-date required with a weekly schedule")
         if (self.dep_proc_min is None) != (self.arr_proc_min is None):
             raise ValidationError("--dep-proc-min and --arr-proc-min go together")
-        self.dwell_overrides()  # DwellProfile rejects a negative or non-finite time
-        if self.jobs < 1:
-            raise ValidationError(f"jobs: must be at least 1, got {self.jobs}")
 
-    def dwell_overrides(self) -> Optional[Dict[str, DwellProfile]]:
-        """Per-kind override of airport processing times, when requested."""
+    def air_dwell(self) -> Optional[DwellProfile]:
+        """Every air station's processing times, when they are overridden."""
         if self.dep_proc_min is None:
             return None
-        return {"air": DwellProfile(self.dep_proc_min, self.arr_proc_min)}
+        return DwellProfile(self.dep_proc_min, self.arr_proc_min)
 
 
-# The config-file keys and the flags that override them: every RunConfig field.
-CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
+# Each setting, a flag and a config key, and the parser of its text.
+SETTINGS = {name: PARSERS[next(t for t in (*get_args(hint), hint) if t in PARSERS)]
+            for name, hint in get_type_hints(RunConfig).items()}
 
 
 def _read_config_file(path: str) -> Dict[str, object]:
@@ -137,15 +123,16 @@ def _read_config_file(path: str) -> Dict[str, object]:
                 raise ValidationError("expected key=value", path=path, line=lineno)
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in CONFIG_KEYS:
+            if key not in SETTINGS:
                 raise ValidationError(f"unknown config key {key!r}", path=path, line=lineno)
             try:
-                values[key] = CONFIG_PARSERS.get(key, str)(value)
+                values[key] = SETTINGS[key](value)
             except ValueError:
                 raise ValidationError(f"{key}: cannot parse {value!r}",
                                       path=path, line=lineno) from None
-            except ValidationError as exc:
-                raise ValidationError(f"{key}: {exc}", path=path, line=lineno) from None
+            fault = _range_fault(key, values[key])
+            if fault:
+                raise ValidationError(fault, path=path, line=lineno)
     return values
 
 
@@ -155,7 +142,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     already do not."""
     config_path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
     values = _read_config_file(config_path) if config_path else {}
-    flags = {key: getattr(args, key) for key in CONFIG_KEYS
+    flags = {key: getattr(args, key) for key in SETTINGS
              if getattr(args, key, None) is not None}
     try:
         return RunConfig(**{**values, **flags})
@@ -176,7 +163,7 @@ class LoadedInputs:
 
 def load_inputs(config: RunConfig, *, need_segments: bool = True) -> LoadedInputs:
     for name in ("ride_stats", "stations", "zones"):
-        if getattr(config, name) is None:
+        if not getattr(config, name):  # unset, or set to ""
             raise ValidationError(f"missing required input: --{name.replace('_', '-')}")
     stations = ingestion.load_stations(config.stations)
     zones = ingestion.load_zones(config.zones)
@@ -226,7 +213,7 @@ def evaluate(config: RunConfig, inputs: LoadedInputs) -> aggregation.EvaluationR
     segments = [s for s in inputs.segments if _in_date_range(config, s)]
     return aggregation.evaluate_trips(
         segments, origin, list(inputs.zones), inputs.rides,
-        dwell_overrides=config.dwell_overrides(),
+        air_dwell=config.air_dwell(),
     )
 
 
@@ -503,7 +490,7 @@ def cmd_delay(config: RunConfig, args: argparse.Namespace) -> int:
         raise ValidationError(f"segment {args.segment_id!r} not found")
     result = analytics.delay_sensitivity(
         matches[0], inputs.rides, inputs.zones,
-        dwell_overrides=config.dwell_overrides(),
+        air_dwell=config.air_dwell(),
     )
     _write_text(Path(config.out_dir) / "delay_sensitivity.csv", _csv_text(
         ["segment_id", "scheduled_egress_period", "actual_egress_period",
@@ -553,22 +540,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def subcommand(name, **kwargs):
         p = sub.add_parser(name, **kwargs)
-        p.add_argument("--ride-stats", dest="ride_stats")
-        p.add_argument("--segments", dest="segments")
-        p.add_argument("--weekly-schedule", dest="weekly_schedule")
-        p.add_argument("--stations", dest="stations")
-        p.add_argument("--zones", dest="zones")
-        p.add_argument("--from-date", dest="from_date", type=date.fromisoformat)
-        p.add_argument("--to-date", dest="to_date", type=date.fromisoformat)
-        p.add_argument("--on-time-mode", dest="on_time_mode", action="store_true",
-                       default=None)
-        p.add_argument("--dep-proc-min", dest="dep_proc_min", type=float)
-        p.add_argument("--arr-proc-min", dest="arr_proc_min", type=float)
-        p.add_argument("--out-dir", dest="out_dir")
-        p.add_argument("--format", dest="format", choices=FORMATS)
-        p.add_argument("--origin-zone", dest="origin_zone")
-        p.add_argument("--jobs", dest="jobs", type=int,
-                       help="accepted for compatibility; evaluation is single-process")
+        for key, parse in SETTINGS.items():
+            flag = "--" + key.replace("_", "-")
+            if parse is _parse_bool:
+                p.add_argument(flag, action="store_true", default=None)
+            else:
+                p.add_argument(flag, type=parse)
         # SUPPRESS so a --config before the subcommand is not clobbered
         p.add_argument("--config", dest="config", default=argparse.SUPPRESS)
         return p

@@ -87,11 +87,12 @@ DEFAULT_RAIL_DWELL = DwellProfile(15, 10)
 DEFAULT_AIR_DWELL = DwellProfile(90, 45)
 
 
-def resolve_dwell(station: Station, overrides: Optional[Dict[str, DwellProfile]] = None) -> DwellProfile:
-    """Dwell profile for a station: per-kind override > per-station config >
+def resolve_dwell(station: Station, air_dwell: Optional[DwellProfile] = None) -> DwellProfile:
+    """Dwell profile for a station: ``air_dwell`` for an air station, when
+    given (the processing times a run overrides) > per-station config >
     built-in airport table > kind default."""
-    if overrides and station.kind in overrides:
-        return overrides[station.kind]
+    if air_dwell is not None and station.kind == "air":
+        return air_dwell
     if station.dwell is not None:
         return station.dwell
     if station.station_id in DEFAULT_STATION_DWELL:

@@ -233,14 +233,12 @@ class SegmentLegs:
     dep_s: int  # departure processing time plus any departure delay
     in_s: int
     arr_s: int
-    core_s: int = field(init=False)  # dep_s + in_s + arr_s
-    door_to_exit_s: int = field(init=False)  # ride_to.mean_s + core_s
+    door_to_exit_s: int = field(init=False)  # ride_to.mean_s + dep_s + in_s + arr_s
     to_spread_s: int = field(init=False)  # ride_to.max_s - ride_to.min_s
 
     def __post_init__(self):
-        core_s = self.dep_s + self.in_s + self.arr_s
-        object.__setattr__(self, "core_s", core_s)
-        object.__setattr__(self, "door_to_exit_s", self.ride_to.mean_s + core_s)
+        object.__setattr__(self, "door_to_exit_s",
+                           self.ride_to.mean_s + self.dep_s + self.in_s + self.arr_s)
         object.__setattr__(self, "to_spread_s", self.ride_to.max_s - self.ride_to.min_s)
 
 
@@ -257,8 +255,6 @@ class TripRecord(NamedTuple):
     arrival_date: date
     arrival_period: DayPeriod
 
-    dep_station_id = property(lambda self: self.legs.segment.dep_station.station_id)
-    arr_station_id = property(lambda self: self.legs.segment.arr_station.station_id)
     used_daily_fallback_to = property(
         lambda self: self.legs.ride_to.period is DayPeriod.DAILY_ONLY)
     used_daily_fallback_from = property(

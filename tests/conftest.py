@@ -49,6 +49,19 @@ def load_bench_gen(monkeypatch):
     return gen
 
 
+def load_bench_run(monkeypatch):
+    """``bench/run.py``, the benchmark's driver, as a module; the ``gen`` it
+    imports is ``load_bench_gen``'s, and the ``sys.path`` entry it adds goes
+    when the test ends."""
+    monkeypatch.setitem(sys.modules, "gen", load_bench_gen(monkeypatch))
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location(
+        "bench_run", Path(__file__).resolve().parents[1] / "bench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return run
+
+
 def make_station(station_id="CDG", kind="air", zone_id="PZ9", tz=PAR_TZ,
                  lat=49.0097, lon=2.5479, dwell=None):
     return Station(station_id=station_id, kind=kind, zone_id=zone_id,
@@ -140,12 +153,13 @@ def trip_facts(trip):
     total under the mean, min and max ride of both rides."""
     legs, ride_from = trip.legs, trip.ride_from
     segment, ride_to = legs.segment, legs.ride_to
+    core_s = legs.dep_s + legs.in_s + legs.arr_s
     return TripFacts(
         segment.segment_id, segment.mode_id, ride_to,
         max(0, segment.actual_dep - segment.sched_dep),
         legs.door_to_exit_s + ride_from.mean_s,
-        ride_to.min_s + legs.core_s + ride_from.min_s,
-        ride_to.max_s + legs.core_s + ride_from.max_s)
+        ride_to.min_s + core_s + ride_from.min_s,
+        ride_to.max_s + core_s + ride_from.max_s)
 
 
 @lru_cache(maxsize=None)

@@ -1,6 +1,7 @@
 """Aggregation reductions checked against exhaustive brute-force oracles."""
 
 import random
+from dataclasses import replace
 from datetime import datetime
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from doortodoor import (
     summarize,
 )
 from doortodoor.aggregation import interval_bin
+from doortodoor.ingestion import DEFAULT_RAIL_DWELL
 from doortodoor.model import local_date_period
 
 from conftest import make_rides, make_segment, make_station, make_trip, trip_facts
@@ -390,15 +392,15 @@ def whatif_fixture():
     return segments, Zone("AZ1"), zones, make_rides(rides)
 
 
-def what_if(segments, origin, zones, rides, overrides):
-    """Summaries of all trips recomputed under per-kind dwell overrides."""
-    report = evaluate_trips(segments, origin, zones, rides, dwell_overrides=overrides)
+def what_if(segments, origin, zones, rides, air_dwell):
+    """Summaries of all trips recomputed under every air station's dwell."""
+    report = evaluate_trips(segments, origin, zones, rides, air_dwell=air_dwell)
     return summarize(daily_zone_means(report.trips))
 
 
 class TestWhatIf:
-    DEFAULTS = {"air": DwellProfile(90, 45)}
-    FASTER = {"air": DwellProfile(60, 30)}
+    DEFAULTS = DwellProfile(90, 45)
+    FASTER = DwellProfile(60, 30)
 
     def test_default_overrides_reproduce_baseline(self):
         segments, origin, zones, rides = whatif_fixture()
@@ -420,11 +422,16 @@ class TestWhatIf:
         assert DayPeriod.LATE_EVENING in periods
 
     def test_untouched_kind_unchanged(self):
+        """An air override leaves a rail station's dwell as it was."""
         segments, origin, zones, rides = whatif_fixture()
-        rail_only = {"rail": DwellProfile(5, 5)}
-        baseline = what_if(segments, origin, zones, rides, self.DEFAULTS)
-        assert what_if(segments, origin, zones, rides,
-                       {**self.DEFAULTS, **rail_only}) == baseline
+        rail = make_station("GDN", kind="rail", zone_id="PZ9")
+        segments = [replace(s, arr_station=rail) for s in segments]
+        before = list(evaluate_trips(segments, origin, zones, rides).trips)
+        after = list(evaluate_trips(segments, origin, zones, rides, air_dwell=self.FASTER).trips)
+        assert len(after) == len(before) == 2 * len(segments)
+        assert [t.legs.arr_s for t in after] == [t.legs.arr_s for t in before] == [
+            DEFAULT_RAIL_DWELL.t_arr_s] * len(before)
+        assert {t.legs.dep_s for t in after} == {self.FASTER.t_sec_departure_s}
 
 
 class TestEvaluateTrips:

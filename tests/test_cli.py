@@ -4,7 +4,7 @@ import csv
 import gc
 import json
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from datetime import date
 from pathlib import Path
 
@@ -14,7 +14,7 @@ from doortodoor import TripRecord, aggregation, cli, ingestion
 from doortodoor.cli import COMMANDS, RunConfig, evaluate, load_inputs, main
 from doortodoor.errors import ValidationError
 
-from conftest import assert_trees_identical, load_bench_gen, trip_facts
+from conftest import assert_trees_identical, load_bench_gen, load_bench_run, trip_facts
 
 FIXTURES = Path(__file__).parent / "fixtures" / "golden"
 
@@ -27,6 +27,51 @@ BASE_FLAGS = [
     "--from-date", "2018-01-01", "--to-date", "2018-01-07",
     "--origin-zone", "AZ1",
 ]
+
+
+# Values that parse but are out of range, and the one message each gives,
+# whether it comes from a flag, from Python or (after ``path:line: ``) from a
+# config line.
+OUT_OF_RANGE = [
+    (name, value, f"{name}: must be finite and >= 0, got {float(value)!r}")
+    for name in ("dep_proc_min", "arr_proc_min") for value in ("-5", "nan", "inf")
+] + [("jobs", value, f"jobs: must be at least 1, got {value}") for value in ("0", "-3")
+     ] + [("format", "xml", "format: cannot parse 'xml'")]
+OUT_OF_RANGE_IDS = ["proc-min-5", "proc-min-nan", "proc-min-inf", "arr-proc-min-5",
+                    "arr-proc-min-nan", "arr-proc-min-inf", "jobs-0", "jobs-minus-3",
+                    "format-xml"]
+
+# Each setting: a text for it, the value that text gives, and the settings
+# that must come with it, each given as its own text here.
+SETTING_CASES = {
+    "ride_stats": ("r.csv", "r.csv", ()),
+    "segments": ("s.csv", "s.csv", ()),
+    "weekly_schedule": ("w.csv", "w.csv", ("from_date", "to_date")),
+    "stations": ("st.csv", "st.csv", ()),
+    "zones": ("z.geojson", "z.geojson", ()),
+    "from_date": ("2018-01-02", date(2018, 1, 2), ()),
+    "to_date": ("2018-01-07", date(2018, 1, 7), ()),
+    "on_time_mode": ("yes", True, ()),  # its flag takes no text
+    "dep_proc_min": ("45.5", 45.5, ("arr_proc_min",)),
+    "arr_proc_min": ("20", 20.0, ("dep_proc_min",)),
+    "out_dir": ("o", "o", ()),
+    "format": ("csv", "csv", ()),
+    "origin_zone": ("AZ1", "AZ1", ()),
+    "jobs": ("3", 3, ()),
+}
+# What each subcommand requires besides its settings.
+REQUIRED_ARGS = {"weather-diff": ["--date-a", "2018-01-02", "--date-b", "2018-01-03"],
+                 "delay": ["--segment-id", "F1"]}
+
+
+def setting_flag(name, text):
+    """The command-line arguments that give setting ``name`` the text ``text``."""
+    flag = "--" + name.replace("_", "-")
+    return [flag] if name == "on_time_mode" else [flag, text]
+
+
+def config_of(argv):
+    return cli.build_config(cli.build_parser().parse_args(argv))
 
 
 def without(flags, *names):
@@ -181,6 +226,21 @@ class TestValidate:
         report = json.loads(capsys.readouterr().out)
         assert (report["ride_stats"], report["ride_stats_daily_fraction"]) == (0, 0.0)
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("name", ["ride_stats", "stations", "zones"])
+    def test_empty_required_input_is_missing(self, tmp_path, capsys, name, source):
+        flag = "--" + name.replace("_", "-")
+        argv = ["validate"] + without(BASE_FLAGS, flag)
+        if source == "flag":
+            argv += [flag, ""]
+        else:
+            conf = tmp_path / "run.conf"
+            conf.write_text(f"{name}=\n")
+            argv = ["--config", str(conf)] + argv
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValidationError", "message": f"missing required input: {flag}"}
+
     def test_missing_stations_exits_2(self):
         flags = BASE_FLAGS.copy()
         flags[7] = str(FIXTURES / "nope.csv")
@@ -259,39 +319,29 @@ class TestConfigHandling:
                            match="^--dep-proc-min and --arr-proc-min go together$"):
             RunConfig(**lone)
 
-    # Values that parse but are out of range: the message RunConfig gives when
-    # it is built from the flags, and the one the config file's line gives.
-    OUT_OF_RANGE = [
-        ({"dep_proc_min": value, "arr_proc_min": "20"},
-         f"dwell t_sec_departure_min={float(value)!r} must be finite and >= 0",
-         f"dep_proc_min: must be finite and >= 0, got {float(value)!r}")
-        for value in ("-5", "nan", "inf")
-    ] + [({"jobs": value}, f"jobs: must be at least 1, got {value}",
-          f"jobs: must be at least 1, got {value}") for value in ("0", "-3")]
-
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("command", ["validate", "fastest", "whatif"])
-    @pytest.mark.parametrize("values, message, config_message", OUT_OF_RANGE,
-                             ids=["proc-min-5", "proc-min-nan", "proc-min-inf",
-                                  "jobs-0", "jobs-minus-3"])
+    @pytest.mark.parametrize("name, value, message", OUT_OF_RANGE, ids=OUT_OF_RANGE_IDS)
     def test_out_of_range_value_exits_2_before_loading(
-            self, tmp_path, monkeypatch, capsys, values, message, config_message,
-            command, source):
+            self, tmp_path, monkeypatch, capsys, name, value, message, command, source):
         monkeypatch.setattr(cli, "load_inputs", lambda *args, **kwargs: pytest.fail(
             "inputs loaded before the config was checked"))
+        # The out-of-range value, then its partner when it needs one.
+        values = {name: value, **{other: SETTING_CASES[other][0]
+                                  for other in SETTING_CASES[name][2]}}
         argv = [command] + BASE_FLAGS
         if command == "whatif" and "dep_proc_min" not in values:
             argv += ["--dep-proc-min", "60", "--arr-proc-min", "30"]
         expected = {"error": "ValidationError", "message": message}
         if source == "flag":
-            for key, value in values.items():
-                argv += [f"--{key.replace('_', '-')}", value]
+            for key, text in values.items():
+                argv += setting_flag(key, text)
         else:
             conf = tmp_path / "run.conf"
-            conf.write_text("".join(f"{key}={value}\n" for key, value in values.items()))
+            conf.write_text("".join(f"{key}={text}\n" for key, text in values.items()))
             argv = ["--config", str(conf)] + argv
             # The out-of-range key is on the file's first line.
-            expected.update(message=f"{conf}:1: {config_message}", path=str(conf), line=1)
+            expected.update(message=f"{conf}:1: {message}", path=str(conf), line=1)
         out = tmp_path / "o"
         assert main(argv + ["--out-dir", str(out)]) == 2
         assert json.loads(capsys.readouterr().err) == expected
@@ -364,7 +414,64 @@ class TestConfigHandling:
         with pytest.raises(SystemExit) as exc:
             main(["validate", "--help"])
         assert exc.value.code == 0
-        assert "usage: d2d validate" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "usage: d2d validate" in out
+        # The flags carry no text of their own: --format's range is
+        # RunConfig's, and --jobs has no help string.
+        assert "{geojson,csv,both}" not in out and "compatibility" not in out
+
+
+class TestSettings:
+    @pytest.mark.parametrize("name", [f.name for f in fields(RunConfig)])
+    def test_each_setting_is_one_flag_and_one_config_key(self, tmp_path, monkeypatch, name):
+        """Every subcommand has the setting's flag; its text given as the flag
+        or as the config key builds equal RunConfigs; and a value out of its
+        range gives one message from a flag, from Python and (after
+        ``path:line: ``) from a config line."""
+        monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+        text, value, needs = SETTING_CASES[name]
+        partners = [arg for other in needs for arg in setting_flag(other, SETTING_CASES[other][0])]
+        partner_values = {other: SETTING_CASES[other][1] for other in needs}
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"{name}={text}\n")
+        expected = RunConfig(**{name: value}, **partner_values)
+        for command in COMMANDS:
+            rest = partners + REQUIRED_ARGS.get(command, [])
+            assert config_of([command, *setting_flag(name, text), *rest]) == expected
+            assert config_of(["--config", str(conf), command, *rest]) == expected
+
+        for bad_name, bad_text, message in OUT_OF_RANGE:
+            if bad_name != name:
+                continue
+            with pytest.raises(ValidationError) as python:
+                RunConfig(**{name: type(value)(bad_text)}, **partner_values)
+            assert str(python.value) == message
+            conf.write_text(f"{name}={bad_text}\n")
+            for command in COMMANDS:
+                rest = partners + REQUIRED_ARGS.get(command, [])
+                with pytest.raises(ValidationError) as flag:
+                    config_of([command, *setting_flag(name, bad_text), *rest])
+                assert str(flag.value) == message
+                with pytest.raises(ValidationError) as line:
+                    config_of(["--config", str(conf), command, *rest])
+                assert (str(line.value), line.value.path, line.value.line) == (
+                    f"{conf}:1: {message}", str(conf), 1)
+
+    def test_benchmark_command_lines_build_a_config(self, tmp_path, monkeypatch):
+        """Each command line the benchmark runs (``bench/run.py``: every
+        workload at its own --jobs and at --jobs 1, and ``validate``) parses
+        and builds a RunConfig, no input loaded, so a flag that changes here
+        fails this test rather than the benchmark."""
+        monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+        monkeypatch.setattr(cli, "load_inputs", lambda *args, **kwargs: pytest.fail(
+            "inputs loaded"))
+        run = load_bench_run(monkeypatch)
+        for workload in run.WORKLOADS:
+            inputs = run.gen.input_flags(workload, tmp_path)
+            for argv in (run._workload_args(workload, inputs, tmp_path / "out"),
+                         run._workload_args(workload, inputs, tmp_path / "out", jobs=1),
+                         ["validate", *inputs]):
+                assert isinstance(config_of(argv), RunConfig), argv
 
 
 def test_no_trip_is_alive_when_the_group_by_starts(tmp_path, monkeypatch):

@@ -10,7 +10,7 @@ import random
 from dataclasses import astuple
 from datetime import date, datetime, time, timedelta
 from fractions import Fraction
-from typing import NamedTuple, Tuple
+from typing import NamedTuple, Optional, Tuple
 from zoneinfo import ZoneInfo
 
 import pytest
@@ -48,7 +48,7 @@ class Network(NamedTuple):
     weekly: list  # WeeklyScheduleRow
     dest_ids: list
     rows: list  # (origin, dest, date, period, mean_s, min_s, max_s)
-    overrides: dict
+    air_dwell: Optional[DwellProfile]  # every air station's, when overridden
 
 
 def reference_expansion(rows, stations, start, end):
@@ -138,14 +138,20 @@ def random_network(rng):
                     mean_s = rng.randrange(60, 9 * 3600)
                     rows.append((origin, dest, day, period, mean_s,
                                  rng.randint(1, mean_s), mean_s + rng.randrange(0, 3600)))
-    overrides = None
+    air_dwell = None
     if rng.random() < 0.5:
-        overrides = {"air": DwellProfile(rng.choice((30, 60)), rng.choice((20, 30)))}
-    dated += on_period_start_segments(rng, stations, dest_ids, rows, overrides)
-    return Network(stations, dated, weekly, dest_ids, rows, overrides)
+        air_dwell = DwellProfile(rng.choice((30, 60)), rng.choice((20, 30)))
+    dated += on_period_start_segments(rng, stations, dest_ids, rows, air_dwell)
+    return Network(stations, dated, weekly, dest_ids, rows, air_dwell)
 
 
-def on_period_start_segments(rng, stations, dest_ids, rows, overrides):
+def station_dwell(station, air_dwell):
+    """A station's dwell: its own, or ``air_dwell`` for an air station when
+    that is given."""
+    return air_dwell if air_dwell and station.kind == "air" else station.dwell
+
+
+def on_period_start_segments(rng, stations, dest_ids, rows, air_dwell):
     """Six on-time segments, each with a trip that arrives exactly on a
     period start (07:00 to 19:00 local) of a ride date: rows
     for the access and the egress ride of the trip are appended to ``rows``,
@@ -153,7 +159,7 @@ def on_period_start_segments(rng, stations, dest_ids, rows, overrides):
     segments = []
     for k in range(6):
         dep, arr = rng.sample(list(stations.values()), 2)
-        dwell_dep, dwell_arr = ((overrides or {}).get(s.kind, s.dwell) for s in (dep, arr))
+        dwell_dep, dwell_arr = (station_dwell(s, air_dwell) for s in (dep, arr))
         start_min, _ = rng.choice(PERIOD_STARTS[1:])
         arrival_s = int(datetime.combine(rng.choice(RIDE_DATES),
                                          time(start_min // 60, start_min % 60),
@@ -193,8 +199,9 @@ class Trip(NamedTuple):
 def observed(trip):
     """The kernel's ``TripRecord`` as a ``Trip``."""
     legs, facts = trip.legs, trip_facts(trip)
+    segment = legs.segment
     return Trip(facts.segment_id, trip.dest_zone_id, facts.mode_id,
-                f"{trip.dep_station_id}-{trip.arr_station_id}",
+                f"{segment.dep_station.station_id}-{segment.arr_station.station_id}",
                 (legs.ride_to.mean_s, legs.dep_s, legs.in_s, legs.arr_s, trip.ride_from.mean_s),
                 facts.total_mean_s, facts.total_min_s, facts.total_max_s,
                 trip.arrival_date, trip.arrival_period,
@@ -217,10 +224,10 @@ def reference_ride(rides, origin, dest, epoch_s, tz):
     return None
 
 
-def reference_trip(segment, dest_id, rides, overrides):
+def reference_trip(segment, dest_id, rides, air_dwell):
     """One (segment, zone) pair from first principles: a ``Trip``, or the
     skip's reason code."""
-    dwell_dep, dwell_arr = ((overrides or {}).get(s.kind, s.dwell)
+    dwell_dep, dwell_arr = (station_dwell(s, air_dwell)
                             for s in (segment.dep_station, segment.arr_station))
     sec_s = round(dwell_dep.t_sec_departure_min * 60)
     arr_s = round(dwell_arr.t_arr_min * 60)
@@ -245,7 +252,7 @@ def reference_trip(segment, dest_id, rides, overrides):
                 daily_to, daily_from)
 
 
-def reference_evaluation(segments, dest_ids, rows, overrides):
+def reference_evaluation(segments, dest_ids, rows, air_dwell):
     rides = {row[:4]: row[4:] for row in rows}
     trips, skipped = [], []
     for segment in sorted(segments, key=lambda s: s.segment_id):
@@ -253,7 +260,7 @@ def reference_evaluation(segments, dest_ids, rows, overrides):
             skipped.append((segment.segment_id, "*", "cancelled"))
             continue
         for dest_id in sorted(dest_ids):
-            result = reference_trip(segment, dest_id, rides, overrides)
+            result = reference_trip(segment, dest_id, rides, air_dwell)
             if isinstance(result, str):
                 skipped.append((segment.segment_id, dest_id, result))
             else:
@@ -269,12 +276,12 @@ def test_evaluate_trips_matches_the_pairwise_reference(seed):
     reference_weekly = [s for week in WEEKS
                         for s in reference_expansion(net.weekly, net.stations, *week)]
     expected_trips, expected_skipped = reference_evaluation(
-        net.dated + reference_weekly, net.dest_ids, net.rows, net.overrides)
+        net.dated + reference_weekly, net.dest_ids, net.rows, net.air_dwell)
 
     segments = net.dated + weekly
     report = evaluate_trips(rng.sample(segments, len(segments)), Zone("O"),
                             [Zone(d) for d in rng.sample(net.dest_ids, len(net.dest_ids))],
-                            ride_index(net.rows), dwell_overrides=net.overrides)
+                            ride_index(net.rows), air_dwell=net.air_dwell)
     assert [observed(t) for t in report.trips] == expected_trips
     assert report.skipped == expected_skipped
     # Every outcome occurs, so each branch of the comparison is exercised.

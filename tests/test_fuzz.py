@@ -18,7 +18,7 @@ from doortodoor import (
     load_weekly_schedule,
     load_zones,
 )
-from doortodoor.cli import CONFIG_KEYS, _read_config_file, main
+from doortodoor.cli import SETTINGS, _read_config_file, main
 from doortodoor.ingestion import (
     RIDE_STATS_HEADER,
     SEGMENTS_HEADER,
@@ -53,7 +53,7 @@ LOADERS = {
         "-91", "Europe/Paris", "Nope/Zone", "../etc", "90", "45", "-5",
     ]),
     "run.conf": (_read_config_file, None, [
-        f"{key}={value}" for key in CONFIG_KEYS
+        f"{key}={value}" for key in SETTINGS
         for value in ("", "2018-01-02", "1", "yes", "x", "1e400")
     ] + ["# comment", "novalue", "=", "nonsense=1"]),
 }
@@ -147,7 +147,7 @@ INPUT_FLAGS = {key: str(FIXTURES / name) for key, name in (
 config_lines = st.one_of(
     st.sampled_from([f"weekly_schedule={FIXTURES / 'weekly_schedule.csv'}", "weekly_schedule="]),
     st.builds("{}={}".format,
-              st.sampled_from([key for key in CONFIG_KEYS
+              st.sampled_from([key for key in SETTINGS
                                if key not in INPUT_FLAGS and key != "weekly_schedule"]),
               st.sampled_from(["", "2018-01-02", "2018-01-09", "1", "0", "-5", "nan", "yes",
                                "x", "1e400", "csv", "2018-01-02T00:00"])),

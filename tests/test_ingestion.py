@@ -760,8 +760,7 @@ class TestDwellDefaults:
 
     def test_kind_override_beats_everything(self):
         station = make_station("CDG", dwell=DwellProfile(80, 35))
-        overrides = {"air": DwellProfile(60, 30)}
-        assert resolve_dwell(station, overrides) == DwellProfile(60, 30)
+        assert resolve_dwell(station, DwellProfile(60, 30)) == DwellProfile(60, 30)
 
     def test_stations_csv_dwell_columns(self, tmp_path):
         stations = load_stations(write(tmp_path, "stations.csv", STATIONS_CSV))
