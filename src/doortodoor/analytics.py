@@ -277,12 +277,11 @@ def delay_sensitivity(
     if any(d is None for d in densities) or sum(densities) == 0:
         log.warning("segment %s: missing population densities; uniform weights",
                     segment.segment_id)
-        weights = [Fraction(1, len(used))] * len(used)
+        weights = [1] * len(used)
     else:
-        total = sum(Fraction(d) for d in densities)
-        weights = [Fraction(d) / total for d in densities]
-
-    weighted_mean = sum(w * delta for w, (_, delta, _) in zip(weights, used))
+        weights = [Fraction(d) for d in densities]
+    weighted_mean = Fraction(sum(w * delta for w, (_, delta, _) in zip(weights, used)),
+                             sum(weights))
     max_of_max = max(delta for _, _, delta in used)
 
     return DelaySensitivity(

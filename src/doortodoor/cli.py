@@ -19,6 +19,7 @@ import sys
 from dataclasses import dataclass, fields, replace
 from datetime import date, timedelta
 from functools import partial
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, get_args, get_type_hints
 
@@ -61,6 +62,8 @@ def _range_fault(name: str, value) -> Optional[str]:
         return f"{name}: must be finite and >= 0, got {value!r}"
     if name == "jobs" and value < 1:
         return f"jobs: must be at least 1, got {value}"
+    if name == "out_dir" and not value:
+        return "out_dir: must not be empty"
     return None
 
 
@@ -232,12 +235,16 @@ def run_pipeline(
 
 
 def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8", newline="")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ValidationError(f"cannot write: {exc.strerror}", path=str(path)) from None
 
 
-def _json(value) -> str:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+# The one JSON encoding of the export, keys sorted and no spaces; one encoder
+# serves every call (``json.dumps`` with options builds one per call).
+_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _geometry_json(zones: ingestion.ZoneCollection, fmt: str) -> Dict[str, str]:
@@ -256,32 +263,50 @@ def _geojson_text(features: Iterable[Tuple[str, dict]]) -> str:
         for geometry, properties in features)
 
 
-def _csv_text(header: List[str], rows: List[List[object]]) -> str:
-    """CSV with LF line ends, quoting a cell only where it must."""
-    def cell(v):
-        if v is None:
-            return ""
-        if isinstance(v, float):
-            return format(v, ".6f")
-        return str(v)
+# How each kind of value becomes a CSV cell, by its exact type: ``None`` is
+# empty, a float has six decimals, a day period is its label, a tuple of ids
+# is ``;``-joined, an int is its digits and a flag is ``0`` or ``1``.
+_CELL = {
+    str: str,
+    float: lambda v: format(v, ".6f"),
+    type(None): lambda v: "",
+    DayPeriod: attrgetter("label"),
+    tuple: ";".join,
+    int: str,
+    bool: lambda v: "1" if v else "0",
+}
 
+
+def _csv_text(header: List[str], rows: Iterable[Iterable[object]]) -> str:
+    """CSV with LF line ends, quoting a cell only where it must; ``_CELL`` is
+    the one place a value becomes a cell."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows([cell(v) for v in row] for row in rows)
+    writer.writerows([_CELL[type(v)](v) for v in row] for row in rows)
     return buf.getvalue()
 
 
-def _summary_properties(zone_id: str, summary: aggregation.ZonePeriodSummary) -> dict:
-    props = {
-        "zone_id": zone_id,
-        "fastest_mode": summary.fastest_mode,
-        "most_reliable_mode": summary.most_reliable_mode,
-        "e_bar_min": round(summary.e_bar_min, 6),
-        "interval_bin": summary.interval_bin,
-        "days_used": summary.days_used,
-        "days_total": summary.days_total,
-    }
+def _records_csv(kind: type, records: Iterable[object]) -> str:
+    """CSV of dataclass records of ``kind``, one column per field."""
+    names = [f.name for f in fields(kind)]
+    return _csv_text(names, map(attrgetter(*names), records))
+
+
+# The summary properties after ``zone_id``, each with its value for a zone
+# without data; a zone with data adds ``N_<mode>`` and ``R_<mode>`` to its
+# GeoJSON properties, and the CSV puts ``period`` after ``zone_id``.
+SUMMARY_COLUMNS = {"fastest_mode": None, "most_reliable_mode": None, "e_bar_min": None,
+                   "interval_bin": None, "days_used": 0, "days_total": 0}
+
+
+def _summary_properties(zone_id: str, summary: Optional[aggregation.ZonePeriodSummary]) -> dict:
+    if summary is None:
+        return {"zone_id": zone_id, **SUMMARY_COLUMNS}
+    props = {"zone_id": zone_id}
+    for name in SUMMARY_COLUMNS:
+        props[name] = getattr(summary, name)
+    props["e_bar_min"] = round(props["e_bar_min"], 6)
     for mode, n in summary.n_by_mode.items():
         props[f"N_{mode}"] = n
     for mode, n in summary.reliability_by_mode.items():
@@ -296,52 +321,40 @@ def export_summaries(
     out_dir: Path,
     stem: str,
     fmt: str,
-) -> List[Path]:
-    """One artifact per day period, covering every zone of the input (zones
-    without data carry null properties); ``geometries`` is what
-    ``_geometry_json`` gives for ``zones`` and ``fmt``."""
-    written = []
+) -> None:
+    """Write one artifact per day period, ``<stem>_<period>.geojson`` and/or
+    ``.csv`` as ``fmt`` asks, covering every zone of the input (zones without
+    data carry ``SUMMARY_COLUMNS``' values); ``geometries`` is what
+    ``_geometry_json`` gives for ``zones`` and ``fmt``.  Each CSV row is read
+    off the properties of the zone's GeoJSON feature."""
+    cells = itemgetter(*SUMMARY_COLUMNS)
     for period in CLASSIFIABLE_PERIODS:
-        features, rows = [], []
-        for zone in zones:
-            summary = summaries.get((zone.zone_id, period))
-            props = _summary_properties(zone.zone_id, summary) if summary else {
-                "zone_id": zone.zone_id, "fastest_mode": None,
-                "most_reliable_mode": None, "e_bar_min": None,
-                "interval_bin": None, "days_used": 0, "days_total": 0,
-            }
-            features.append((geometries.get(zone.zone_id), props))
-            rows.append([
-                zone.zone_id, period.label, props["fastest_mode"],
-                props["most_reliable_mode"], props["e_bar_min"],
-                props["interval_bin"], props["days_used"], props["days_total"],
-            ])
+        features = [
+            (geometries.get(zone.zone_id),
+             _summary_properties(zone.zone_id, summaries.get((zone.zone_id, period))))
+            for zone in zones
+        ]
         if fmt in ("geojson", "both"):
-            path = out_dir / f"{stem}_{period.label}.geojson"
-            _write_text(path, _geojson_text(features))
-            written.append(path)
+            _write_text(out_dir / f"{stem}_{period.label}.geojson", _geojson_text(features))
         if fmt in ("csv", "both"):
-            path = out_dir / f"{stem}_{period.label}.csv"
-            _write_text(path, _csv_text(
-                ["zone_id", "period", "fastest_mode", "most_reliable_mode",
-                 "e_bar_min", "interval_bin", "days_used", "days_total"],
-                rows,
+            _write_text(out_dir / f"{stem}_{period.label}.csv", _csv_text(
+                ["zone_id", "period", *SUMMARY_COLUMNS],
+                ((props["zone_id"], period, *cells(props)) for _, props in features),
             ))
-            written.append(path)
-    return written
 
 
-def export_bins(summaries, out_dir: Path) -> Path:
+def export_bins(summaries, out_dir: Path) -> None:
+    """Write ``interval_counts.csv``: the zones in each (mode, period,
+    interval band)."""
     counts = aggregation.bin_zone_counts(summaries)
     rows = [
-        [mode, period.label, band, counts[(mode, period, band)]]
+        [mode, period, band, counts[(mode, period, band)]]
         for mode, period, band in sorted(
             counts, key=lambda k: (k[0], k[1].label, aggregation.INTERVAL_LABELS.index(k[2]))
         )
     ]
-    path = out_dir / "interval_counts.csv"
-    _write_text(path, _csv_text(["mode", "period", "interval", "zones"], rows))
-    return path
+    _write_text(out_dir / "interval_counts.csv",
+                _csv_text(["mode", "period", "interval", "zones"], rows))
 
 
 # ---------------------------------------------------------------------------
@@ -397,14 +410,8 @@ def cmd_whatif(config: RunConfig, args: argparse.Namespace) -> int:
 def cmd_legs(config: RunConfig, args: argparse.Namespace) -> int:
     inputs = load_inputs(config)
     shares = analytics.leg_shares(evaluate(config, inputs).trips)
-    rows = [
-        [s.city_pair, s.pct_to, s.pct_dep, s.pct_in, s.pct_arr, s.pct_from, s.n_trips]
-        for s in shares
-    ]
-    _write_text(Path(config.out_dir) / "leg_shares.csv", _csv_text(
-        ["city_pair", "pct_to", "pct_dep", "pct_in", "pct_arr", "pct_from", "n_trips"],
-        rows,
-    ))
+    _write_text(Path(config.out_dir) / "leg_shares.csv",
+                _records_csv(analytics.LegShare, shares))
     return EXIT_OK
 
 
@@ -456,30 +463,19 @@ def cmd_weather_diff(config: RunConfig, args: argparse.Namespace) -> int:
     summaries_a = run_pipeline(replace(config, from_date=args.date_a, to_date=args.date_a), inputs)
     summaries_b = run_pipeline(replace(config, from_date=args.date_b, to_date=args.date_b), inputs)
     deltas = analytics.weather_diff(summaries_a, summaries_b)
-    rows = [
-        [d.zone_id, d.period.label, d.e_bar_a_min, d.e_bar_b_min, d.delta_min,
-         int(d.disappeared)]
-        for d in deltas
-    ]
     out = Path(config.out_dir)
-    _write_text(out / "weather_diff.csv", _csv_text(
-        ["zone_id", "period", "e_bar_a_min", "e_bar_b_min", "delta_min", "disappeared"],
-        rows,
-    ))
+    _write_text(out / "weather_diff.csv", _records_csv(analytics.ZoneDelta, deltas))
     if config.format in ("geojson", "both"):
-        by_zone = {}
+        by_zone = {zone.zone_id: {"zone_id": zone.zone_id, "disappeared": False}
+                   for zone in inputs.zones}
         for d in deltas:
-            by_zone.setdefault(d.zone_id, {"zone_id": d.zone_id, "disappeared": False})
-            by_zone[d.zone_id][f"delta_min_{d.period.label}"] = (
+            props = by_zone[d.zone_id]
+            props[f"delta_min_{d.period.label}"] = (
                 None if d.delta_min is None else round(d.delta_min, 6))
-            by_zone[d.zone_id]["disappeared"] |= d.disappeared
+            props["disappeared"] |= d.disappeared
         geometries = _geometry_json(inputs.zones, config.format)
-        features = [
-            (geometries[zone.zone_id],
-             by_zone.get(zone.zone_id, {"zone_id": zone.zone_id, "disappeared": False}))
-            for zone in inputs.zones
-        ]
-        _write_text(out / "weather_diff.geojson", _geojson_text(features))
+        _write_text(out / "weather_diff.geojson", _geojson_text(
+            (geometries[zone_id], props) for zone_id, props in by_zone.items()))
     return EXIT_OK
 
 
@@ -492,14 +488,8 @@ def cmd_delay(config: RunConfig, args: argparse.Namespace) -> int:
         matches[0], inputs.rides, inputs.zones,
         air_dwell=config.air_dwell(),
     )
-    _write_text(Path(config.out_dir) / "delay_sensitivity.csv", _csv_text(
-        ["segment_id", "scheduled_egress_period", "actual_egress_period",
-         "weighted_mean_delta_s", "max_of_max_delta_s", "zones_used", "zones_excluded"],
-        [[result.segment_id, result.scheduled_egress_period.label,
-          result.actual_egress_period.label, result.weighted_mean_delta_s,
-          result.max_of_max_delta_s, ";".join(result.zones_used),
-          ";".join(result.zones_excluded)]],
-    ))
+    _write_text(Path(config.out_dir) / "delay_sensitivity.csv",
+                _records_csv(analytics.DelaySensitivity, [result]))
     return EXIT_OK
 
 

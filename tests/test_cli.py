@@ -1,8 +1,10 @@
 """Command-line contract: exit codes, config handling, export shapes."""
 
 import csv
+import errno
 import gc
 import json
+import os
 import tracemalloc
 from dataclasses import fields, replace
 from datetime import date
@@ -10,9 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from doortodoor import TripRecord, aggregation, cli, ingestion
+from doortodoor import TripRecord, aggregation, analytics, cli, ingestion
 from doortodoor.cli import COMMANDS, RunConfig, evaluate, load_inputs, main
 from doortodoor.errors import ValidationError
+from doortodoor.model import CLASSIFIABLE_PERIODS, DayPeriod
 
 from conftest import assert_trees_identical, load_bench_gen, load_bench_run, trip_facts
 
@@ -36,10 +39,11 @@ OUT_OF_RANGE = [
     (name, value, f"{name}: must be finite and >= 0, got {float(value)!r}")
     for name in ("dep_proc_min", "arr_proc_min") for value in ("-5", "nan", "inf")
 ] + [("jobs", value, f"jobs: must be at least 1, got {value}") for value in ("0", "-3")
-     ] + [("format", "xml", "format: cannot parse 'xml'")]
+     ] + [("format", "xml", "format: cannot parse 'xml'"),
+          ("out_dir", "", "out_dir: must not be empty")]
 OUT_OF_RANGE_IDS = ["proc-min-5", "proc-min-nan", "proc-min-inf", "arr-proc-min-5",
                     "arr-proc-min-nan", "arr-proc-min-inf", "jobs-0", "jobs-minus-3",
-                    "format-xml"]
+                    "format-xml", "out-dir-empty"]
 
 # Each setting: a text for it, the value that text gives, and the settings
 # that must come with it, each given as its own text here.
@@ -329,7 +333,8 @@ class TestConfigHandling:
         # The out-of-range value, then its partner when it needs one.
         values = {name: value, **{other: SETTING_CASES[other][0]
                                   for other in SETTING_CASES[name][2]}}
-        argv = [command] + BASE_FLAGS
+        out = tmp_path / "o"
+        argv = [command] + BASE_FLAGS + ["--out-dir", str(out)]
         if command == "whatif" and "dep_proc_min" not in values:
             argv += ["--dep-proc-min", "60", "--arr-proc-min", "30"]
         expected = {"error": "ValidationError", "message": message}
@@ -342,8 +347,7 @@ class TestConfigHandling:
             argv = ["--config", str(conf)] + argv
             # The out-of-range key is on the file's first line.
             expected.update(message=f"{conf}:1: {message}", path=str(conf), line=1)
-        out = tmp_path / "o"
-        assert main(argv + ["--out-dir", str(out)]) == 2
+        assert main(argv) == 2
         assert json.loads(capsys.readouterr().err) == expected
         assert not out.exists()
 
@@ -786,6 +790,48 @@ class TestCommandLineErrors:
         assert not out.exists()
 
 
+class TestOutputDirErrors:
+    # (subcommand, the first file it writes)
+    RUNS = [("legs", "leg_shares.csv"),
+            ("fastest", f"fastest_{CLASSIFIABLE_PERIODS[0].label}.geojson")]
+
+    @pytest.mark.parametrize("command, first", RUNS, ids=[c for c, _ in RUNS])
+    @pytest.mark.parametrize("under, code", [("", errno.EEXIST), ("x", errno.ENOTDIR)],
+                             ids=["out-dir-is-a-file", "out-dir-under-a-file"])
+    def test_unwritable_out_dir_exits_2_with_one_json_object(
+            self, tmp_path, capsys, command, first, under, code):
+        # A file in the way: the out dir itself, or a directory above it.
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        out = afile / under if under else afile
+        assert main([command] + BASE_FLAGS + ["--out-dir", str(out)]) == 2
+        path = str(out / first)
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValidationError", "path": path,
+            "message": f"{path}: cannot write: {os.strerror(code)}"}
+        assert afile.read_text() == "kept\n"
+
+
+def test_csv_text_formats_each_kind_of_cell():
+    header = ["none", "str", "float", "period", "true", "false", "ids", "int"]
+    row = [None, "P,Z1", 1.5, DayPeriod.LATE_EVENING, True, False, ("Z1", "Z,2"), 7]
+    assert cli._csv_text(header, [row]) == (
+        "none,str,float,period,true,false,ids,int\n"
+        ',"P,Z1",1.500000,late_evening,1,0,"Z1;Z,2",7\n')
+
+
+@pytest.mark.parametrize("path, kind", [
+    ("legs/leg_shares.csv", analytics.LegShare),
+    ("weather_diff/weather_diff.csv", analytics.ZoneDelta),
+    ("delay/delay_sensitivity.csv", analytics.DelaySensitivity),
+], ids=["legs", "weather-diff", "delay"])
+def test_record_table_columns_are_the_record_fields(path, kind):
+    # The golden tree is what each command writes (TestDeterminism).
+    with open(FIXTURES.parent / "golden_expected" / path, newline="", encoding="utf-8") as f:
+        header = next(csv.reader(f))
+    assert header == [f.name for f in fields(kind)]
+
+
 class TestCsvExport:
     """Ids from ``zones.geojson`` may hold commas and line breaks; every CSV
     still parses to rows as wide as its header, with the ids intact."""
@@ -836,6 +882,21 @@ class TestCsvExport:
             if "zones_used" in header:
                 (used,), (excluded,) = columns["zones_used"], columns["zones_excluded"]
                 assert sorted(used.split(";") + excluded.split(";")) == zone_ids
+
+    GEOJSON_RUNS = [(c, extra) for c, extra in RUNS
+                    if c not in ("legs", "integration", "delay")]
+
+    @pytest.mark.parametrize("command, extra", GEOJSON_RUNS, ids=[c for c, _ in GEOJSON_RUNS])
+    def test_every_geojson_parses_and_keeps_its_ids(self, tmp_path, command, extra):
+        flags, zone_ids = self.awkward_inputs(tmp_path)
+        out = tmp_path / "out"
+        assert main([command] + flags + extra + ["--format", "both", "--out-dir", str(out)]) == 0
+        files = sorted(out.rglob("*.geojson"))
+        assert files
+        for path in files:
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            # One feature per input zone, in zone-id order.
+            assert [f["properties"]["zone_id"] for f in doc["features"]] == zone_ids, path
 
 
 class TestGcPolicy:
