@@ -19,13 +19,11 @@ from .model import (
 )
 from .ingestion import (
     RideStatIndex,
-    WeeklyScheduleRow,
     ZoneCollection,
     expand_weekly_schedule,
     load_ride_stats,
     load_segments_actuals,
     load_stations,
-    load_weekly_schedule,
     load_zones,
     resolve_dwell,
 )

@@ -20,7 +20,7 @@ Each day cell holds integer sums of seconds and a trip count, and two
 cells' means are compared by cross-multiplication (``t_a * n_b < t_b * n_a``),
 so results are exact, independent of summation order and safe to compare
 with zero tolerance.  The only rational built is one ``Fraction`` per summary, its
-fastest average time.
+fastest average time, binned once into the summary's reporting band.
 """
 
 from __future__ import annotations
@@ -66,16 +66,13 @@ class ZonePeriodSummary:
     fastest_mode: str
     most_reliable_mode: str
     e_bar_s: Fraction
+    interval_bin: str  # the reporting band of e_bar_s
     days_used: int
     days_total: int
 
     @property
     def e_bar_min(self) -> float:
         return float(self.e_bar_s) / 60.0
-
-    @property
-    def interval_bin(self) -> str:
-        return interval_bin(self.e_bar_s / 60)
 
 
 def daily_zone_means(trips: Iterable[TripRecord]) -> DayCells:
@@ -146,12 +143,14 @@ def summarize(cells: DayCells) -> Dict[Tuple[str, DayPeriod], ZonePeriodSummary]
             g = gcd(minima_den, e_n)
             minima_num = minima_num * (e_n // g) + e_t * (minima_den // g)
             minima_den = minima_den // g * e_n
+        e_bar_s = Fraction(minima_num, minima_den * len(days))
         summaries[key] = ZonePeriodSummary(
             n_by_mode=dict(sorted(fastest.items())),
             reliability_by_mode=dict(sorted(reliable.items())),
             fastest_mode=_argmax_mode(fastest),
             most_reliable_mode=_argmax_mode(reliable),
-            e_bar_s=Fraction(minima_num, minima_den * len(days)),
+            e_bar_s=e_bar_s,
+            interval_bin=interval_bin(e_bar_s / 60),
             days_used=len(days),
             days_total=days_total,
         )

@@ -113,6 +113,10 @@ class RunConfig:
 # Each setting, a flag and a config key, and the parser of its text.
 SETTINGS = {name: PARSERS[next(t for t in (*get_args(hint), hint) if t in PARSERS)]
             for name, hint in get_type_hints(RunConfig).items()}
+# The settings that name a file or directory.  A relative one that a config
+# file gives is read from the config file's directory; a flag's, from the
+# working directory.
+PATH_SETTINGS = ("ride_stats", "segments", "weekly_schedule", "stations", "zones", "out_dir")
 
 
 def _read_config_file(path: str) -> Dict[str, object]:
@@ -136,6 +140,8 @@ def _read_config_file(path: str) -> Dict[str, object]:
             fault = _range_fault(key, values[key])
             if fault:
                 raise ValidationError(fault, path=path, line=lineno)
+            if key in PATH_SETTINGS and value:  # an absolute value is kept as it is
+                values[key] = os.path.join(os.path.dirname(path), value)
     return values
 
 
@@ -180,11 +186,9 @@ def load_inputs(config: RunConfig, *, need_segments: bool = True) -> LoadedInput
             )
         )
     if config.weekly_schedule:
-        rows = ingestion.load_weekly_schedule(config.weekly_schedule)
-        segments.extend(
-            ingestion.expand_weekly_schedule(rows, stations, config.from_date, config.to_date,
-                                             taken_ids=[s.segment_id for s in segments])
-        )
+        segments.extend(ingestion.expand_weekly_schedule(
+            config.weekly_schedule, stations, config.from_date, config.to_date,
+            taken_ids=[s.segment_id for s in segments]))
     if need_segments and not segments:
         raise ValidationError("no segments: provide --segments and/or --weekly-schedule")
     return LoadedInputs(stations=stations, zones=zones, rides=rides, segments=segments)

@@ -11,7 +11,9 @@ Canonical file formats:
   non-cancelled row needs both actual times, except in on-time mode, which
   reads a missing one as the scheduled time.
 - ``weekly_schedule.csv``: ``mode_id,dep_station,arr_station,days,dep_time,``
-  ``arr_time`` where days is a 7-char Mo..Su mask of 0/1.
+  ``arr_time`` where days is a 7-char Mo..Su mask of 0/1.  It is read and
+  expanded over a date range in one pass: each row becomes its dated
+  segments as it is read, so any fault of a row cites its ``path:line:``.
 - ``stations.csv``: ``station_id,kind,zone_id,lat,lon,tz,t_sec_dep_min,t_arr_min``
   (the two dwell columns may be empty to use the built-in defaults).
 - ``zones.geojson``: FeatureCollection whose features carry ``zone_id`` and
@@ -320,33 +322,6 @@ def load_ride_stats(path) -> RideStatIndex:
                           for dest, by_date in by_dest.items()})
 
 
-@dataclass(frozen=True)
-class WeeklyScheduleRow:
-    """One recurring weekly movement (Tables-style row)."""
-
-    mode_id: str
-    dep_station_id: str
-    arr_station_id: str
-    days: Tuple[bool, ...]  # Mo..Su
-    dep_time: time
-    arr_time: time
-    # Source of the row, cited by expansion errors; set by load_weekly_schedule.
-    path: Optional[str] = field(default=None, compare=False)
-    line: Optional[int] = field(default=None, compare=False)
-
-    def __post_init__(self):
-        if len(self.days) != 7:
-            raise ValidationError("day mask must have 7 entries")
-        if not any(self.days):
-            raise ValidationError(
-                f"schedule row {self.mode_id} {self.dep_time}: no weekday set"
-            )
-
-    @property
-    def overnight(self) -> bool:
-        return self.arr_time < self.dep_time
-
-
 WEEKLY_HEADER = "mode_id,dep_station,arr_station,days,dep_time,arr_time"
 
 
@@ -358,84 +333,56 @@ def _parse_hhmm(value: str) -> time:
         raise ValidationError(f"bad HH:MM time {value!r}") from None
 
 
-def load_weekly_schedule(path) -> List[WeeklyScheduleRow]:
-    rows = []
-
-    def parse_row(row, line):
-        mode_id, dep_st, arr_st, days, dep_t, arr_t = row
-        if len(days) != 7 or set(days) - {"0", "1"}:
-            raise ValidationError(f"days mask must be 7 chars of 0/1, got {days!r}")
-        rows.append(
-            WeeklyScheduleRow(
-                mode_id=mode_id,
-                dep_station_id=dep_st,
-                arr_station_id=arr_st,
-                days=tuple(c == "1" for c in days),
-                dep_time=_parse_hhmm(dep_t),
-                arr_time=_parse_hhmm(arr_t),
-                path=str(path),
-                line=line,
-            )
-        )
-
-    _load_rows(path, WEEKLY_HEADER, parse_row)
-    return rows
-
-
 def expand_weekly_schedule(
-    rows: List[WeeklyScheduleRow],
+    path,
     stations: Dict[str, Station],
     start: date,
     end: date,
     taken_ids: Iterable[str] = (),
 ) -> List[ScheduledSegment]:
-    """Materialize weekly rows into dated segments over [start, end].
+    """Read the weekly schedule and materialize each row, as it is read, into
+    dated segments over [start, end].
 
-    Times are read in each station's own timezone and kept as epoch seconds;
-    actual times are set to the scheduled ones (on-time assumption).  Rows
-    whose arrival clock time precedes the departure roll the arrival to the
-    next date.  A segment id that another expanded row, or ``taken_ids``
-    (the ids of ``segments.csv``), already holds is rejected.  A range with
-    ``end < start`` expands to no segments (``RunConfig`` rejects one).
+    A row is checked in this order: day mask, departure and arrival clocks,
+    a weekday set, known stations, then on each of its dates the segment id
+    and ``ScheduledSegment``'s own checks.  Times are read in each station's
+    own timezone and kept as epoch seconds; actual times are set to the
+    scheduled ones (on-time assumption).  A row whose arrival clock time
+    precedes the departure rolls the arrival to the next date.  A segment id
+    that an earlier row, or ``taken_ids`` (the ids of ``segments.csv``),
+    already holds is rejected.  A range with ``end < start`` checks every row
+    and expands to no segments (``RunConfig`` rejects one).
     """
     segments = []
     taken = set(taken_ids)
-    for row in rows:
+    dates = [start + timedelta(days=n) for n in range((end - start).days + 1)]
+
+    def parse_row(row, line):
+        mode_id, dep_st, arr_st, days, dep_s, arr_s = row
+        if len(days) != 7 or set(days) - {"0", "1"}:
+            raise ValidationError(f"days mask must be 7 chars of 0/1, got {days!r}")
+        dep_time, arr_time = _parse_hhmm(dep_s), _parse_hhmm(arr_s)
+        if "1" not in days:
+            raise ValidationError(f"schedule row {mode_id} {dep_time}: no weekday set")
         try:
-            dep_station = stations[row.dep_station_id]
-            arr_station = stations[row.arr_station_id]
+            dep_station, arr_station = stations[dep_st], stations[arr_st]
         except KeyError as exc:
-            raise ValidationError(f"unknown station {exc.args[0]!r} in weekly schedule",
-                                  path=row.path, line=row.line)
-        day = start
-        while day <= end:
-            if row.days[day.weekday()]:
+            raise ValidationError(f"unknown station {exc.args[0]!r} in weekly schedule") from None
+        roll = timedelta(days=arr_time < dep_time)
+        for day in dates:
+            if days[day.weekday()] == "1":
+                segment_id = f"{mode_id}_{day.isoformat()}_{dep_time:%H%M}"
+                if segment_id in taken:
+                    raise ValidationError(f"duplicate segment_id {segment_id}")
+                taken.add(segment_id)
                 sched_dep = int(datetime.combine(
-                    day, row.dep_time, tzinfo=dep_station.tzinfo).timestamp())
-                arr_day = day + timedelta(days=1) if row.overnight else day
+                    day, dep_time, tzinfo=dep_station.tzinfo).timestamp())
                 sched_arr = int(datetime.combine(
-                    arr_day, row.arr_time, tzinfo=arr_station.tzinfo).timestamp())
-                segment_id = f"{row.mode_id}_{day.isoformat()}_{row.dep_time:%H%M}"
-                try:
-                    if segment_id in taken:
-                        raise ValidationError(f"duplicate segment_id {segment_id}")
-                    taken.add(segment_id)
-                    segments.append(
-                        ScheduledSegment(
-                            segment_id=segment_id,
-                            mode_id=row.mode_id,
-                            dep_station=dep_station,
-                            arr_station=arr_station,
-                            sched_dep=sched_dep,
-                            sched_arr=sched_arr,
-                            actual_dep=sched_dep,
-                            actual_arr=sched_arr,
-                            cancelled=False,
-                        )
-                    )
-                except ValidationError as exc:
-                    raise ValidationError(str(exc), path=row.path, line=row.line) from None
-            day += timedelta(days=1)
+                    day + roll, arr_time, tzinfo=arr_station.tzinfo).timestamp())
+                segments.append(ScheduledSegment(segment_id, mode_id, dep_station, arr_station,
+                                                 sched_dep, sched_arr, sched_dep, sched_arr))
+
+    _load_rows(path, WEEKLY_HEADER, parse_row)
     return segments
 
 

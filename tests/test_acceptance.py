@@ -21,7 +21,6 @@ from doortodoor import (
     geodesic_distance,
     load_ride_stats,
     load_stations,
-    load_weekly_schedule,
     load_zones,
     summarize,
     expand_weekly_schedule,
@@ -207,8 +206,7 @@ def test_criterion_9_golden_run_replaces_nonreproducible_figures():
     stations = load_stations(FIXTURES / "stations.csv")
     zones = load_zones(FIXTURES / "zones.geojson")
     rides = load_ride_stats(FIXTURES / "ride_stats.csv")
-    rows = load_weekly_schedule(FIXTURES / "weekly_schedule.csv")
-    segments = expand_weekly_schedule(rows, stations,
+    segments = expand_weekly_schedule(FIXTURES / "weekly_schedule.csv", stations,
                                       date(2018, 1, 1), date(2018, 1, 7))
     from doortodoor.ingestion import load_segments_actuals
     segments += load_segments_actuals(FIXTURES / "segments.csv", stations)

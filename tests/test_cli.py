@@ -63,6 +63,9 @@ SETTING_CASES = {
     "origin_zone": ("AZ1", "AZ1", ()),
     "jobs": ("3", 3, ()),
 }
+# The settings whose relative value, from a config file, is read from the
+# file's directory.
+PATH_SETTINGS = {"ride_stats", "segments", "weekly_schedule", "stations", "zones", "out_dir"}
 # What each subcommand requires besides its settings.
 REQUIRED_ARGS = {"weather-diff": ["--date-a", "2018-01-02", "--date-b", "2018-01-03"],
                  "delay": ["--segment-id", "F1"]}
@@ -279,6 +282,15 @@ class TestConfigHandling:
         assert main(["validate"]) == 0
         assert json.loads(capsys.readouterr().out)["zones"] == 7
 
+    def test_config_paths_are_read_from_its_directory(self, tmp_path, monkeypatch):
+        # run.conf names its inputs relative to itself, so the golden run
+        # works from any directory; the --out-dir flag is read from this one.
+        monkeypatch.chdir(tmp_path)
+        assert main(["--config", str(FIXTURES / "run.conf"), "fastest-time",
+                     "--out-dir", "ft"]) == 0
+        assert_trees_identical(tmp_path / "ft",
+                               FIXTURES.parent / "golden_expected" / "fastest_time")
+
     def test_flags_win_over_config(self, capsys):
         rc = main(["--config", str(FIXTURES / "run.conf"), "validate",
                    "--zones", str(FIXTURES / "nope.geojson")])
@@ -304,7 +316,6 @@ class TestConfigHandling:
     def test_config_built_in_python_is_checked(self, tmp_path, monkeypatch, capsys):
         # The golden run with a format no writer knows, built in Python rather
         # than read from a flag or a config file.
-        monkeypatch.chdir(FIXTURES.parents[2])  # run.conf paths are relative to it
         args = cli.build_parser().parse_args(
             ["--config", str(FIXTURES / "run.conf"), "fastest", "--out-dir", str(tmp_path)])
         config = cli.build_config(args)
@@ -429,7 +440,8 @@ class TestSettings:
     @pytest.mark.parametrize("name", [f.name for f in fields(RunConfig)])
     def test_each_setting_is_one_flag_and_one_config_key(self, tmp_path, monkeypatch, name):
         """Every subcommand has the setting's flag; its text given as the flag
-        or as the config key builds equal RunConfigs; and a value out of its
+        or as the config key builds equal RunConfigs, but for a path, which a
+        config file gives relative to its directory; and a value out of its
         range gives one message from a flag, from Python and (after
         ``path:line: ``) from a config line."""
         monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
@@ -439,10 +451,12 @@ class TestSettings:
         conf = tmp_path / "run.conf"
         conf.write_text(f"{name}={text}\n")
         expected = RunConfig(**{name: value}, **partner_values)
+        from_file = replace(expected, **{name: str(tmp_path / value)}) if (
+            name in PATH_SETTINGS) else expected
         for command in COMMANDS:
             rest = partners + REQUIRED_ARGS.get(command, [])
             assert config_of([command, *setting_flag(name, text), *rest]) == expected
-            assert config_of(["--config", str(conf), command, *rest]) == expected
+            assert config_of(["--config", str(conf), command, *rest]) == from_file
 
         for bad_name, bad_text, message in OUT_OF_RANGE:
             if bad_name != name:

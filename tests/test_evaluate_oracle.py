@@ -16,9 +16,10 @@ from zoneinfo import ZoneInfo
 import pytest
 
 from doortodoor import (
-    DayPeriod, DwellProfile, ScheduledSegment, Station, WeeklyScheduleRow, Zone,
+    DayPeriod, DwellProfile, ScheduledSegment, Station, Zone,
     daily_zone_means, evaluate_trips, expand_weekly_schedule, leg_shares, summarize,
 )
+from doortodoor.ingestion import WEEKLY_HEADER
 
 from conftest import ride_index, trip_facts
 from test_aggregation import oracle_daily_means, oracle_fastest_time, oracle_winner_counts
@@ -42,10 +43,31 @@ PERIOD_STARTS = ((0, DayPeriod.EARLY_MORNING), (420, DayPeriod.AM),
 DAY_S = 86_400
 
 
+class WeeklyRow(NamedTuple):
+    """One row of a weekly schedule file."""
+
+    mode_id: str
+    dep_station_id: str
+    arr_station_id: str
+    days: Tuple[bool, ...]  # Mo..Su
+    dep_time: time
+    arr_time: time
+
+
+def write_weekly_csv(path, rows):
+    """Write weekly rows as a weekly schedule file, and return its path."""
+    path.write_text("".join(
+        f"{line}\n" for line in [WEEKLY_HEADER, *(
+            f"{r.mode_id},{r.dep_station_id},{r.arr_station_id},"
+            f"{''.join('01'[on] for on in r.days)},{r.dep_time:%H:%M},{r.arr_time:%H:%M}"
+            for r in rows)]))
+    return path
+
+
 class Network(NamedTuple):
     stations: dict
     dated: list  # ScheduledSegment
-    weekly: list  # WeeklyScheduleRow
+    weekly: list  # WeeklyRow
     dest_ids: list
     rows: list  # (origin, dest, date, period, mean_s, min_s, max_s)
     air_dwell: Optional[DwellProfile]  # every air station's, when overridden
@@ -88,9 +110,9 @@ def random_weekly_rows(rng, stations):
         start = datetime.combine(WEEKS[0][0], dep_time, ZoneInfo(dep.tz))
         arrival = start + timedelta(minutes=rng.randrange(90, 14 * 60))
         chosen = rng.sample(range(7), rng.randint(1, 7))
-        row = WeeklyScheduleRow(rng.choice(("air", "rail")), dep.station_id, arr.station_id,
-                                tuple(d in chosen for d in range(7)), dep_time,
-                                arrival.astimezone(ZoneInfo(arr.tz)).time())
+        row = WeeklyRow(rng.choice(("air", "rail")), dep.station_id, arr.station_id,
+                        tuple(d in chosen for d in range(7)), dep_time,
+                        arrival.astimezone(ZoneInfo(arr.tz)).time())
         if all(reference_expansion([row], stations, *week) is not None for week in WEEKS):
             rows.append(row)
             taken.add(dep_min)
@@ -269,10 +291,11 @@ def reference_evaluation(segments, dest_ids, rows, air_dwell):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_evaluate_trips_matches_the_pairwise_reference(seed):
+def test_evaluate_trips_matches_the_pairwise_reference(tmp_path, seed):
     rng = random.Random(seed)
     net = random_network(rng)
-    weekly = [s for week in WEEKS for s in expand_weekly_schedule(net.weekly, net.stations, *week)]
+    path = write_weekly_csv(tmp_path / "weekly.csv", net.weekly)
+    weekly = [s for week in WEEKS for s in expand_weekly_schedule(path, net.stations, *week)]
     reference_weekly = [s for week in WEEKS
                         for s in reference_expansion(net.weekly, net.stations, *week)]
     expected_trips, expected_skipped = reference_evaluation(

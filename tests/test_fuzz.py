@@ -5,6 +5,7 @@ to the config reader either load or raise ValidationError citing the file
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from datetime import date
 from pathlib import Path
 
 import pytest
@@ -12,10 +13,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from doortodoor import (
     ValidationError,
+    expand_weekly_schedule,
     load_ride_stats,
     load_segments_actuals,
     load_stations,
-    load_weekly_schedule,
     load_zones,
 )
 from doortodoor.cli import SETTINGS, _read_config_file, main
@@ -44,10 +45,12 @@ LOADERS = {
         "0001-01-01T00:00+14:00", "9999-12-31T23:59-14:00", "2018-01-02",
         "0", "1", "2",
     ]),
-    "weekly_schedule.csv": (load_weekly_schedule, WEEKLY_HEADER, [
-        "via_CDG", "AMS", "CDG", "1111111", "0000000", "11111", "1x11111",
-        "06:45", "23:59", "24:00", "6:7:8", "-1:30", "08:05",
-    ]),
+    "weekly_schedule.csv": (
+        lambda p: expand_weekly_schedule(p, STATIONS, date(2018, 1, 1), date(2018, 1, 7)),
+        WEEKLY_HEADER, [
+            "via_CDG", "AMS", "CDG", "1111111", "0000000", "11111", "1x11111",
+            "06:45", "23:59", "24:00", "6:7:8", "-1:30", "08:05",
+        ]),
     "stations.csv": (load_stations, STATIONS_HEADER, [
         "AMS", "air", "rail", "bus", "AZ1", "52.3", "4.7", "nan", "inf", "1e400",
         "-91", "Europe/Paris", "Nope/Zone", "../etc", "90", "45", "-5",

@@ -17,7 +17,6 @@ from doortodoor import (
     load_ride_stats,
     load_segments_actuals,
     load_stations,
-    load_weekly_schedule,
     load_zones,
     resolve_dwell,
 )
@@ -25,7 +24,6 @@ from doortodoor.ingestion import (
     DEFAULT_RAIL_DWELL,
     DEFAULT_STATION_DWELL,
     SLOTS,
-    WeeklyScheduleRow,
     _parse_local_ts,
 )
 from doortodoor.model import PERIOD_BY_CODE, local_date_period
@@ -346,9 +344,7 @@ class TestWeeklySchedule:
     def test_daily_row_over_one_week(self, tmp_path, stations):
         path = write(tmp_path, "weekly.csv",
                      f"{WEEKLY_HEADER}\nvia_CDG,AMS,CDG,1111111,06:45,08:05\n")
-        rows = load_weekly_schedule(path)
-        segments = expand_weekly_schedule(rows, stations,
-                                          date(2018, 1, 1), date(2018, 1, 7))
+        segments = expand_weekly_schedule(path, stations, date(2018, 1, 1), date(2018, 1, 7))
         assert len(segments) == 7
         assert segments[0].sched_dep == utc_epoch(2018, 1, 1, 5, 45)  # 06:45+01:00
         assert segments[0].actual_dep == segments[0].sched_dep
@@ -357,40 +353,56 @@ class TestWeeklySchedule:
     def test_weekday_mask_respected(self, tmp_path, stations):
         path = write(tmp_path, "weekly.csv",
                      f"{WEEKLY_HEADER}\nvia_CDG,AMS,CDG,1000010,06:45,08:05\n")
-        segments = expand_weekly_schedule(load_weekly_schedule(path), stations,
-                                          date(2018, 1, 1), date(2018, 1, 14))
+        segments = expand_weekly_schedule(path, stations, date(2018, 1, 1), date(2018, 1, 14))
         # 2018-01-01 is a Monday: two Mondays + two Saturdays in two weeks.
         assert len(segments) == 4
         assert {local_date(s.sched_dep, stations["AMS"]).weekday()
                 for s in segments} == {0, 5}
 
-    def test_all_false_mask_rejected(self, tmp_path):
+    def test_all_false_mask_rejected(self, tmp_path, stations):
         path = write(tmp_path, "weekly.csv",
                      f"{WEEKLY_HEADER}\nvia_CDG,AMS,CDG,0000000,06:45,08:05\n")
         with pytest.raises(ValidationError, match="no weekday"):
-            load_weekly_schedule(path)
+            expand_weekly_schedule(path, stations, date(2018, 1, 1), date(2018, 1, 7))
 
     @pytest.mark.parametrize("clock", ["24:00", "6:7:8", "-1:30", "9" * 20 + ":00"])
-    def test_bad_clock_time_cites_row(self, tmp_path, clock):
+    def test_bad_clock_time_cites_row(self, tmp_path, stations, clock):
         path = write(tmp_path, "weekly.csv",
                      f"{WEEKLY_HEADER}\nvia_CDG,AMS,CDG,1111111,{clock},08:05\n")
         with pytest.raises(ValidationError) as info:
-            load_weekly_schedule(path)
+            expand_weekly_schedule(path, stations, date(2018, 1, 1), date(2018, 1, 7))
         assert str(info.value) == f"{path}:2: bad HH:MM time {clock!r}"
+
+    def test_first_bad_line_wins(self, tmp_path, stations):
+        # Row 2's unknown station is found as row 2 is read, before row 3's clock.
+        path = write(tmp_path, "weekly.csv", f"{WEEKLY_HEADER}\n"
+                     "via_CDG,AMS,ZZZ,1111111,06:45,08:05\n"
+                     "via_CDG,AMS,CDG,1111111,6:7:8,08:05\n")
+        with pytest.raises(ValidationError) as info:
+            expand_weekly_schedule(path, stations, date(2018, 1, 1), date(2018, 1, 7))
+        assert str(info.value) == f"{path}:2: unknown station 'ZZZ' in weekly schedule"
+
+    def test_empty_range_checks_every_row(self, tmp_path, stations):
+        path = write(tmp_path, "weekly.csv", f"{WEEKLY_HEADER}\n"
+                     "via_CDG,AMS,CDG,1111111,06:45,08:05\n"
+                     "via_CDG,AMS,ZZZ,1111111,06:45,08:05\n")
+        with pytest.raises(ValidationError, match=r":3: unknown station 'ZZZ'"):
+            expand_weekly_schedule(path, stations, date(2018, 1, 7), date(2018, 1, 1))
+        path = write(tmp_path, "weekly.csv",
+                     f"{WEEKLY_HEADER}\nvia_CDG,AMS,CDG,1111111,06:45,08:05\n")
+        assert expand_weekly_schedule(path, stations, date(2018, 1, 7), date(2018, 1, 1)) == []
 
     def test_late_evening_departure_same_date(self, tmp_path, stations):
         path = write(tmp_path, "weekly.csv",
                      f"{WEEKLY_HEADER}\nvia_CDG,AMS,CDG,1111111,21:45,23:05\n")
-        segments = expand_weekly_schedule(load_weekly_schedule(path), stations,
-                                          date(2018, 1, 1), date(2018, 1, 1))
+        segments = expand_weekly_schedule(path, stations, date(2018, 1, 1), date(2018, 1, 1))
         assert len(segments) == 1
         assert local_date(segments[0].sched_arr, stations["CDG"]) == date(2018, 1, 1)
 
     def test_overnight_rolls_arrival(self, tmp_path, stations):
         path = write(tmp_path, "weekly.csv",
                      f"{WEEKLY_HEADER}\nnight,AMS,CDG,1111111,23:30,00:50\n")
-        segments = expand_weekly_schedule(load_weekly_schedule(path), stations,
-                                          date(2018, 1, 1), date(2018, 1, 1))
+        segments = expand_weekly_schedule(path, stations, date(2018, 1, 1), date(2018, 1, 1))
         assert local_date(segments[0].sched_arr, stations["CDG"]) == date(2018, 1, 2)
 
     def test_segment_count_matches_matching_dates(self, tmp_path, stations):
@@ -398,8 +410,7 @@ class TestWeeklySchedule:
                      f"{WEEKLY_HEADER}\n"
                      "a,AMS,CDG,1111111,06:45,08:05\n"
                      "b,AMS,CDG,1111100,09:00,10:20\n")
-        segments = expand_weekly_schedule(load_weekly_schedule(path), stations,
-                                          date(2018, 1, 1), date(2018, 1, 14))
+        segments = expand_weekly_schedule(path, stations, date(2018, 1, 1), date(2018, 1, 14))
         assert len(segments) == 14 + 10
         assert len({s.segment_id for s in segments}) == 24
 
@@ -412,15 +423,14 @@ class TestWeeklySchedule:
         # their order; the row that repeats the id is cited.
         path = write(tmp_path, "weekly.csv", f"{WEEKLY_HEADER}\n{first}\n{second}\n")
         with pytest.raises(ValidationError) as info:
-            expand_weekly_schedule(load_weekly_schedule(path), stations,
-                                   date(2018, 1, 1), date(2018, 1, 7))
+            expand_weekly_schedule(path, stations, date(2018, 1, 1), date(2018, 1, 7))
         assert str(info.value) == f"{path}:3: duplicate segment_id via_X_2018-01-02_0645"
 
     def test_id_taken_by_dated_segments_rejected(self, tmp_path, stations):
         path = write(tmp_path, "weekly.csv",
                      f"{WEEKLY_HEADER}\nvia_X,AMS,CDG,0100000,06:45,08:05\n")
         with pytest.raises(ValidationError) as info:
-            expand_weekly_schedule(load_weekly_schedule(path), stations,
+            expand_weekly_schedule(path, stations,
                                    date(2018, 1, 1), date(2018, 1, 7),
                                    taken_ids=["F1", "via_X_2018-01-02_0645"])
         assert str(info.value) == f"{path}:2: duplicate segment_id via_X_2018-01-02_0645"
@@ -639,7 +649,8 @@ class TestPhysicalLines:
         ("segments.csv",
          lambda path: load_segments_actuals(path, load_stations(GOLDEN / "stations.csv"))),
         ("weekly_schedule.csv",
-         lambda path: [(row, row.line) for row in load_weekly_schedule(path)]),
+         lambda path: expand_weekly_schedule(path, load_stations(GOLDEN / "stations.csv"),
+                                             date(2018, 1, 1), date(2018, 1, 7))),
     ])
     def test_crlf_file_loads_like_its_lf_twin(self, tmp_path, name, load):
         text = (GOLDEN / name).read_text()
@@ -667,17 +678,21 @@ DST_CHANGES_2018 = [
 ]
 
 
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("dst")
+
+
 @given(change=st.sampled_from(DST_CHANGES_2018),
        minute=st.one_of(st.integers(0, 4 * 60), st.integers(0, 23 * 60 - 1)))
-def test_dst_local_times_read_with_fold_0_by_both_sources(change, minute):
+def test_dst_local_times_read_with_fold_0_by_both_sources(scratch, change, minute):
     """A local time in or near a DST gap or overlap gets the same epoch from
     segments.csv and from weekly expansion: its fold=0 reading."""
     tz_name, day = change
     local = datetime.combine(day, time(minute // 60, minute % 60))
     station = make_station("S1", tz=tz_name)
-    row = WeeklyScheduleRow(mode_id="x", dep_station_id="S1", arr_station_id="S1",
-                            days=(True,) * 7, dep_time=local.time(), arr_time=time(23, 59))
-    (segment,) = expand_weekly_schedule([row], {"S1": station}, day, day)
+    path = write(scratch, "weekly.csv", f"{WEEKLY_HEADER}\nx,S1,S1,1111111,{local:%H:%M},23:59\n")
+    (segment,) = expand_weekly_schedule(path, {"S1": station}, day, day)
     from_segments_csv = _parse_local_ts(local.isoformat(), station.tzinfo)
     assert segment.sched_dep == from_segments_csv == fold_0_epoch(local, ZoneInfo(tz_name))
 

@@ -1,5 +1,5 @@
-"""The runtime imports nothing outside the standard library, and each module
-uses every name it imports."""
+"""The runtime imports nothing outside the standard library, each module
+uses every name it imports, and every top-level name is used."""
 
 import ast
 import sys
@@ -52,6 +52,47 @@ def test_unused_imports_are_found():
                      "from typing import List, Optional\n"
                      "def f(x: Optional[int]): return os.path.join(x)\n")
     assert unused_imports(tree) == {"j", "List"}
+
+
+def dead_names(trees, exported=frozenset()):
+    """Top-level names, imports aside, that a parsed module of ``trees``
+    defines and no module of them reads, as a loaded ``Name`` or as an
+    attribute; ``exported`` names count as read."""
+    defined = set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(name.id for target in targets for name in ast.walk(target)
+                               if isinstance(name, ast.Name))
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+    return defined - read - exported
+
+
+def test_every_top_level_name_is_used():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in SOURCES}
+    exported = {alias.asname or alias.name for node in trees["__init__.py"].body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    # __version__ is the package's own, for its users.
+    assert dead_names(trees.values(), exported) - {"__version__"} == set()
+
+
+def test_dead_names_are_found():
+    used = ast.parse("import os\n"
+                     "LIMIT: int = 3\n"
+                     "def f(): return LIMIT + os.sep\n"
+                     "class C:\n"
+                     "    def g(self): return self.h\n")
+    other = ast.parse("A, (B, D) = 1, (2, 3)\n"
+                      "def h(): return f()\n"
+                      "def kept(): pass\n"
+                      "print(A)\n")
+    assert dead_names([used, other], exported={"kept"}) == {"C", "B", "D"}
 
 
 def test_every_source_is_checked():
