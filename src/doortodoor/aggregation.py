@@ -4,16 +4,19 @@
 destination zone) pair that does the per-segment work once per segment (the
 access ride, dwells, in-vehicle time and station exit), the egress-ride
 lookups once per egress group (egress zone, exit date, exit period), and per
-trip only the arrival, classified by one ``PeriodClassifier`` per arrival
-timezone.  Its report holds the trips per segment, not per trip (``Trips``):
-the segment's legs, its egress group's zone ids and rides, which every
-segment exiting in that group shares, and one shared (date, period) arrival
-per trip.  Each ``TripRecord`` is built as the trips are iterated.
-``daily_zone_means`` groups the trips into a dict of door-to-door time and
-variability keyed by (zone, date, period, mode).  ``summarize`` reduces those
-cells into a dict keyed by (zone, period): the days each mode was fastest,
-the days each mode was most reliable, and the fastest average time.  A key
-is the only place a cell's or summary's zone, date and period are stored.
+trip only the arrival and its ``PeriodClassifier`` bucket (one classifier
+per arrival timezone).  Its report holds the trips per segment, not per trip
+(``Trips``): one ``SegmentTrips`` per segment, with the segment's legs, its
+egress group's zone ids and rides, which every segment exiting in that group
+shares, and one shared (date, period) arrival per trip.  Each ``TripRecord``
+is built as the trips are iterated; the consumers here and in ``analytics``
+read ``Trips.segments`` instead and build none.  ``daily_zone_means`` groups
+the trips into a dict of door-to-door time and variability keyed by (zone,
+date, period, mode).  ``summarize`` reduces those cells into a dict keyed by
+(zone, period): the days each mode was fastest, the days each mode was most
+reliable, and the fastest average time; it lists each (zone, period)'s cell
+keys and reads their sums from the cells a day at a time.  A key is the only
+place a cell's or summary's zone, date and period are stored.
 ``bin_zone_counts`` bins the summaries into reporting bands.
 
 Each day cell holds integer sums of seconds and a trip count, and two
@@ -28,13 +31,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import date, tzinfo
 from fractions import Fraction
+from itertools import groupby
 from math import gcd
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .ingestion import RideStatIndex, resolve_dwell
 from .model import (
     DayPeriod, DwellProfile, PeriodClassifier, ScheduledSegment, SegmentLegs, TripRecord,
-    Zone, local_date_period,
+    Zone, ZoneRideStat, local_date_period,
 )
 
 # Door-to-door time interval bins (minutes, half-open), per the four
@@ -75,18 +80,24 @@ class ZonePeriodSummary:
         return float(self.e_bar_s) / 60.0
 
 
-def daily_zone_means(trips: Iterable[TripRecord]) -> DayCells:
+def daily_zone_means(trips: Trips) -> DayCells:
     """Summed door-to-door time and variability per (zone, date, period,
-    mode), bucketing each trip by the date and period of its final arrival."""
+    mode), bucketing each trip by the date and period of its final arrival.
+
+    It reads the trips per segment (``trips.segments``), the segment's mode
+    and sums once, and builds no ``TripRecord``."""
     cells: DayCells = {}
-    for legs, zone_id, ride, day, period in trips:
-        key = (zone_id, day, period, legs.segment.mode_id)
-        sums = cells.get(key)
-        if sums is None:
-            sums = cells[key] = [0, 0, 0]
-        sums[0] += legs.door_to_exit_s + ride.mean_s
-        sums[1] += legs.to_spread_s + ride.max_s - ride.min_s
-        sums[2] += 1
+    for entry in trips.segments:
+        legs = entry.legs
+        mode_id, exit_s, to_spread_s = legs.segment.mode_id, legs.door_to_exit_s, legs.to_spread_s
+        for zone_id, ride, (day, period) in zip(entry.zone_ids, entry.rides, entry.arrivals):
+            key = (zone_id, day, period, mode_id)
+            sums = cells.get(key)
+            if sums is None:
+                sums = cells[key] = [0, 0, 0]
+            sums[0] += exit_s + ride.mean_s
+            sums[1] += to_spread_s + ride.max_s - ride.min_s
+            sums[2] += 1
     return cells
 
 
@@ -94,6 +105,9 @@ def _argmax_mode(counts: Dict[str, int]) -> str:
     # Highest count wins; ties broken by lexicographically smallest mode id.
     best = max(counts.values())
     return min(m for m, c in counts.items() if c == best)
+
+
+_DAY = itemgetter(1)  # a cell key's date
 
 
 def summarize(cells: DayCells) -> Dict[Tuple[str, DayPeriod], ZonePeriodSummary]:
@@ -107,43 +121,48 @@ def summarize(cells: DayCells) -> Dict[Tuple[str, DayPeriod], ZonePeriodSummary]
     the daily lowest mean time over the ``days_used`` days the cell has
     data; ``days_total`` is the number of distinct dates in the whole input.
     """
-    # (zone, period) -> date -> [(mode, [total, spread, n])]
-    groups: Dict[Tuple[str, DayPeriod], Dict[date, list]] = {}
+    # (zone, period) -> the keys of its cells.  One list per (zone, period),
+    # sorted by date and read a day at a time, with each sum read as
+    # cells[key]: a list per day, or a (mode, sums) pair per cell, would be
+    # most of this function's memory.
+    groups: Dict[Tuple[str, DayPeriod], list] = {}
     dates = set()
-    for (zone_id, day, period, mode_id), sums in cells.items():
-        days = groups.get((zone_id, period))
-        if days is None:
-            days = groups[zone_id, period] = {}
-        stats = days.get(day)
-        if stats is None:
-            stats = days[day] = []
-            dates.add(day)
-        stats.append((mode_id, sums))
+    for key in cells:
+        zone_id, day, period, _ = key
+        keys = groups.get((zone_id, period))
+        if keys is None:
+            keys = groups[zone_id, period] = []
+        keys.append(key)
+        dates.add(day)
     days_total = len(dates)
     summaries = {}
-    for key, days in groups.items():
+    for key, keys in groups.items():
         fastest: Dict[str, int] = {}
         reliable: Dict[str, int] = {}
         # Sum of the daily minimum means, as minima_num / minima_den with
         # minima_den the lcm of the minima's trip counts.
-        minima_num, minima_den = 0, 1
-        for stats in days.values():
+        minima_num, minima_den, days_used = 0, 1, 0
+        keys.sort(key=_DAY)
+        for _, day_keys in groupby(keys, _DAY):
+            day_keys = list(day_keys)
+            stats = [cells[day_key] for day_key in day_keys]
+            days_used += 1
             # The day's minimum mean time e_t / e_n and variability v_t / v_n;
             # means t / n compare as t_a * n_b < t_b * n_a.
-            _, (e_t, v_t, e_n) = stats[0]
+            e_t, v_t, e_n = stats[0]
             v_n = e_n
-            for _, (t, v, n) in stats:
+            for t, v, n in stats:
                 if t * e_n < e_t * n:
                     e_t, e_n = t, n
                 if v * v_n < v_t * n:
                     v_t, v_n = v, n
-            for mode_id, (t, v, n) in stats:
+            for (_, _, _, mode_id), (t, v, n) in zip(day_keys, stats):
                 fastest[mode_id] = fastest.get(mode_id, 0) + (t * e_n == e_t * n)
                 reliable[mode_id] = reliable.get(mode_id, 0) + (v * v_n == v_t * n)
             g = gcd(minima_den, e_n)
             minima_num = minima_num * (e_n // g) + e_t * (minima_den // g)
             minima_den = minima_den // g * e_n
-        e_bar_s = Fraction(minima_num, minima_den * len(days))
+        e_bar_s = Fraction(minima_num, minima_den * days_used)
         summaries[key] = ZonePeriodSummary(
             n_by_mode=dict(sorted(fastest.items())),
             reliability_by_mode=dict(sorted(reliable.items())),
@@ -151,7 +170,7 @@ def summarize(cells: DayCells) -> Dict[Tuple[str, DayPeriod], ZonePeriodSummary]
             most_reliable_mode=_argmax_mode(reliable),
             e_bar_s=e_bar_s,
             interval_bin=interval_bin(e_bar_s / 60),
-            days_used=len(days),
+            days_used=days_used,
             days_total=days_total,
         )
     return summaries
@@ -168,23 +187,39 @@ def bin_zone_counts(
     return counts
 
 
+class SegmentTrips(NamedTuple):
+    """One segment's trips: its legs, and per trip (in zone id order) the
+    destination zone id, the egress ride and the (date, period) arrival."""
+
+    legs: SegmentLegs
+    zone_ids: Tuple[str, ...]  # shared by every segment of its egress group
+    rides: Tuple[ZoneRideStat, ...]  # likewise
+    arrivals: Tuple[Tuple[date, DayPeriod], ...]
+
+
 class Trips:
     """The trips of one evaluation, in segment id then zone id order: a sized
     collection that builds each ``TripRecord`` as it is iterated, and can be
     iterated again.
 
-    It holds one entry per segment: the segment's ``SegmentLegs``, the zone
-    ids and egress rides of its egress group's trips (two tuples that every
-    segment exiting in that group shares) and one arrival per trip, a
-    (date, period) pair that ``PeriodClassifier`` shares among the arrivals
-    in a period of a regular day.  So a trip costs about one pointer of its
-    own."""
+    It holds one ``SegmentTrips`` per segment, as ``segments``.  An entry's
+    zone ids and egress rides are two tuples that every segment exiting in
+    its egress group shares, and each arrival is a (date, period) pair that
+    ``PeriodClassifier`` shares among the arrivals in a period of a regular
+    day.  So a trip costs about one pointer of its own.  ``daily_zone_means``
+    and ``analytics.leg_shares`` read the entries; iterating is for callers
+    that want records."""
 
     __slots__ = ("_segments", "_n")
 
-    def __init__(self, segments: List[Tuple[SegmentLegs, tuple, tuple, tuple]]):
-        self._segments = segments  # (legs, zone ids, rides, arrivals) per segment
-        self._n = sum(len(arrivals) for *_, arrivals in segments)
+    def __init__(self, segments: List[SegmentTrips]):
+        self._segments = segments
+        self._n = sum(len(entry.arrivals) for entry in segments)
+
+    @property
+    def segments(self) -> List[SegmentTrips]:
+        """One entry per segment, in segment id order; not to be modified."""
+        return self._segments
 
     def __len__(self) -> int:
         return self._n
@@ -273,6 +308,6 @@ def evaluate_trips(
             classify = classifiers.get(arr_tz)
             if classify is None:
                 classify = classifiers[arr_tz] = PeriodClassifier(arr_tz).classify
-            held.append((legs, zone_ids, zone_rides, tuple(
+            held.append(SegmentTrips(legs, zone_ids, zone_rides, tuple(
                 [classify(exit_s + ride.mean_s, exit_date) for ride in zone_rides])))
     return EvaluationReport(trips=Trips(held), skipped=skipped)

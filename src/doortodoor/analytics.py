@@ -19,11 +19,10 @@ from .model import (
     DwellProfile,
     ScheduledSegment,
     Station,
-    TripRecord,
     geodesic_distance,
     local_date_period,
 )
-from .aggregation import ZonePeriodSummary
+from .aggregation import Trips, ZonePeriodSummary
 
 log = logging.getLogger(__name__)
 
@@ -51,7 +50,7 @@ def _merge_sums(a: List[int], b: List[int]) -> List[int]:
             a[5] * k1 + b[5] * k2, a[6] * k1 + b[6] * k2]
 
 
-def leg_shares(trips: Iterable[TripRecord]) -> List[LegShare]:
+def leg_shares(trips: Trips) -> List[LegShare]:
     """Average per-phase time shares per city pair, sorted ascending by the
     in-vehicle share.
 
@@ -62,30 +61,33 @@ def leg_shares(trips: Iterable[TripRecord]) -> List[LegShare]:
     The mean is exact and built in one pass without a rational per trip.  A
     partial sum ``[n, den, s_to, s_dep, s_in, s_arr, s_from]`` stands for n
     trips whose phase-i fractions sum to ``s_i / den``; a trip enters as
-    ``[1, total, phase seconds...]`` (read off its legs and egress ride).
-    Each city pair keeps a stack of partial sums that merge like a binary
-    counter, while the top two cover as many trips, over the lcm of their
-    denominators; so big integers arise only in the last few merges.  The
-    folded stack gives phase i's mean as the rational ``100 * s_i / (den * n)``.
+    ``[1, total, phase seconds...]``, its segment's legs read once per
+    segment (``trips.segments``) and its egress ride per trip, so no
+    ``TripRecord`` is built.  Each city pair keeps a stack of partial sums
+    that merge like a binary counter, while the top two cover as many trips,
+    over the lcm of their denominators; so big integers arise only in the
+    last few merges.  The folded stack gives phase i's mean as the rational
+    ``100 * s_i / (den * n)``.
     """
     stacks: Dict[str, List[List[int]]] = {}
     # The stack of each (departure, arrival) station id pair, so a city-pair
-    # key is built once; the legs a run of trips shares are checked first.
+    # key is built once.
     by_ids: Dict[Tuple[str, str], List[List[int]]] = {}
-    last_legs = stack = None
-    for legs, _, ride_from, _, _ in trips:
-        if legs is not last_legs:
-            last_legs, segment = legs, legs.segment
-            ids = (segment.dep_station.station_id, segment.arr_station.station_id)
-            stack = by_ids.get(ids)
-            if stack is None:
-                stack = by_ids[ids] = stacks.setdefault("%s-%s" % ids, [])
-        from_s = ride_from.mean_s
-        top = [1, legs.door_to_exit_s + from_s,
-               legs.ride_to.mean_s, legs.dep_s, legs.in_s, legs.arr_s, from_s]
-        while stack and stack[-1][0] == top[0]:
-            top = _merge_sums(stack.pop(), top)
-        stack.append(top)
+    for entry in trips.segments:
+        legs = entry.legs
+        segment = legs.segment
+        ids = (segment.dep_station.station_id, segment.arr_station.station_id)
+        stack = by_ids.get(ids)
+        if stack is None:
+            stack = by_ids[ids] = stacks.setdefault("%s-%s" % ids, [])
+        exit_s, to_s, dep_s, in_s, arr_s = (
+            legs.door_to_exit_s, legs.ride_to.mean_s, legs.dep_s, legs.in_s, legs.arr_s)
+        for ride in entry.rides:
+            from_s = ride.mean_s
+            top = [1, exit_s + from_s, to_s, dep_s, in_s, arr_s, from_s]
+            while stack and stack[-1][0] == top[0]:
+                top = _merge_sums(stack.pop(), top)
+            stack.append(top)
     shares = []
     for pair, stack in stacks.items():
         n, den, *sums = functools.reduce(_merge_sums, reversed(stack))

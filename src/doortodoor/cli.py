@@ -64,6 +64,8 @@ def _range_fault(name: str, value) -> Optional[str]:
         return f"jobs: must be at least 1, got {value}"
     if name == "out_dir" and not value:
         return "out_dir: must not be empty"
+    if name in PATH_SETTINGS and value and "\0" in value:  # open() rejects it
+        return f"{name}: must not contain a NUL byte"
     return None
 
 
@@ -228,9 +230,9 @@ def run_pipeline(
     config: RunConfig, inputs: LoadedInputs,
 ) -> Dict[Tuple[str, DayPeriod], aggregation.ZonePeriodSummary]:
     """Per (zone, period) summaries of the trips ``evaluate`` gives."""
-    # The trips go straight into the group-by, which builds each TripRecord
-    # as it reads it, so the evaluation's per-segment store is freed before
-    # ``summarize`` runs.
+    # The trips go straight into the group-by, which reads them per segment
+    # and builds no TripRecord, so the evaluation's per-segment store is
+    # freed before ``summarize`` runs.
     return aggregation.summarize(aggregation.daily_zone_means(evaluate(config, inputs).trips))
 
 

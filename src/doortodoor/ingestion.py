@@ -348,10 +348,11 @@ def expand_weekly_schedule(
     and ``ScheduledSegment``'s own checks.  Times are read in each station's
     own timezone and kept as epoch seconds; actual times are set to the
     scheduled ones (on-time assumption).  A row whose arrival clock time
-    precedes the departure rolls the arrival to the next date.  A segment id
-    that an earlier row, or ``taken_ids`` (the ids of ``segments.csv``),
-    already holds is rejected.  A range with ``end < start`` checks every row
-    and expands to no segments (``RunConfig`` rejects one).
+    precedes the departure rolls the arrival to the next date, which must
+    not be past ``date.max``.  A segment id that an earlier row, or
+    ``taken_ids`` (the ids of ``segments.csv``), already holds is rejected.
+    A range with ``end < start`` checks every row and expands to no segments
+    (``RunConfig`` rejects one).
     """
     segments = []
     taken = set(taken_ids)
@@ -377,8 +378,13 @@ def expand_weekly_schedule(
                 taken.add(segment_id)
                 sched_dep = int(datetime.combine(
                     day, dep_time, tzinfo=dep_station.tzinfo).timestamp())
+                try:
+                    arr_day = day + roll
+                except OverflowError:
+                    raise ValidationError(
+                        f"segment {segment_id}: arrival date after {date.max}") from None
                 sched_arr = int(datetime.combine(
-                    day + roll, arr_time, tzinfo=arr_station.tzinfo).timestamp())
+                    arr_day, arr_time, tzinfo=arr_station.tzinfo).timestamp())
                 segments.append(ScheduledSegment(segment_id, mode_id, dep_station, arr_station,
                                                  sched_dep, sched_arr, sched_dep, sched_arr))
 

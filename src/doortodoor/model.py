@@ -29,7 +29,8 @@ non-negative by construction (ride stats, dwells and segment times are
 checked upstream), so a ``TripRecord`` is a plain tuple of the segment's
 shared ``SegmentLegs``, the zone, the egress ``ZoneRideStat`` and the
 arrival, built only when an ``EvaluationReport``'s trips are iterated; ids,
-the access ride and the totals are read off those.
+the access ride and the totals are read off those.  The group-by and
+``analytics.leg_shares`` read the trips per segment and build none.
 """
 
 from __future__ import annotations

@@ -22,6 +22,7 @@ from doortodoor import (
     ZoneRideStat,
     evaluate_trips,
 )
+from doortodoor.aggregation import SegmentTrips, Trips
 from doortodoor.ingestion import SLOTS, _parse_local_ts
 from doortodoor.model import PERIOD_BY_CODE, SegmentLegs
 
@@ -196,6 +197,13 @@ def make_trip(dest_zone="PZ1", mode_id="via_CDG", arrival_date="2018-01-02",
     return TripRecord(legs=legs, dest_zone_id=dest_zone,
                       ride_from=ride(from_s, from_spread),
                       arrival_date=when, arrival_period=arrival_period)
+
+
+def trips_of(records):
+    """The ``Trips`` that ``daily_zone_means`` and ``leg_shares`` read, built
+    from TripRecords, one segment entry per record, in their order."""
+    return Trips([SegmentTrips(r.legs, (r.dest_zone_id,), (r.ride_from,),
+                               ((r.arrival_date, r.arrival_period),)) for r in records])
 
 
 @pytest.fixture

@@ -28,7 +28,7 @@ from doortodoor import (
 from doortodoor.cli import main
 from doortodoor.ingestion import DEFAULT_RAIL_DWELL, DEFAULT_STATION_DWELL
 
-from conftest import kernel_trip, make_rides, make_segment, trip_facts
+from conftest import kernel_trip, make_rides, make_segment, trip_facts, trips_of
 from test_aggregation import (
     oracle_daily_means,
     oracle_fastest_time,
@@ -85,7 +85,7 @@ def test_criterion_3_oracle_equivalence_100_seeds():
     start = time_mod.perf_counter()
     for seed in range(100):
         trips = random_trips(random.Random(seed))
-        cells = daily_zone_means(trips)
+        cells = daily_zone_means(trips_of(trips))
         expected = oracle_daily_means(trips)
         day_means = {}
         for key, (total, spread, n) in cells.items():

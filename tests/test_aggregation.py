@@ -23,7 +23,7 @@ from doortodoor.aggregation import interval_bin
 from doortodoor.ingestion import DEFAULT_RAIL_DWELL
 from doortodoor.model import local_date_period
 
-from conftest import make_rides, make_segment, make_station, make_trip, trip_facts
+from conftest import make_rides, make_segment, make_station, make_trip, trip_facts, trips_of
 
 
 # ---------------------------------------------------------------------------
@@ -91,25 +91,25 @@ class TestDailyZoneMeans:
         base = dict(to_s=600, dep_s=1200, arr_s=600, from_s=600)
         trips = [make_trip(in_s=100 * 60 - 3000, **base),
                  make_trip(in_s=120 * 60 - 3000, **base)]
-        ((total, _, n),) = daily_zone_means(trips).values()
+        ((total, _, n),) = daily_zone_means(trips_of(trips)).values()
         assert Fraction(total, n) == Fraction(110 * 60)
         assert n == 2
 
     def test_singleton(self):
         trip = make_trip(to_spread=300, from_spread=600)
-        ((total, spread, n),) = daily_zone_means([trip]).values()
+        ((total, spread, n),) = daily_zone_means(trips_of([trip])).values()
         facts = trip_facts(trip)
         assert Fraction(total, n) == facts.total_mean_s
         assert Fraction(spread, n) == facts.total_max_s - facts.total_min_s == 1800
 
     def test_zones_never_pooled(self):
         trips = [make_trip(dest_zone="PZ1"), make_trip(dest_zone="PZ2")]
-        cells = daily_zone_means(trips)
+        cells = daily_zone_means(trips_of(trips))
         assert {zone_id for zone_id, _, _, _ in cells} == {"PZ1", "PZ2"}
         assert all(n == 1 for _, _, n in cells.values())
 
     def test_empty_input(self):
-        assert daily_zone_means([]) == {}
+        assert daily_zone_means(trips_of([])) == {}
 
 
 class TestFastestModeCounts:
@@ -123,7 +123,7 @@ class TestFastestModeCounts:
                                    in_s=a_min * 60 - 1800 - 5400 - 2700 - 1500))
             trips.append(make_trip(mode_id="B", arrival_date=day,
                                    in_s=b_min * 60 - 1800 - 5400 - 2700 - 1500))
-        return daily_zone_means(trips)
+        return daily_zone_means(trips_of(trips))
 
     def test_counts_and_winner(self):
         (summary,) = summarize(self.three_day_stats()).values()
@@ -132,7 +132,7 @@ class TestFastestModeCounts:
 
     def test_tie_counts_both(self):
         trips = [make_trip(mode_id="A"), make_trip(mode_id="B")]
-        (summary,) = summarize(daily_zone_means(trips)).values()
+        (summary,) = summarize(daily_zone_means(trips_of(trips))).values()
         assert summary.n_by_mode == {"A": 1, "B": 1}
         assert summary.fastest_mode == "A"  # lexicographic tie-break
 
@@ -155,7 +155,7 @@ class TestFastestTime:
                                    in_s=minute * 60 - 1800 - 5400 - 2700 - 1500))
             trips.append(make_trip(mode_id="B", arrival_date=day,
                                    in_s=(minute + 30) * 60 - 1800 - 5400 - 2700 - 1500))
-        times = summarize(daily_zone_means(trips))
+        times = summarize(daily_zone_means(trips_of(trips)))
         summary = times[("PZ1", DayPeriod.MIDDAY)]
         assert summary.e_bar_s == Fraction(250 * 60)
         assert summary.days_used == 2
@@ -163,7 +163,7 @@ class TestFastestTime:
     def test_single_mode_degenerate(self):
         trips = [make_trip(arrival_date="2018-01-01"),
                  make_trip(arrival_date="2018-01-02", in_s=4800 + 600)]
-        times = summarize(daily_zone_means(trips))
+        times = summarize(daily_zone_means(trips_of(trips)))
         summary = times[("PZ1", DayPeriod.MIDDAY)]
         assert summary.e_bar_s == Fraction((270 + 280) * 60, 2)
 
@@ -171,7 +171,7 @@ class TestFastestTime:
         trips = [make_trip(dest_zone="PZ1", arrival_date="2018-01-01"),
                  make_trip(dest_zone="PZ1", arrival_date="2018-01-02"),
                  make_trip(dest_zone="PZ2", arrival_date="2018-01-01")]
-        times = summarize(daily_zone_means(trips))
+        times = summarize(daily_zone_means(trips_of(trips)))
         assert times[("PZ2", DayPeriod.MIDDAY)].days_used == 1
         assert times[("PZ2", DayPeriod.MIDDAY)].days_total == 2
 
@@ -184,7 +184,7 @@ class TestReliability:
                                    to_spread=1200, from_spread=1200))  # V=80min
             trips.append(make_trip(mode_id="B", arrival_date=day,
                                    to_spread=600, from_spread=150))  # V=25min
-        (summary,) = summarize(daily_zone_means(trips)).values()
+        (summary,) = summarize(daily_zone_means(trips_of(trips))).values()
         assert summary.most_reliable_mode == "B"
         assert summary.reliability_by_mode == {"A": 0, "B": 2}
 
@@ -196,14 +196,14 @@ class TestReliability:
                                    in_s=4200, to_spread=1500, from_spread=1200))
             trips.append(make_trip(mode_id="B", arrival_date=day,
                                    in_s=4800, to_spread=60, from_spread=60))
-        (summary,) = summarize(daily_zone_means(trips)).values()
+        (summary,) = summarize(daily_zone_means(trips_of(trips))).values()
         assert summary.fastest_mode == "A"
         assert summary.most_reliable_mode == "B"
 
     def test_tie_counts_both(self):
         trips = [make_trip(mode_id="A", to_spread=300),
                  make_trip(mode_id="B", to_spread=300)]
-        (summary,) = summarize(daily_zone_means(trips)).values()
+        (summary,) = summarize(daily_zone_means(trips_of(trips))).values()
         assert summary.reliability_by_mode == {"A": 1, "B": 1}
 
 
@@ -220,7 +220,7 @@ class TestIntervalBins:
         for i, minutes in enumerate([230, 250, 280, 320]):
             trips.append(make_trip(dest_zone=f"PZ{i}",
                                    in_s=minutes * 60 - 1800 - 5400 - 2700 - 1500))
-        summaries = summarize(daily_zone_means(trips))
+        summaries = summarize(daily_zone_means(trips_of(trips)))
         counts = bin_zone_counts(summaries)
         assert sum(counts.values()) == len(summaries) == 4
         assert set(k[2] for k in counts) == {"<4h", "4h-4h30", "4h30-5h", ">=5h"}
@@ -253,7 +253,7 @@ class TestOracleEquivalence:
     def test_randomized_fixture_matches_brute_force(self, seed):
         rng = random.Random(seed)
         trips = random_trips(rng)
-        cells = daily_zone_means(trips)
+        cells = daily_zone_means(trips_of(trips))
         expected = oracle_daily_means(trips)
         assert len(cells) == len(expected)
         day_means = {}
@@ -319,7 +319,7 @@ class TestTieOracle:
                      for key, ((p_e, q_e), (p_v, q_v), _) in cells.items()}
         trips = tie_trips(cells)
         rng.shuffle(trips)
-        day_cells = list(daily_zone_means(trips).items())
+        day_cells = list(daily_zone_means(trips_of(trips)).items())
         assert {(z, d.day, p, m): (Fraction(total, n), Fraction(spread, n))
                 for (z, d, p, m), (total, spread, n) in day_cells} == day_means
 
@@ -356,8 +356,8 @@ class TestMonotonicity:
                 segment_id=trip_facts(t).segment_id)
             for t in base
         ]
-        t_base = summarize(daily_zone_means(base))
-        t_slow = summarize(daily_zone_means(slower))
+        t_base = summarize(daily_zone_means(trips_of(base)))
+        t_slow = summarize(daily_zone_means(trips_of(slower)))
         assert all(t_slow[k].n_by_mode.get("m0", 0) <= t_base[k].n_by_mode.get("m0", 0)
                    for k in t_base)
         assert all(t_slow[k].e_bar_s >= t_base[k].e_bar_s for k in t_base)

@@ -26,7 +26,7 @@ from doortodoor import (
 from doortodoor.analytics import _ols
 from doortodoor.ingestion import RideStatIndex, ZoneCollection
 
-from conftest import make_rides, make_segment, make_station, make_trip, ride_index
+from conftest import make_rides, make_segment, make_station, make_trip, ride_index, trips_of
 
 
 def zone_collection(*zones):
@@ -63,7 +63,7 @@ class TestLegShares:
     def test_hand_computed_percentages(self):
         trip = make_trip(to_s=30 * 60, dep_s=90 * 60, in_s=80 * 60,
                          arr_s=45 * 60, from_s=25 * 60)
-        (share,) = leg_shares([trip])
+        (share,) = leg_shares(trips_of([trip]))
         assert astuple(share)[1:6] == pytest.approx(
             (11.1111, 33.3333, 29.6296, 16.6667, 9.2593), abs=1e-3)
 
@@ -75,24 +75,24 @@ class TestLegShares:
                            arr_s=rng.randrange(300, 4000),
                            from_s=rng.randrange(300, 3000))
                  for _ in range(25)]
-        (share,) = leg_shares(trips)
+        (share,) = leg_shares(trips_of(trips))
         assert sum(astuple(share)[1:6]) == pytest.approx(100, abs=1e-9)
 
     def test_single_phase_trip(self):
         trip = make_trip(to_s=0, dep_s=0, in_s=7200, arr_s=0, from_s=0)
-        (share,) = leg_shares([trip])
+        (share,) = leg_shares(trips_of([trip]))
         assert share.pct_in == 100
         assert share.pct_to == share.pct_from == 0
 
     def test_equal_phases(self):
         trip = make_trip(to_s=600, dep_s=600, in_s=600, arr_s=600, from_s=600)
-        (share,) = leg_shares([trip])
+        (share,) = leg_shares(trips_of([trip]))
         assert astuple(share)[1:6] == (20, 20, 20, 20, 20)
 
     def test_sorted_by_in_vehicle_share(self):
         long_haul = make_trip(in_s=30000, segment_id="L")
         short_haul = make_trip(in_s=1800, segment_id="S", dep_station_id="BOS")
-        shares = leg_shares([long_haul, short_haul])
+        shares = leg_shares(trips_of([long_haul, short_haul]))
         assert [s.city_pair for s in shares] == ["BOS-CDG", "AMS-CDG"]
         assert shares[0].pct_in < shares[1].pct_in
 
@@ -113,10 +113,10 @@ class TestLegShares:
             trips.append(make_trip(**dict(zip(("to_s", "dep_s", "in_s", "arr_s", "from_s"),
                                               phases)), segment_id=f"T{k}",
                                    dep_station_id=dep, arr_station_id=arr))
-        shares = leg_shares(trips)
+        shares = leg_shares(trips_of(trips))
         assert [(s.city_pair, astuple(s)[1:6], s.n_trips) for s in shares] == expected
         assert sum(s.n_trips for s in shares) == len(draws)
-        assert leg_shares(data.draw(st.permutations(trips))) == shares
+        assert leg_shares(trips_of(data.draw(st.permutations(trips)))) == shares
 
     def test_deep_stacks_match_oracle(self):
         # 2^12 + 1 trips: each pair's partial sums stack many levels deep and
@@ -129,14 +129,14 @@ class TestLegShares:
         trips = (make_trip(**dict(zip(("to_s", "dep_s", "in_s", "arr_s", "from_s"), phases)),
                            segment_id=pair, dep_station_id=pair[:3], arr_station_id=pair[4:])
                  for pair, phases in draws)
-        shares = leg_shares(trips)
+        shares = leg_shares(trips_of(trips))
         assert ([(s.city_pair, astuple(s)[1:6], s.n_trips) for s in shares]
                 == oracle_leg_shares(draws))
 
     def test_memory_stays_small_over_distinct_totals(self):
         # 20,000 trips of one pair, each with its own total: the partial sums
         # hold O(log n) entries, not one per total.
-        trips = [make_trip(in_s=1800 + k) for k in range(20_000)]
+        trips = trips_of([make_trip(in_s=1800 + k) for k in range(20_000)])
         tracemalloc.start()
         try:
             (share,) = leg_shares(trips)

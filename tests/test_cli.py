@@ -40,10 +40,11 @@ OUT_OF_RANGE = [
     for name in ("dep_proc_min", "arr_proc_min") for value in ("-5", "nan", "inf")
 ] + [("jobs", value, f"jobs: must be at least 1, got {value}") for value in ("0", "-3")
      ] + [("format", "xml", "format: cannot parse 'xml'"),
-          ("out_dir", "", "out_dir: must not be empty")]
+          ("out_dir", "", "out_dir: must not be empty"),
+          ("zones", "a\0b", "zones: must not contain a NUL byte")]
 OUT_OF_RANGE_IDS = ["proc-min-5", "proc-min-nan", "proc-min-inf", "arr-proc-min-5",
                     "arr-proc-min-nan", "arr-proc-min-inf", "jobs-0", "jobs-minus-3",
-                    "format-xml", "out-dir-empty"]
+                    "format-xml", "out-dir-empty", "zones-nul"]
 
 # Each setting: a text for it, the value that text gives, and the settings
 # that must come with it, each given as its own text here.
@@ -185,6 +186,19 @@ class TestValidate:
         weekly = str(FIXTURES / "weekly_schedule.csv")
         assert (error["error"], error["path"], error["line"]) == ("ValidationError", weekly, 2)
         assert error["message"] == f"{weekly}:2: duplicate segment_id via_CDG_2018-01-03_0645"
+
+    def test_overnight_weekly_row_past_the_last_date_exits_2(self, tmp_path, capsys):
+        weekly = tmp_path / "weekly.csv"
+        weekly.write_text("mode_id,dep_station,arr_station,days,dep_time,arr_time\n"
+                          "n,AMS,CDG,1111111,23:30,00:50\n")
+        flags = BASE_FLAGS.copy()
+        flags[5], flags[11], flags[13] = str(weekly), "9999-12-30", "9999-12-31"
+        assert main(["validate"] + flags) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert (error["error"], error["path"], error["line"]) == (
+            "ValidationError", str(weekly), 2)
+        assert error["message"] == (
+            f"{weekly}:2: segment n_9999-12-31_2330: arrival date after 9999-12-31")
 
     @pytest.mark.parametrize("flag, data, line", [
         (1, b"origin_zone,dest_zone,date,period,mean_s,min_s,max_s\n"
@@ -542,6 +556,57 @@ def test_an_evaluation_holds_few_bytes_per_trip(tmp_path, monkeypatch):
             tracemalloc.stop()
     assert len(report.trips) == 40_500
     assert (held - before) / len(report.trips) < 80
+
+
+def test_summarize_peak_memory_per_cell(tmp_path, monkeypatch):
+    """The tracemalloc peak of ``summarize`` over its input, per day cell, on
+    the ``legs-delays`` benchmark's seed-1 inputs (21,978 cells): 127.6 B/cell
+    when it listed a (mode, sums) pair per cell under a list per day, about
+    24 B/cell with one list of cell keys per (zone, period)."""
+    gen = load_bench_gen(monkeypatch)
+    gen.generate("legs-delays", 1, tmp_path)
+    config = cli.build_config(cli.build_parser().parse_args(
+        ["fastest", *gen.input_flags("legs-delays", tmp_path), "--out-dir", str(tmp_path)]))
+    cells = aggregation.daily_zone_means(evaluate(config, load_inputs(config)).trips)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        aggregation.summarize(cells)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert len(cells) == 21_978
+    assert (peak - before) / len(cells) <= 100
+
+
+def test_no_command_builds_a_trip_record(tmp_path, monkeypatch):
+    """The group-by and ``leg_shares`` read an evaluation's trips per
+    segment: with ``Trips`` refusing to be iterated, each command that
+    evaluates trips still exits 0 and writes the golden bytes."""
+    def refuse(trips):
+        raise AssertionError("an evaluation's trips were iterated")
+
+    monkeypatch.setattr(aggregation.Trips, "__iter__", refuse)
+    golden = FIXTURES.parent / "golden_expected"
+    config = ["--config", str(FIXTURES / "run.conf")]
+    out = tmp_path / "fastest"
+    assert main(config + ["fastest", "--out-dir", str(out)]) == 0
+    expected = sorted((golden / "fastest_time").glob("fastest_time_*"))
+    assert [p.name for p in sorted(out.iterdir())] == [
+        p.name.replace("fastest_time_", "fastest_") for p in expected]
+    for path in expected:
+        assert (out / path.name.replace("fastest_time_", "fastest_")).read_bytes() == (
+            path.read_bytes()), path.name
+    for command, args in (
+            ("whatif", ["--dep-proc-min", "60", "--arr-proc-min", "30", "--format", "csv"]),
+            ("legs", []),
+            ("weather-diff", ["--date-a", "2018-01-02", "--date-b", "2018-01-05"])):
+        out = tmp_path / command
+        assert main(config + [command, *args, "--out-dir", str(out)]) == 0
+        assert_trees_identical(out, golden / command.replace("-", "_"))
 
 
 class TestDateFilter:

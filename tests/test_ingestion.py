@@ -405,6 +405,15 @@ class TestWeeklySchedule:
         segments = expand_weekly_schedule(path, stations, date(2018, 1, 1), date(2018, 1, 1))
         assert local_date(segments[0].sched_arr, stations["CDG"]) == date(2018, 1, 2)
 
+    def test_overnight_arrival_past_the_last_date_cites_row(self, tmp_path, stations):
+        # The 9999-12-31 departure would arrive on a date ``date`` cannot hold.
+        path = write(tmp_path, "weekly.csv",
+                     f"{WEEKLY_HEADER}\nn,AMS,CDG,1111111,23:30,00:50\n")
+        with pytest.raises(ValidationError) as info:
+            expand_weekly_schedule(path, stations, date(9999, 12, 30), date(9999, 12, 31))
+        assert str(info.value) == (
+            f"{path}:2: segment n_9999-12-31_2330: arrival date after 9999-12-31")
+
     def test_segment_count_matches_matching_dates(self, tmp_path, stations):
         path = write(tmp_path, "weekly.csv",
                      f"{WEEKLY_HEADER}\n"

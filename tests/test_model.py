@@ -254,6 +254,8 @@ CLASSIFIER_ANCHORS = (
     ("Australia/Lord_Howe", utc_s(2018, 3, 31, 15)),
     ("Australia/Lord_Howe", utc_s(2018, 10, 6, 15, 30)),
     ("Asia/Kathmandu", utc_s(1985, 12, 31, 18, 30)), ("Asia/Kathmandu", utc_s(2018, 6, 1)),
+    # UTC+14: the local date runs a day ahead of UTC's for most of the day.
+    ("Pacific/Kiritimati", utc_s(2018, 6, 1, 12)),
 )
 TWO_DAYS_S = 2 * 86400
 egress_instants = st.sampled_from(CLASSIFIER_ANCHORS).flatmap(
@@ -296,6 +298,11 @@ class TestPeriodClassifier:
     @example(("Pacific/Apia", utc_s(2011, 12, 30, 9, 30)), [0, 3600, 86400, 2 * 86400])
     # St. John's: 6 Nov 23:30, 7 Nov 00:00, then 6 Nov 23:16 again.
     @example(("America/St_Johns", utc_s(2010, 11, 7, 2)), [0, 1800, 2760, 5400, 86400])
+    # Every period start of a regular day (Amsterdam, 1 June 2018), and a
+    # second either side of each.
+    @example(("Europe/Amsterdam", utc_s(2018, 5, 31, 22)),
+             [start_s + d for start_s in (0, 25200, 36000, 57600, 68400, 86400)
+              for d in (-1, 0, 1) if start_s + d >= 0])
     def test_agrees_with_local_date_period(self, egress, delays):
         tz_name, egress_s = egress
         tz = ZoneInfo(tz_name)
