@@ -7,16 +7,20 @@ lookups once per egress group (egress zone, exit date, exit period), and per
 trip only the arrival and its ``PeriodClassifier`` bucket (one classifier
 per arrival timezone).  Its report holds the trips per segment, not per trip
 (``Trips``): one ``SegmentTrips`` per segment, with the segment's legs, its
-egress group's zone ids and rides, which every segment exiting in that group
-shares, and one shared (date, period) arrival per trip.  Each ``TripRecord``
-is built as the trips are iterated; the consumers here and in ``analytics``
-read ``Trips.segments`` instead and build none.  ``daily_zone_means`` groups
-the trips into a dict of door-to-door time and variability keyed by (zone,
-date, period, mode).  ``summarize`` reduces those cells into a dict keyed by
-(zone, period): the days each mode was fastest, the days each mode was most
-reliable, and the fastest average time; it lists each (zone, period)'s cell
-keys and reads their sums from the cells a day at a time.  A key is the only
-place a cell's or summary's zone, date and period are stored.
+egress group's zone ids and egress rides, which every segment exiting in that
+group shares, and one shared (date, period) arrival per trip.  An egress ride
+is not a stat object but where its stat sits in the ride-stat index: the
+index's own slot row and the ride's first slot there
+(``RideStatIndex.locate``).  Each ``TripRecord`` is built as the trips are
+iterated; the consumers here and in ``analytics`` read ``Trips.segments``
+instead and build none.  ``daily_zone_means`` groups the trips into a dict of
+door-to-door time and variability keyed by (zone, date, period, mode), whose
+values are tuples of integer sums.  ``summarize`` reduces those cells into a
+dict keyed by (zone, period): the days each mode was fastest, the days each
+mode was most reliable, and the fastest average time; it lists each (zone,
+period)'s cell keys and reads their sums from the cells a day at a time.  A
+key is the only place a cell's or summary's zone, date and period are
+stored.
 ``bin_zone_counts`` bins the summaries into reporting bands.
 
 Each day cell holds integer sums of seconds and a trip count, and two
@@ -31,15 +35,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import date, tzinfo
 from fractions import Fraction
-from itertools import groupby
+from itertools import compress, groupby
 from math import gcd
-from operator import itemgetter
+from operator import itemgetter, not_
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
-from .ingestion import RideStatIndex, resolve_dwell
+from .ingestion import RideStatIndex, resolve_dwell, ride_stat
 from .model import (
     DayPeriod, DwellProfile, PeriodClassifier, ScheduledSegment, SegmentLegs, TripRecord,
-    Zone, ZoneRideStat, local_date_period,
+    Zone, local_date_period,
 )
 
 # Door-to-door time interval bins (minutes, half-open), per the four
@@ -56,10 +60,10 @@ def interval_bin(total_min) -> str:
     return INTERVAL_LABELS[-1]
 
 
-# (zone_id, date, period, mode_id) -> [sum of door-to-door totals, sum of
-# (max-variant total - min-variant total), trip count], in integer seconds:
+# (zone_id, date, period, mode_id) -> (sum of door-to-door totals, sum of
+# (max-variant total - min-variant total), trip count), in integer seconds:
 # a cell's mean time is ``total / n`` and its mean variability ``spread / n``.
-DayCells = Dict[Tuple[str, date, DayPeriod, str], List[int]]
+DayCells = Dict[Tuple[str, date, DayPeriod, str], Tuple[int, int, int]]
 
 
 @dataclass(frozen=True)
@@ -85,19 +89,21 @@ def daily_zone_means(trips: Trips) -> DayCells:
     mode), bucketing each trip by the date and period of its final arrival.
 
     It reads the trips per segment (``trips.segments``), the segment's mode
-    and sums once, and builds no ``TripRecord``."""
+    and sums once and each egress ride from its slot row, and builds no
+    ``TripRecord``.  A cell's sums are a tuple, replaced on each update."""
     cells: DayCells = {}
-    for entry in trips.segments:
-        legs = entry.legs
+    get = cells.get
+    for legs, zone_ids, rows, slots, arrivals in trips.segments:
         mode_id, exit_s, to_spread_s = legs.segment.mode_id, legs.door_to_exit_s, legs.to_spread_s
-        for zone_id, ride, (day, period) in zip(entry.zone_ids, entry.rides, entry.arrivals):
+        for zone_id, row, slot, (day, period) in zip(zone_ids, rows, slots, arrivals):
             key = (zone_id, day, period, mode_id)
-            sums = cells.get(key)
+            total_s = exit_s + row[slot]
+            spread_s = to_spread_s + row[slot + 2] - row[slot + 1]
+            sums = get(key)
             if sums is None:
-                sums = cells[key] = [0, 0, 0]
-            sums[0] += exit_s + ride.mean_s
-            sums[1] += to_spread_s + ride.max_s - ride.min_s
-            sums[2] += 1
+                cells[key] = (total_s, spread_s, 1)
+            else:
+                cells[key] = (sums[0] + total_s, sums[1] + spread_s, sums[2] + 1)
     return cells
 
 
@@ -189,11 +195,14 @@ def bin_zone_counts(
 
 class SegmentTrips(NamedTuple):
     """One segment's trips: its legs, and per trip (in zone id order) the
-    destination zone id, the egress ride and the (date, period) arrival."""
+    destination zone id, the egress ride as the slot row and first slot that
+    ``RideStatIndex.locate`` answers (the index's docstring gives the slot
+    layout) and the (date, period) arrival."""
 
     legs: SegmentLegs
     zone_ids: Tuple[str, ...]  # shared by every segment of its egress group
-    rides: Tuple[ZoneRideStat, ...]  # likewise
+    rows: Tuple[List[int], ...]  # likewise; the index's own slot rows
+    slots: Tuple[int, ...]  # likewise
     arrivals: Tuple[Tuple[date, DayPeriod], ...]
 
 
@@ -203,12 +212,14 @@ class Trips:
     iterated again.
 
     It holds one ``SegmentTrips`` per segment, as ``segments``.  An entry's
-    zone ids and egress rides are two tuples that every segment exiting in
-    its egress group shares, and each arrival is a (date, period) pair that
+    zone ids, slot rows and slots are three tuples that every segment exiting
+    in its egress group shares (the rows are the index's, and the slots small
+    cached ints), and each arrival is a (date, period) pair that
     ``PeriodClassifier`` shares among the arrivals in a period of a regular
     day.  So a trip costs about one pointer of its own.  ``daily_zone_means``
     and ``analytics.leg_shares`` read the entries; iterating is for callers
-    that want records."""
+    that want records, whose ``ride_from`` is built by ``ride_stat``, as
+    ``RideStatIndex.lookup`` builds its answer."""
 
     __slots__ = ("_segments", "_n")
 
@@ -226,9 +237,9 @@ class Trips:
 
     def __iter__(self) -> Iterator[TripRecord]:
         new = tuple.__new__  # builds a TripRecord in C, not via its Python __new__
-        for legs, zone_ids, rides, arrivals in self._segments:
-            for zone_id, ride, (day, period) in zip(zone_ids, rides, arrivals):
-                yield new(TripRecord, (legs, zone_id, ride, day, period))
+        for legs, zone_ids, rows, slots, arrivals in self._segments:
+            for zone_id, row, slot, (day, period) in zip(zone_ids, rows, slots, arrivals):
+                yield new(TripRecord, (legs, zone_id, ride_stat(row, slot), day, period))
 
 
 @dataclass
@@ -261,18 +272,18 @@ def evaluate_trips(
     counts no wait, so the departure dwell is never below the processing
     time; the station exit is the actual arrival plus the arrival dwell.
     Per egress group (egress zone, exit date, exit period): the egress rides
-    to every zone, looked up once.  Per trip: the final arrival (exit plus
-    egress ride), classified by one ``PeriodClassifier`` per arrival
-    timezone with the exit date as its hint.  ``rides.lookup`` falls back to
-    daily stats; a leg with no statistic at either level is recorded in
-    ``skipped`` rather than failing the batch.
+    to every zone, located once (``rides.locate``) and kept as slot rows and
+    slots.  Per trip: the final arrival (exit plus egress ride), classified
+    by one ``PeriodClassifier`` per arrival timezone with the exit date as
+    its hint.  Both rides fall back to daily stats; a leg with no statistic
+    at either level is recorded in ``skipped`` rather than failing the batch.
     """
     dest_ids = sorted(zone.zone_id for zone in dest_zones)
-    origin_id, lookup = origin_zone.zone_id, rides.lookup
+    origin_id, locate = origin_zone.zone_id, rides.locate
     held, skipped = [], []
-    # (egress zone, date, period) -> (zone ids with a ride, their rides, zone
-    # ids without one)
-    groups: Dict[tuple, Tuple[tuple, tuple, tuple]] = {}
+    # (egress zone, date, period) -> (zone ids with a ride, their slot rows,
+    # their slots, zone ids without one)
+    groups: Dict[tuple, Tuple[tuple, tuple, tuple, tuple]] = {}
     classifiers: Dict[tzinfo, Callable] = {}  # arrival tz -> PeriodClassifier.classify
     for segment in sorted(segments, key=lambda s: s.segment_id):
         segment_id = segment.segment_id
@@ -282,8 +293,8 @@ def evaluate_trips(
         dep_station, arr_station = segment.dep_station, segment.arr_station
         sec_s = resolve_dwell(dep_station, air_dwell).t_sec_departure_s
         arr_s = resolve_dwell(arr_station, air_dwell).t_arr_s
-        ride_to = lookup(origin_id, dep_station.zone_id,
-                         *local_date_period(segment.sched_dep - sec_s, dep_station.tzinfo))
+        ride_to = rides.lookup(origin_id, dep_station.zone_id,
+                               *local_date_period(segment.sched_dep - sec_s, dep_station.tzinfo))
         if ride_to is None:
             skipped.extend((segment_id, zone_id, "no_access_ride") for zone_id in dest_ids)
             continue
@@ -296,18 +307,17 @@ def evaluate_trips(
         group = (egress_zone_id, exit_date, exit_period)
         egress = groups.get(group)
         if egress is None:
-            found = [(zone_id, lookup(egress_zone_id, zone_id, exit_date, exit_period))
+            found = [locate(egress_zone_id, zone_id, exit_date, exit_period)
                      for zone_id in dest_ids]
-            egress = groups[group] = (
-                tuple(zone_id for zone_id, ride in found if ride is not None),
-                tuple(ride for _, ride in found if ride is not None),
-                tuple(zone_id for zone_id, ride in found if ride is None))
-        zone_ids, zone_rides, missing = egress
+            rows, slots = tuple(zip(*filter(None, found))) or ((), ())
+            egress = groups[group] = (tuple(compress(dest_ids, found)), rows, slots,
+                                      tuple(compress(dest_ids, map(not_, found))))
+        zone_ids, rows, slots, missing = egress
         skipped.extend((segment_id, zone_id, "no_egress_ride") for zone_id in missing)
-        if zone_rides:
+        if rows:
             classify = classifiers.get(arr_tz)
             if classify is None:
                 classify = classifiers[arr_tz] = PeriodClassifier(arr_tz).classify
-            held.append(SegmentTrips(legs, zone_ids, zone_rides, tuple(
-                [classify(exit_s + ride.mean_s, exit_date) for ride in zone_rides])))
+            held.append(SegmentTrips(legs, zone_ids, rows, slots, tuple(
+                [classify(exit_s + row[slot], exit_date) for row, slot in zip(rows, slots)])))
     return EvaluationReport(trips=Trips(held), skipped=skipped)

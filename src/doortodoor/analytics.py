@@ -62,19 +62,18 @@ def leg_shares(trips: Trips) -> List[LegShare]:
     partial sum ``[n, den, s_to, s_dep, s_in, s_arr, s_from]`` stands for n
     trips whose phase-i fractions sum to ``s_i / den``; a trip enters as
     ``[1, total, phase seconds...]``, its segment's legs read once per
-    segment (``trips.segments``) and its egress ride per trip, so no
-    ``TripRecord`` is built.  Each city pair keeps a stack of partial sums
-    that merge like a binary counter, while the top two cover as many trips,
-    over the lcm of their denominators; so big integers arise only in the
-    last few merges.  The folded stack gives phase i's mean as the rational
+    segment (``trips.segments``) and its egress ride's mean per trip from its
+    slot row, so no ``TripRecord`` is built.  Each city pair keeps a stack of
+    partial sums that merge like a binary counter, while the top two cover as
+    many trips, over the lcm of their denominators; so big integers arise
+    only in the last few merges.  The folded stack gives phase i's mean as the rational
     ``100 * s_i / (den * n)``.
     """
     stacks: Dict[str, List[List[int]]] = {}
     # The stack of each (departure, arrival) station id pair, so a city-pair
     # key is built once.
     by_ids: Dict[Tuple[str, str], List[List[int]]] = {}
-    for entry in trips.segments:
-        legs = entry.legs
+    for legs, _, rows, slots, _ in trips.segments:
         segment = legs.segment
         ids = (segment.dep_station.station_id, segment.arr_station.station_id)
         stack = by_ids.get(ids)
@@ -82,8 +81,8 @@ def leg_shares(trips: Trips) -> List[LegShare]:
             stack = by_ids[ids] = stacks.setdefault("%s-%s" % ids, [])
         exit_s, to_s, dep_s, in_s, arr_s = (
             legs.door_to_exit_s, legs.ride_to.mean_s, legs.dep_s, legs.in_s, legs.arr_s)
-        for ride in entry.rides:
-            from_s = ride.mean_s
+        for row, slot in zip(rows, slots):
+            from_s = row[slot]
             top = [1, exit_s + from_s, to_s, dep_s, in_s, arr_s, from_s]
             while stack and stack[-1][0] == top[0]:
                 top = _merge_sums(stack.pop(), top)

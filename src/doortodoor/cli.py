@@ -13,7 +13,6 @@ import csv
 import gc
 import io
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -25,7 +24,7 @@ from typing import Dict, Iterable, List, Optional, Tuple, get_args, get_type_hin
 
 from . import aggregation, analytics, ingestion
 from .errors import DoorToDoorError, FitUndefinedError, ValidationError
-from .model import CLASSIFIABLE_PERIODS, DayPeriod, DwellProfile, local_date_period
+from .model import CLASSIFIABLE_PERIODS, DayPeriod, DwellProfile, dwell_fault, local_date_period
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
@@ -57,9 +56,8 @@ def _range_fault(name: str, value) -> Optional[str]:
     and a RunConfig built in Python alike."""
     if name == "format" and value not in FORMATS:
         return f"format: cannot parse {value!r}"
-    if name in ("dep_proc_min", "arr_proc_min") and value is not None and not (
-            math.isfinite(value) and value >= 0):
-        return f"{name}: must be finite and >= 0, got {value!r}"
+    if name in ("dep_proc_min", "arr_proc_min") and value is not None:
+        return dwell_fault(name, value)
     if name == "jobs" and value < 1:
         return f"jobs: must be at least 1, got {value}"
     if name == "out_dir" and not value:

@@ -15,14 +15,16 @@ Canonical file formats:
   expanded over a date range in one pass: each row becomes its dated
   segments as it is read, so any fault of a row cites its ``path:line:``.
 - ``stations.csv``: ``station_id,kind,zone_id,lat,lon,tz,t_sec_dep_min,t_arr_min``
-  (the two dwell columns may be empty to use the built-in defaults).
+  (the two dwell columns may be empty to use the built-in defaults, and a
+  given one must be from 0 to 1440 min).
 - ``zones.geojson``: FeatureCollection whose features carry ``zone_id`` and
   optionally ``internal_point`` ([lon, lat]) and ``population_density``.
 
 Ride stats are indexed by zone pair, then by date: a ``RideStatIndex`` whose
 slot row for one pair and date holds the three integers of each of its
 periods, so the largest input costs three list slots per row, and a stat
-object only when one is looked up.
+object only when ``get`` or ``lookup`` is asked for one; the trip kernel
+keeps where an egress ride sits instead (``RideStatIndex.locate``).
 
 Each segment time is converted once, here, to epoch seconds, both from
 ``segments.csv`` and from weekly expansion.  A naive local time is zoned by
@@ -63,7 +65,6 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 from .errors import ValidationError
 from .model import (
     PERIOD_BY_CODE,
-    DayPeriod,
     DwellProfile,
     ScheduledSegment,
     Station,
@@ -111,8 +112,11 @@ class RideStatIndex:
     a list of ``SLOTS`` ints.  Slots ``3c``, ``3c + 1`` and ``3c + 2`` hold
     the ``mean_s``, ``min_s`` and ``max_s`` of the row with period code
     ``c``, and 0 means that row is absent (a loaded row has ``min_s > 0``).
-    So a row costs three list slots; ``get`` and ``lookup`` build the
-    ``ZoneRideStat`` they return."""
+    So a row costs three list slots.  ``locate`` is the one lookup rule: it
+    answers a key with a slot row and the first slot of the stat found, and
+    ``get`` and ``lookup`` build their ``ZoneRideStat`` from that pair
+    (``ride_stat``); a caller that keeps the pair reads ``row[slot]``,
+    ``row[slot + 1]`` and ``row[slot + 2]`` itself, with no stat built."""
 
     __slots__ = ("pairs",)
 
@@ -127,26 +131,29 @@ class RideStatIndex:
         rows = sum(map(len, self.pairs.values()))
         return (SLOTS * rows - sum(map(list.count, self._slot_rows(), repeat(0)))) // 3
 
-    def get(self, origin, dest, when, period) -> Optional[ZoneRideStat]:
-        """The stat of exactly this key, or None."""
-        cells = self.pairs.get((origin, dest))
-        row = None if cells is None else cells.get(when)
-        if row is None:
-            return None
-        slot = 3 * period.code
-        return _new(ZoneRideStat, (period, *row[slot:slot + 3])) if row[slot] else None
-
-    def lookup(self, origin, dest, when, period) -> Optional[ZoneRideStat]:
-        """Period-level record when present, else the daily aggregate (whose
-        ``period`` is ``DAILY_ONLY``), else None."""
+    def locate(self, origin, dest, when, period) -> Optional[Tuple[List[int], int]]:
+        """The slot row of the zone pair and date, and the first slot of the
+        period's stat when present, else of the daily aggregate (slot 0), else
+        None."""
         cells = self.pairs.get((origin, dest))
         row = None if cells is None else cells.get(when)
         if row is None:
             return None
         slot = 3 * period.code
         if row[slot]:
-            return _new(ZoneRideStat, (period, *row[slot:slot + 3]))
-        return _new(ZoneRideStat, (_DAILY, *row[:3])) if row[0] else None
+            return row, slot
+        return (row, 0) if row[0] else None
+
+    def get(self, origin, dest, when, period) -> Optional[ZoneRideStat]:
+        """The stat of exactly this key, or None."""
+        found = self.locate(origin, dest, when, period)
+        return ride_stat(*found) if found and found[1] == 3 * period.code else None
+
+    def lookup(self, origin, dest, when, period) -> Optional[ZoneRideStat]:
+        """Period-level record when present, else the daily aggregate (whose
+        ``period`` is ``DAILY_ONLY``), else None."""
+        found = self.locate(origin, dest, when, period)
+        return ride_stat(*found) if found else None
 
     def daily_count(self) -> int:
         """The number of daily-only aggregates (period code 0): a scan of slot
@@ -155,7 +162,12 @@ class RideStatIndex:
         return rows - countOf(map(itemgetter(0), self._slot_rows()), 0)
 
 
-_DAILY = DayPeriod.DAILY_ONLY
+def ride_stat(row: List[int], slot: int) -> ZoneRideStat:
+    """The stat that starts at ``slot`` of a slot row; slot 0 is the daily
+    aggregate, whose ``period`` is ``DAILY_ONLY``."""
+    return _new(ZoneRideStat, (PERIOD_BY_CODE[slot // 3], row[slot], row[slot + 1], row[slot + 2]))
+
+
 _new = tuple.__new__  # builds a ZoneRideStat in C, not via its Python __new__
 
 RIDE_STATS_HEADER = "origin_zone,dest_zone,date,period,mean_s,min_s,max_s"

@@ -29,7 +29,10 @@ non-negative by construction (ride stats, dwells and segment times are
 checked upstream), so a ``TripRecord`` is a plain tuple of the segment's
 shared ``SegmentLegs``, the zone, the egress ``ZoneRideStat`` and the
 arrival, built only when an ``EvaluationReport``'s trips are iterated; ids,
-the access ride and the totals are read off those.  The group-by and
+the access ride and the totals are read off those.  The trips hold each
+egress ride as a slot row and slot of the ride-stat index, so its
+``ZoneRideStat`` is built then too, by ``ingestion.ride_stat``, as
+``RideStatIndex.lookup`` builds its answer.  The group-by and
 ``analytics.leg_shares`` read the trips per segment and build none.
 """
 
@@ -136,20 +139,29 @@ class Zone:
             )
 
 
+def dwell_fault(name: str, minutes: float) -> Optional[str]:
+    """The message that names ``name`` when a processing time or dwell of
+    ``minutes`` is outside [0, 1440], one day, else None: the one rule for
+    the processing-time settings and every ``DwellProfile``, so no setting
+    or station row moves an instant by more than a day."""
+    if not 0 <= minutes <= MINUTES_PER_DAY:  # NaN fails too
+        return f"{name}: must be from 0 to {MINUTES_PER_DAY} min, got {minutes!r}"
+    return None
+
+
 @dataclass(frozen=True)
 class DwellProfile:
-    """Planned station dwell in minutes: departure processing and arrival exit."""
+    """Planned station dwell in minutes: departure processing and arrival
+    exit, each held to ``dwell_fault``."""
 
     t_sec_departure_min: float
     t_arr_min: float
 
     def __post_init__(self):
-        for name, value in (
-            ("t_sec_departure_min", self.t_sec_departure_min),
-            ("t_arr_min", self.t_arr_min),
-        ):
-            if not math.isfinite(value) or value < 0:
-                raise ValidationError(f"dwell {name}={value!r} must be finite and >= 0")
+        for name in ("t_sec_departure_min", "t_arr_min"):
+            fault = dwell_fault(name, getattr(self, name))
+            if fault:
+                raise ValidationError(fault)
 
     @property
     def t_sec_departure_s(self) -> int:
@@ -280,8 +292,9 @@ class PeriodClassifier:
     starts, and is answered with one of the five (date, period) pairs kept
     for that day, so the arrivals of many trips share one pair.  On any
     other day (an offset change, a skipped date, a date that goes backward
-    at midnight) the answer is ``local_date_period`` itself.  The rule assumes
-    that an offset change shows in its day's length or in one of its starts.
+    at midnight, or 9999-12-31, which has no next date) the answer is
+    ``local_date_period`` itself.  The rule assumes that an offset change
+    shows in its day's length or in one of its starts.
     """
 
     __slots__ = ("tz", "_days")
@@ -293,6 +306,8 @@ class PeriodClassifier:
         self._days: dict = {}
 
     def _day(self, day: date) -> tuple:
+        if day == date.max:  # no next midnight to end it: irregular
+            return ()
         starts = [int(datetime.combine(day, clock, self.tz).timestamp())
                   for clock in _PERIOD_CLOCKS]
         starts.append(int(datetime.combine(day + _ONE_DAY, time(), self.tz).timestamp()))

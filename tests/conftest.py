@@ -199,11 +199,22 @@ def make_trip(dest_zone="PZ1", mode_id="via_CDG", arrival_date="2018-01-02",
                       arrival_date=when, arrival_period=arrival_period)
 
 
+def segment_entry(record):
+    """One ``TripRecord`` as a one-trip ``SegmentTrips``: its egress ride sits
+    in a slot row of its own, at the first slot ``RideStatIndex.locate``
+    would answer."""
+    ride = record.ride_from
+    slot = 3 * ride.period.code
+    row = [0] * SLOTS
+    row[slot:slot + 3] = ride[1:]
+    return SegmentTrips(record.legs, (record.dest_zone_id,), (row,), (slot,),
+                        ((record.arrival_date, record.arrival_period),))
+
+
 def trips_of(records):
     """The ``Trips`` that ``daily_zone_means`` and ``leg_shares`` read, built
     from TripRecords, one segment entry per record, in their order."""
-    return Trips([SegmentTrips(r.legs, (r.dest_zone_id,), (r.ride_from,),
-                               ((r.arrival_date, r.arrival_period),)) for r in records])
+    return Trips(list(map(segment_entry, records)))
 
 
 @pytest.fixture

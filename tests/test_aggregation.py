@@ -520,8 +520,11 @@ class TestEvaluateTrips:
 
 
 class CountingRides(RideStatIndex):
+    """Counts ``locate``, the one lookup rule, which ``lookup`` and ``get``
+    call too."""
+
     lookups = 0
 
-    def lookup(self, *key):
+    def locate(self, *key):
         self.lookups += 1
-        return super().lookup(*key)
+        return super().locate(*key)

@@ -1,7 +1,7 @@
 """Core model: period taxonomy, the trip kernel, geodesic distance."""
 
 import math
-from datetime import datetime, timedelta, timezone, tzinfo
+from datetime import date, datetime, timedelta, timezone, tzinfo
 from zoneinfo import ZoneInfo
 
 import pytest
@@ -70,6 +70,13 @@ MIDDAY_RIDES = [
     ("AZ1", "AZ1", "2018-01-02", DayPeriod.MIDDAY, 1800, 1500, 2400),
     ("PZ9", "PZ1", "2018-01-02", DayPeriod.MIDDAY, 1500, 1200, 2100),
 ]
+
+
+def test_a_dwell_is_at_most_one_day():
+    assert DwellProfile(0, 1440).t_arr_s == 86_400
+    with pytest.raises(ValidationError,
+                       match=r"^t_arr_min: must be from 0 to 1440 min, got 1440\.01$"):
+        DwellProfile(0, 1440.01)
 
 
 class TestComputeTrip:
@@ -321,6 +328,16 @@ class TestPeriodClassifier:
         for minute in range(0, 2 * 1440, 10):
             arrival_s = utc_s(2018, 6, 1) + minute * 60
             assert classifier.classify(arrival_s, hint) == local_date_period(arrival_s, tz)
+
+    def test_the_last_calendar_day_has_no_next_midnight(self):
+        # 9999-12-31 is read as an irregular day, so each instant is answered
+        # by local_date_period itself.
+        tz = ZoneInfo("Europe/Amsterdam")
+        classifier = PeriodClassifier(tz)
+        midnight_s = int(datetime(9999, 12, 31, tzinfo=tz).timestamp())
+        for minute in range(0, 1440, 10):
+            arrival_s = midnight_s + minute * 60
+            assert classifier.classify(arrival_s, date.max) == local_date_period(arrival_s, tz)
 
     def test_a_regular_day_shares_one_date(self):
         tz = ZoneInfo("Europe/Paris")
